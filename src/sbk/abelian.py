@@ -25,13 +25,14 @@ from .combing import (
     SURFACE_S2,
     build_action_table,
     conjugation_row,
+    kernel_basis,
     keromega_basis,
     omega_basis,
     rewrite_kernel_letters,
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Gen, Letter, Word, gen_a, gen_rho, reduce_letters
+from .words import Gen, Letter, Word, gen_a, gen_rho
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 
@@ -276,10 +277,7 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 3, []
-    table = build_action_table(l - 1)
-    maps: dict[tuple[Gen, int], dict[Gen, tuple]] = {}
-    for (x, sign, b), image in table.rows.items():
-        maps.setdefault((x, sign), {})[b] = image
+    maps = build_action_table(l - 1).maps
 
     def conj(actor: Word, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
         for gen, exp in reversed(actor.letters):
@@ -346,9 +344,7 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     if surface == SURFACE_S2 and l < 3:
         raise ValueError("the sphere case needs l >= 3")
     top = m + l + 1
-    basis: list[Gen] = [gen_a(i, top) for i in range(1, top - 1)]
-    if surface == SURFACE_RP2:
-        basis.append(gen_rho(top))
+    basis = kernel_basis(top, surface)
     index = {g: i for i, g in enumerate(basis)}
     actors: list[Gen] = []
     for s in range(l + 1, top):
@@ -358,7 +354,7 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     columns: list[list[int]] = []
     for x in actors:
         for b in basis:
-            image = reduce_letters(conjugation_row(x, 1, b, top, l, surface))
+            image = conjugation_row(x, 1, b, top, l, surface)
             col = [0] * len(basis)
             for gen, exp in image:
                 col[index[gen]] += exp

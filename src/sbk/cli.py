@@ -17,28 +17,47 @@ from . import abelian, combing, homs, presentations, verify
 from .words import parse_word
 
 
+# the parameters each group family accepts
+_FAMILY_PARAMS = {
+    "pn-rp2": ("n",),
+    "gamma-rp2": ("m", "p"),
+    "gamma-s2": ("n", "m"),
+    "ln": ("n",),
+}
+
+
 def _parse_group_spec(spec: str):
-    """Parse group specs like ``pn-rp2:n=4`` or ``gamma-rp2:m=2,p=2``."""
+    """Parse group specs like ``pn-rp2:n=4`` or ``gamma-rp2:m=2,p=2``.
+
+    Unknown families and unknown or repeated parameters are rejected;
+    a missing parameter surfaces as a ``KeyError`` when it is read."""
     family, _, tail = spec.partition(":")
-    params: dict[str, int] = {}
+    family = family.strip()
+    items: list[tuple[str, int]] = []
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
             if not eq or not value.lstrip("-").isdigit():
                 raise ValueError(f"bad group parameter {item!r} in {spec!r}")
-            params[key.strip()] = int(value)
-    return family.strip(), params
+            items.append((key.strip(), int(value)))
+    if family not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown group family {family!r}")
+    params: dict[str, int] = {}
+    for key, value in items:
+        if key not in _FAMILY_PARAMS[family]:
+            raise ValueError(f"unknown parameter {key!r} for group family {family!r}")
+        if key in params:
+            raise ValueError(f"repeated group parameter {key!r} in {spec!r}")
+        params[key] = value
+    return family, params
 
 
-def _build_from_spec(spec: str) -> presentations.Presentation:
-    family, params = _parse_group_spec(spec)
+def _build_from_spec(family: str, params: dict[str, int]) -> presentations.Presentation:
     if family == "pn-rp2":
         return presentations.build_pn_rp2(params["n"])
     if family == "gamma-rp2":
         return presentations.build_gamma_rp2(params["m"], params["p"])
-    if family == "gamma-s2":
-        return presentations.build_gamma_s2(params["n"], params["m"])
-    raise ValueError(f"unknown group family {family!r}")
+    return presentations.build_gamma_s2(params["n"], params["m"])
 
 
 def _emit(payload) -> None:
@@ -80,7 +99,7 @@ def _cmd_abelianize(args) -> int:
     if family == "ln":
         inv = abelian.ln_tower_abelianization(params["n"])
     else:
-        inv = abelian.abelianize_presentation(_build_from_spec(args.group))
+        inv = abelian.abelianize_presentation(_build_from_spec(family, params))
     _emit({"group": args.group, **inv.to_json(), "display": str(inv)})
     return 0
 
@@ -96,7 +115,7 @@ def _cmd_info(args) -> int:
             "tower_ranks": combing.ln_tower_ranks(n),
         })
         return 0
-    pres = _build_from_spec(args.group)
+    pres = _build_from_spec(family, params)
     payload = pres.to_json()
     payload["generator_count"] = len(pres.generators)
     payload["relator_count"] = len(pres.relators)

@@ -14,19 +14,28 @@ reduced words (omega_{m+1}, ..., omega_2), one per kernel level, with
     w = omega_{m+1} * s(omega_m * s( ... s(omega_2) ... )).
 
 The conjugation action of the lower-level generators on each kernel
-basis is tabulated from the defining relations (an :class:`ActionTable`);
-rows for inverse letters are derived symbolically and certified by the
-round-trip checks in the verification suites.  Combed-form equality is
-the canonical equality of this library; it depends on the chosen
-section, which is fixed once and for all here.
+basis is tabulated from the defining relations, one :class:`ActionTable`
+per level, stored as ``maps[(x, sign)][b] -> image``.  Rows for inverse
+letters are derived symbolically and certified by
+:meth:`ActionTable.round_trip_failures`.  The table also derives, on
+first use, the kernel part of every lower-level letter; it is the only
+store of per-level combing data, and :func:`build_action_table` caches
+one table per m.
+
+:func:`comb` peels one kernel level at a time with a single right-to-left
+pass per level.  The private :func:`_comb_letters` takes the table
+factory as a plain argument, so the verification suite can comb against
+a deliberately corrupted table.  Combed-form equality is the canonical
+equality of this library; it depends on the chosen section, which is
+fixed once and for all here.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import Q_ONE, expand_even_crossings, iota_hat, iota_sharp, q2_sharp
 from .presentations import artin_conjugate, artin_conjugate_inv, cln_letters
@@ -41,7 +50,6 @@ from .words import (
     format_gen,
     gen_a,
     gen_rho,
-    gen_sort_key,
     invert_letters,
     pow_letters,
     push_letter,
@@ -110,7 +118,7 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
     rho[k] with punctures < k < top); ``b`` is a kernel basis letter
     (A[i,top] with i <= top-2, or rho[top]).  Rows for ``sign == -1``
     invert the defining relations; the pairing is certified by the
-    round-trip checks.
+    round-trip checks.  The returned word is freely reduced.
     """
     rho_top = gen_rho(top)
     if x[0] == KIND_A:
@@ -166,32 +174,76 @@ class OmegaBasis:
     elements: tuple[Gen, ...]
 
 
+def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
+    """Free basis of the kernel of forgetting strand ``top``: A[1,top], ...,
+    A[top-2,top], then rho[top] on the projective plane (the band letter
+    A[top-1,top] is eliminated by the surface relation)."""
+    gens = tuple(gen_a(i, top) for i in range(1, top - 1))
+    if surface == SURFACE_RP2:
+        gens += (gen_rho(top),)
+    return gens
+
+
 def omega_basis(level: int) -> OmegaBasis:
     if level < 2:
         raise ValueError("kernel levels start at 2")
-    top = level + 1
-    gens = tuple(gen_a(k, top) for k in range(1, level)) + (gen_rho(top),)
-    return OmegaBasis(level, gens)
+    return OmegaBasis(level, kernel_basis(level + 1))
 
 
 @dataclass(frozen=True)
 class ActionTable:
     """Conjugation rows of the lower-level generating letters on the rank
-    m+1 kernel basis at strand level m+2.  Basis letters themselves act by
-    free conjugation and are not stored."""
+    m+1 kernel basis at strand level m+2.
+
+    ``maps[(x, sign)][b]`` is the reduced word x^sign b x^-sign over the
+    basis, for every combing letter x below the top level and both signs.
+    Basis letters themselves act by free conjugation and are not stored.
+    """
 
     m: int
     level: int
     top: int
     basis: tuple[Gen, ...]
-    rows: Mapping[tuple[Gen, int, Gen], tuple[Letter, ...]]
+    maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
 
     def row(self, x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
-        return self.rows[(x, sign, b)]
+        return self.maps[(x, sign)][b]
 
-    def conjugators(self) -> list[tuple[Gen, int]]:
-        return sorted({(x, sign) for (x, sign, _) in self.rows},
-                      key=lambda t: (gen_sort_key(t[0]), t[1]))
+    def round_trip_failures(self) -> list[tuple[Gen, int, Gen]]:
+        """The rows (x, sign, b) that the opposite-sign row of x does not map
+        back to b; empty when every pair x, x^-1 composes to the identity."""
+        return [
+            (x, sign, b)
+            for (x, sign), row_map in self.maps.items()
+            for b in self.basis
+            if _substitute(self.maps[(x, -sign)], row_map[b]) != ((b, 1),)
+        ]
+
+    @cached_property
+    def kappa(self) -> dict[tuple[Gen, int], tuple[Letter, ...]]:
+        """The kernel part g * s(r(g))^-1 of each lower-level letter g^sign,
+        derived from the rows on first use."""
+        top = self.top
+        maps = self.maps
+        kappa: dict[tuple[Gen, int], tuple[Letter, ...]] = {}
+        for j in range(3, top):
+            ajt = _a_word(j, top)
+            inv_ajt = invert_letters(ajt)
+            for i in range(1, j - 1):
+                g = gen_a(i, j)
+                if i == 1:
+                    kappa[(g, 1)] = concat_letters(_substitute(maps[(g, 1)], ajt), inv_ajt)
+                    kappa[(g, -1)] = concat_letters(_substitute(maps[(g, -1)], ajt), inv_ajt)
+                elif i == 2:
+                    kappa[(g, 1)] = inv_ajt
+                    kappa[(g, -1)] = _substitute(maps[(g, -1)], ajt)
+                else:
+                    kappa[(g, 1)] = ()
+                    kappa[(g, -1)] = ()
+            r = gen_rho(j)
+            kappa[(r, 1)] = _substitute(maps[(r, 1)], ajt)
+            kappa[(r, -1)] = inv_ajt
+        return kappa
 
 
 def x_alphabet(m: int) -> tuple[Gen, ...]:
@@ -212,16 +264,15 @@ def build_action_table(m: int) -> ActionTable:
         raise ValueError("m must be >= 1")
     top = m + 2
     basis = omega_basis(m + 1).elements
-    rows: dict[tuple[Gen, int, Gen], tuple[Letter, ...]] = {}
+    maps: dict[tuple[Gen, int], dict[Gen, tuple[Letter, ...]]] = {}
     for x in x_alphabet(m):
         if gen_level(x) == top:
             continue
         for sign in (1, -1):
-            for b in basis:
-                rows[(x, sign, b)] = reduce_letters(
-                    conjugation_row(x, sign, b, top)
-                )
-    return ActionTable(m=m, level=m + 1, top=top, basis=basis, rows=rows)
+            maps[(x, sign)] = {
+                b: conjugation_row(x, sign, b, top) for b in basis
+            }
+    return ActionTable(m=m, level=m + 1, top=top, basis=basis, maps=maps)
 
 
 def _substitute(row_map: Mapping[Gen, tuple[Letter, ...]],
@@ -242,78 +293,6 @@ def _substitute(row_map: Mapping[Gen, tuple[Letter, ...]],
             for g2, e2 in pow_letters(image, exp):
                 push_letter(out, g2, e2)
     return tuple(out)
-
-
-class _CombContext:
-    """Per-level caches: action tables, conjugation maps, section data."""
-
-    def __init__(self, table_factory=build_action_table):
-        self._factory = table_factory
-        self._tables: dict[int, ActionTable] = {}
-        self._conj: dict[int, dict[tuple[Gen, int], dict[Gen, tuple]]] = {}
-        self._kappa: dict[int, dict[tuple[Gen, int], tuple[Letter, ...]]] = {}
-        self._psi: dict[int, dict[tuple[Gen, int], dict[Gen, tuple]]] = {}
-
-    def table(self, m: int) -> ActionTable:
-        if m not in self._tables:
-            self._tables[m] = self._factory(m)
-        return self._tables[m]
-
-    def conj_maps(self, m: int) -> dict[tuple[Gen, int], dict[Gen, tuple]]:
-        if m not in self._conj:
-            table = self.table(m)
-            maps: dict[tuple[Gen, int], dict[Gen, tuple]] = {}
-            for (x, sign, b), image in table.rows.items():
-                maps.setdefault((x, sign), {})[b] = image
-            self._conj[m] = maps
-        return self._conj[m]
-
-    def kappa(self, m: int) -> dict[tuple[Gen, int], tuple[Letter, ...]]:
-        """The kernel part g * s(r(g))^-1 of each lower-level letter."""
-        if m not in self._kappa:
-            top = m + 2
-            maps = self.conj_maps(m)
-            kappa: dict[tuple[Gen, int], tuple[Letter, ...]] = {}
-            for j in range(3, top):
-                ajt = _a_word(j, top)
-                inv_ajt = invert_letters(ajt)
-                for i in range(1, j - 1):
-                    g = gen_a(i, j)
-                    if i == 1:
-                        kappa[(g, 1)] = reduce_letters(
-                            concat_letters(_substitute(maps[(g, 1)], ajt), inv_ajt))
-                        kappa[(g, -1)] = reduce_letters(
-                            concat_letters(_substitute(maps[(g, -1)], ajt), inv_ajt))
-                    elif i == 2:
-                        kappa[(g, 1)] = inv_ajt
-                        kappa[(g, -1)] = _substitute(maps[(g, -1)], ajt)
-                    else:
-                        kappa[(g, 1)] = ()
-                        kappa[(g, -1)] = ()
-                r = gen_rho(j)
-                kappa[(r, 1)] = _substitute(maps[(r, 1)], ajt)
-                kappa[(r, -1)] = inv_ajt
-            self._kappa[m] = kappa
-        return self._kappa[m]
-
-    def psi_maps(self, m: int) -> dict[tuple[Gen, int], dict[Gen, tuple]]:
-        """Conjugation by the section image s(g) = kappa_g^-1 * g, per letter."""
-        if m not in self._psi:
-            conj = self.conj_maps(m)
-            kappa = self.kappa(m)
-            psi: dict[tuple[Gen, int], dict[Gen, tuple]] = {}
-            for key, row_map in conj.items():
-                k = kappa[key]
-                ik = invert_letters(k)
-                psi[key] = {
-                    b: reduce_letters(concat_letters(ik, image, k))
-                    for b, image in row_map.items()
-                }
-            self._psi[m] = psi
-        return self._psi[m]
-
-
-_DEFAULT_CTX = _CombContext()
 
 
 @lru_cache(maxsize=None)
@@ -418,12 +397,12 @@ class CombedForm:
         return "(" + ", ".join(repr(str(c)) for c in self.components) + ")"
 
 
-def _split_top_fast(ctx: _CombContext, top: int,
-                    letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    """Kernel component of the word at the given top level, by one
+def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, ...]:
+    """Kernel component of the word at the table's top level, by one
     right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g."""
-    maps = ctx.conj_maps(top - 2)
-    kappa_table = ctx.kappa(top - 2)
+    top = table.top
+    maps = table.maps
+    kappa_table = table.kappa
     kappa: tuple[Letter, ...] = ()
     for gen, exp in reversed(letters):
         if gen_level(gen) == top:
@@ -438,47 +417,14 @@ def _split_top_fast(ctx: _CombContext, top: int,
     return kappa
 
 
-def _split_top_accumulate(ctx: _CombContext, top: int,
-                          letters: Sequence[Letter]) -> tuple[Letter, ...]:
-    """Reference left-to-right accumulation: maintain (kappa, H) with
-    prefix = kappa * s(H); per letter g, kappa *= psi(H)(kappa_g) and H *= r(g)."""
-    psi = ctx.psi_maps(top - 2)
-    kappa_table = ctx.kappa(top - 2)
-    kappa: tuple[Letter, ...] = ()
-    quotient: list[Letter] = []
-    for gen, exp in letters:
-        if gen_level(gen) == top:
-            pieces = ((gen, exp),)
-            for g2, e2 in reversed(quotient):
-                sign = 1 if e2 > 0 else -1
-                row_map = psi[(g2, sign)]
-                for _ in range(abs(e2)):
-                    pieces = _substitute(row_map, pieces)
-            kappa = concat_letters(kappa, pieces)
-        else:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                pieces = kappa_table[(gen, sign)]
-                for g2, e2 in reversed(quotient):
-                    s2 = 1 if e2 > 0 else -1
-                    row_map = psi[(g2, s2)]
-                    for _ in range(abs(e2)):
-                        pieces = _substitute(row_map, pieces)
-                kappa = concat_letters(kappa, pieces)
-                push_letter(quotient, gen, sign)
-    return kappa
-
-
-_ENGINES = {"fast": _split_top_fast, "accumulate": _split_top_accumulate}
-
-
-def _comb_letters(m: int, letters: Sequence[Letter], ctx: _CombContext,
-                  engine: str = "fast") -> CombedForm:
-    split = _ENGINES[engine]
+def _comb_letters(m: int, letters: Sequence[Letter],
+                  table_factory: Callable[[int], ActionTable]) -> CombedForm:
+    """Comb a letter sequence with the action tables ``table_factory(k)``
+    for k = m, ..., 2 (one per kernel level above the base)."""
     current = to_x_letters(m, letters)
     components: list[Word] = []
     for top in range(m + 2, 3, -1):
-        components.append(Word(split(ctx, top, current)))
+        components.append(Word(_split_top(table_factory(top - 2), current)))
         current = reduce_letters(
             (gen, exp) for gen, exp in current if gen_level(gen) < top
         )
@@ -486,12 +432,12 @@ def _comb_letters(m: int, letters: Sequence[Letter], ctx: _CombContext,
     return CombedForm(m, tuple(components))
 
 
-def comb(m: int, w: Word, engine: str = "fast") -> CombedForm:
+def comb(m: int, w: Word) -> CombedForm:
     """The combed normal form of a word over the m-strand, two-puncture
     alphabet (eliminated band generators are accepted and expanded)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return _comb_letters(m, w.letters, _DEFAULT_CTX, engine)
+    return _comb_letters(m, w.letters, build_action_table)
 
 
 def is_trivial_gamma(m: int, w: Word) -> bool:
@@ -612,17 +558,6 @@ def rewrite_kernel_letters(l: int, letters: Iterable[Letter]) -> tuple[tuple[int
     rho_top = gen_rho(top)
     square_idx = 2 * l - 2
     out: list[tuple[int, int]] = []
-
-    def push(idx: int, exp: int) -> None:
-        if out and out[-1][0] == idx:
-            merged = out[-1][1] + exp
-            if merged == 0:
-                out.pop()
-            else:
-                out[-1] = (idx, merged)
-        else:
-            out.append((idx, exp))
-
     state = 0
     for gen, exp in letters:
         if gen == rho_top:
@@ -632,16 +567,16 @@ def rewrite_kernel_letters(l: int, letters: Iterable[Letter]) -> tuple[tuple[int
                     if state == 0:
                         state = 1
                     else:
-                        push(square_idx, 1)
+                        push_letter(out, square_idx, 1)
                         state = 0
                 else:
                     if state == 0:
-                        push(square_idx, -1)
+                        push_letter(out, square_idx, -1)
                         state = 1
                     else:
                         state = 0
         elif gen[0] == KIND_A and gen[2] == top and gen[1] <= l - 1:
-            push(2 * (gen[1] - 1) + state, exp)
+            push_letter(out, 2 * (gen[1] - 1) + state, exp)
         else:
             raise AlphabetError(f"{format_gen(gen)} is not a level-{l} kernel letter")
     if state:
@@ -651,23 +586,24 @@ def rewrite_kernel_letters(l: int, letters: Iterable[Letter]) -> tuple[tuple[int
 
 def gamma_tower_ranks(n: int) -> list[int]:
     """Free-kernel ranks of the combing tower of the (n-2)-strand
-    two-puncture group: [n-1, n-2, ..., 2]."""
+    two-puncture group, counted from the level bases: [n-1, n-2, ..., 2]."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return list(range(n - 1, 1, -1))
+    return [len(omega_basis(l).elements) for l in range(n - 1, 1, -1)]
 
 
 def ln_tower_ranks(n: int) -> list[int]:
-    """Free-kernel ranks of the tower of the torsion-free complement:
-    [2n-3, 2n-5, ..., 3]."""
+    """Free-kernel ranks of the tower of the torsion-free complement,
+    counted from the index-2 kernel bases: [2n-3, 2n-5, ..., 3]."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return [2 * l - 1 for l in range(n - 1, 1, -1)]
+    return [len(keromega_basis(l)) for l in range(n - 1, 1, -1)]
 
 
 def sphere_tower_ranks(n: int) -> list[int]:
     """Free-kernel ranks of the tower of the (n-3)-strand three-puncture
-    sphere group: [n-2, ..., 2]."""
+    sphere group, counted from the kernel bases at strand levels n .. 4:
+    [n-2, ..., 2]."""
     if n < 4:
         raise ValueError("n must be >= 4")
-    return list(range(n - 2, 1, -1))
+    return [len(kernel_basis(top, SURFACE_S2)) for top in range(n, 3, -1)]

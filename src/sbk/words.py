@@ -96,21 +96,13 @@ def reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Merge adjacent equal generators, dropping zero exponents (stack pass)."""
     out: list[Letter] = []
     for gen, exp in letters:
-        if exp == 0:
-            continue
-        if out and out[-1][0] == gen:
-            merged = out[-1][1] + exp
-            if merged == 0:
-                out.pop()
-            else:
-                out[-1] = (gen, merged)
-        else:
-            out.append((gen, exp))
+        push_letter(out, gen, exp)
     return tuple(out)
 
 
 def push_letter(out: list, gen: Gen, exp: int) -> None:
-    """Append one letter to a reduced letter list, keeping it reduced."""
+    """Append one letter to a reduced letter list, keeping it reduced: the
+    one free-reduction step, which every merging loop goes through."""
     if exp == 0:
         return
     if out and out[-1][0] == gen:

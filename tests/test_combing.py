@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -25,10 +26,21 @@ from sbk.combing import (
     section_s,
     sphere_tower_ranks,
     strip_last,
+    to_x_letters,
     x_alphabet,
 )
 from sbk.presentations import build_gamma_rp2
-from sbk.words import AlphabetError, Word, gen_a, gen_rho, invert_letters, parse_word
+from sbk.words import (
+    AlphabetError,
+    Word,
+    concat_letters,
+    gen_a,
+    gen_rho,
+    invert_letters,
+    parse_word,
+    push_letter,
+    reduce_letters,
+)
 
 RNG_SEED = 70839
 
@@ -70,15 +82,10 @@ def test_action_table_disjoint_band_row():
 def test_action_table_round_trip():
     for m in range(1, 7):
         table = build_action_table(m)
-        maps = {}
-        for (x, sign, b), image in table.rows.items():
-            maps.setdefault((x, sign), {})[b] = image
-        for (x, sign), row_map in maps.items():
-            inverse_map = maps[(x, -sign)]
-            for b in table.basis:
-                assert combing._substitute(inverse_map, row_map[b]) == ((b, 1),), (
-                    x, sign, b,
-                )
+        assert table.round_trip_failures() == [], m
+        # rows are stored as built, so conjugation_row must return reduced words
+        for row_map in table.maps.values():
+            assert all(reduce_letters(image) == image for image in row_map.values())
 
 
 def test_section_examples():
@@ -168,7 +175,64 @@ def test_comb_conjugated_relator():
             w = rand_word(rng, m, 6)
             r = rng.choice(relators)
             letters = w.letters + r.letters + invert_letters(w.letters)
-            assert combing._comb_letters(m, letters, combing._DEFAULT_CTX).is_identity
+            assert combing._comb_letters(m, letters, build_action_table).is_identity
+
+
+@lru_cache(maxsize=None)
+def _psi_maps(m):
+    """Conjugation by the section image s(g) = kappa_g^-1 * g, per letter."""
+    table = build_action_table(m)
+    psi = {}
+    for key, row_map in table.maps.items():
+        k = table.kappa[key]
+        ik = invert_letters(k)
+        psi[key] = {
+            b: reduce_letters(concat_letters(ik, image, k))
+            for b, image in row_map.items()
+        }
+    return psi
+
+
+def _split_top_accumulate(m, letters):
+    """Left-to-right accumulation: maintain (kappa, H) with prefix =
+    kappa * s(H); per letter g, kappa *= psi(H)(kappa_g) and H *= r(g)."""
+    top = m + 2
+    psi = _psi_maps(m)
+    kappa_table = build_action_table(m).kappa
+    kappa = ()
+    quotient = []
+
+    def conjugate_by_quotient(pieces):
+        for g2, e2 in reversed(quotient):
+            row_map = psi[(g2, 1 if e2 > 0 else -1)]
+            for _ in range(abs(e2)):
+                pieces = combing._substitute(row_map, pieces)
+        return pieces
+
+    for gen, exp in letters:
+        if combing.gen_level(gen) == top:
+            kappa = concat_letters(kappa, conjugate_by_quotient(((gen, exp),)))
+        else:
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                pieces = conjugate_by_quotient(kappa_table[(gen, sign)])
+                kappa = concat_letters(kappa, pieces)
+                push_letter(quotient, gen, sign)
+    return kappa
+
+
+def reference_comb(m, w):
+    """The combed form by left-to-right accumulation at every level: an
+    independent comber that ``comb`` is checked against."""
+    current = to_x_letters(m, w.letters)
+    components = []
+    for top in range(m + 2, 3, -1):
+        components.append(Word(_split_top_accumulate(top - 2, current)))
+        current = reduce_letters(
+            (gen, exp) for gen, exp in current if combing.gen_level(gen) < top
+        )
+    components.append(Word(reduce_letters(current)))
+    return CombedForm(m, tuple(components))
 
 
 def test_engines_agree():
@@ -176,7 +240,7 @@ def test_engines_agree():
     for m in (1, 2, 3):
         for _ in range(40):
             w = rand_word(rng, m, 10)
-            assert comb(m, w, engine="fast") == comb(m, w, engine="accumulate")
+            assert comb(m, w) == reference_comb(m, w)
 
 
 def test_comb_known_value():

@@ -113,29 +113,68 @@ def test_cli_main_in_process():
 
 def _corrupted_table_factory(m: int) -> ActionTable:
     table = build_action_table(m)
-    rows = dict(table.rows)
+    maps = {key: dict(row_map) for key, row_map in table.maps.items()}
     # swap one forward row for a wrong word: drop the conjugator entirely
-    key = next(
-        (k for k in rows
-         if k[1] == 1 and k[0][0] == "rho" and k[2][0] == "rho" and len(rows[k]) > 1),
+    target = next(
+        ((key, b) for key, row_map in maps.items() for b, image in row_map.items()
+         if key[1] == 1 and key[0][0] == "rho" and b[0] == "rho" and len(image) > 1),
         None,
     )
-    if key is not None:
-        rows[key] = (rows[key][-1],)
-    return ActionTable(table.m, table.level, table.top, table.basis, rows)
+    if target is not None:
+        key, b = target
+        maps[key][b] = (maps[key][b][-1],)
+    return ActionTable(table.m, table.level, table.top, table.basis, maps)
 
 
 def test_combing_suite_negative_control():
     rng = random.Random(1)
     report = verify.combing_suite(4, rng, table_factory=_corrupted_table_factory,
                                   samples=10)
-    assert not report.passed
+    failed = {c.case_id for c in report.cases if not c.passed}
+    # the corrupted row exists from m = 2 on; combing cases that use it fail
+    # only because the injected tables reach the comber
+    assert failed == {
+        "table-roundtrip-m2", "table-roundtrip-m3", "table-roundtrip-m4",
+        "comb-relators-m2", "comb-welldef-m2",
+    }
 
 
 def test_combing_suite_passes_with_real_table():
     rng = random.Random(1)
     report = verify.combing_suite(4, rng, samples=10)
     assert report.passed
+
+
+def test_group_spec_rejects_unknown_and_repeated_parameters():
+    rc, out, err = run_cli("abelianize", "--group", "pn-rp2:n=3,x=9")
+    assert rc == 2
+    assert "'x'" in json.loads(out)["error"]
+    assert err.strip()
+    rc, out, _ = run_cli("info", "--group", "gamma-rp2:m=2,p=2,m=3")
+    assert rc == 2
+    assert "'m'" in json.loads(out)["error"]
+    # a missing parameter and an unknown family keep their messages
+    rc, out, _ = run_cli("abelianize", "--group", "gamma-rp2:m=2")
+    assert rc == 2
+    assert json.loads(out) == {"error": "'p'"}
+    rc, out, _ = run_cli("abelianize", "--group", "xx:n=3,x=9")
+    assert rc == 2
+    assert json.loads(out) == {"error": "unknown group family 'xx'"}
+
+
+def test_core_imports_only_stdlib():
+    # importing the library, the CLI and the verify suites pulls in no
+    # third-party module
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import sbk, sbk.cli, sbk.verify\n"
+        "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'sbk'}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_run_suite_validates_bounds():
