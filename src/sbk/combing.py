@@ -49,6 +49,7 @@ from .words import (
     concat_letters,
     format_gen,
     gen_a,
+    gen_level,
     gen_rho,
     invert_letters,
     pow_letters,
@@ -58,11 +59,6 @@ from .words import (
 
 SURFACE_RP2 = "rp2"
 SURFACE_S2 = "s2"
-
-
-def gen_level(gen: Gen) -> int:
-    """The strand level a letter lives at: j for A[i,j], k for rho[k]."""
-    return gen[2] if gen[0] == KIND_A else gen[1]
 
 
 def surface_letters(top: int, surface: str = SURFACE_RP2) -> tuple[Letter, ...]:

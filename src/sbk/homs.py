@@ -32,6 +32,7 @@ from .words import (
     Word,
     format_gen,
     gen_a,
+    gen_level,
     gen_rho,
     gen_sigma,
     push_letter,
@@ -229,15 +230,11 @@ def forget_strands(w: Word, frm: int, to: int) -> Word:
         _check_pn_letter(gen, frm)
         if gen[0] == KIND_TAU:
             for g2, e2 in (tau_from_rho(gen[1], frm) ** exp).letters:
-                if _max_strand(g2) <= to:
+                if gen_level(g2) <= to:
                     push_letter(out, g2, e2)
-        elif _max_strand(gen) <= to:
+        elif gen_level(gen) <= to:
             push_letter(out, gen, exp)
     return Word(tuple(out))
-
-
-def _max_strand(gen: Gen) -> int:
-    return gen[2] if gen[0] == KIND_A else gen[1]
 
 
 def aij_from_sigma(i: int, j: int) -> Word:

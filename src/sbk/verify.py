@@ -3,7 +3,17 @@
 Each suite enumerates the checkable identities of one slice of the
 library, up to a desk-scale strand bound, and returns a
 :class:`VerificationReport` whose overall flag is the conjunction of its
-cases.  The combing suite takes an action-table factory (by default the
+cases.
+
+Every check the acceptance tests share with a suite has one home here: a
+public function that computes the identity for one parameter value and
+returns ``(expected, got)``.  A suite case and an acceptance criterion
+call the same function, each over its own range, and both pass it by the
+one rule :func:`holds`, ``str(expected) == str(got)``.  Randomized checks
+take the ``random.Random`` they draw from, so each caller keeps its own
+seed and draw order.
+
+The combing suite takes an action-table factory (by default the
 cached :func:`~sbk.combing.build_action_table`) and passes it straight to
 the comber, so tests can run the suite against a deliberately corrupted
 table as a negative control: the round-trip cases read the factory's
@@ -17,12 +27,23 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import abelian, combing, homs, presentations
-from .combing import build_action_table
+from .abelian import AbelianInvariants
+from .combing import ActionTable, build_action_table
 from .words import Word, gen_rho, invert_letters
 
 DEFAULT_MAX_N = 6
 DESK_SCALE_BOUND = 8
 DEFAULT_SEED = 70839
+
+
+Check = tuple  # (expected, got); see holds()
+TableFactory = Callable[[int], ActionTable]
+
+
+def holds(check: Check) -> bool:
+    """The pass rule of every check: expected and got print the same."""
+    expected, got = check
+    return str(expected) == str(got)
 
 
 @dataclass(frozen=True)
@@ -34,7 +55,7 @@ class Case:
 
     @property
     def passed(self) -> bool:
-        return self.expected == self.got
+        return holds((self.expected, self.got))
 
     def to_json(self) -> dict:
         return {
@@ -83,6 +104,108 @@ def _zero(bits) -> bool:
     return not any(bits)
 
 
+# Checks: each returns (expected, got) for one parameter value.
+
+def pn_abelianization(n: int) -> Check:
+    return (AbelianInvariants(0, tuple([2] * n)),
+            abelian.abelianize_presentation(presentations.build_pn_rp2(n)))
+
+
+def gamma_abelianization_two_routes(m: int) -> Check:
+    via_pres = abelian.abelianize_presentation(presentations.build_gamma_rp2(m, 2))
+    via_tower = abelian.gamma_tower_abelianization(m)
+    return (f"{AbelianInvariants(2 * m)} == {AbelianInvariants(2 * m)}",
+            f"{via_pres} == {via_tower}")
+
+
+def gamma_tower(m: int) -> Check:
+    return AbelianInvariants(2 * m), abelian.gamma_tower_abelianization(m)
+
+
+def ln_tower(n: int) -> Check:
+    return AbelianInvariants(n * (n - 2)), abelian.ln_tower_abelianization(n)
+
+
+def omega_delta(l: int) -> Check:
+    return AbelianInvariants(2), abelian.omega_delta(l)
+
+
+def keromega_delta(l: int) -> Check:
+    return AbelianInvariants(2 * l - 1), abelian.keromega_delta(l)
+
+
+def fn_coinvariants(surface: str, m: int, l: int) -> Check:
+    rank = l if surface == "rp2" else m + l - 1
+    return AbelianInvariants(rank), abelian.fn_kernel_coinvariants(surface, m, l)
+
+
+def count_exponent(n: int) -> Check:
+    return n * (n - 2), abelian.subgroup_count_exponent(n)
+
+
+def vcd(surface: str, n: int) -> Check:
+    return (n - 2 if surface == "rp2" else n - 3), abelian.vcd_report(surface, n)
+
+
+def tower_ranks(n: int) -> Check:
+    levels = range(n - 1, 1, -1)
+    return ((list(levels), [2 * j - 1 for j in levels]),
+            (combing.gamma_tower_ranks(n), combing.ln_tower_ranks(n)))
+
+
+def table_round_trip(m: int, factory: TableFactory) -> Check:
+    return True, not factory(m).round_trip_failures()
+
+
+def section_splits(m: int) -> Check:
+    """Strand forgetting after the section is the identity on generators."""
+    gens = [Word.of(g) for g in presentations.build_gamma_rp2(m - 1, 2).generators]
+    return True, all(combing.strip_last(m, combing.section_s(m, w)) == w for w in gens)
+
+
+def relators_comb_to_identity(m: int, factory: TableFactory = build_action_table) -> Check:
+    return True, all(combing._comb_letters(m, r.letters, factory).is_identity
+                     for r in presentations.build_gamma_rp2(m, 2).relators)
+
+
+def inverse_products_comb_to_identity(rng: random.Random, m: int, samples: int,
+                                      max_len: int,
+                                      factory: TableFactory = build_action_table) -> Check:
+    """Random words times their inverses comb to empty; stops drawing at the
+    first failure."""
+    words = (random_x_word(rng, m, max_len) for _ in range(samples))
+    return True, all(
+        combing._comb_letters(m, w.letters + invert_letters(w.letters), factory).is_identity
+        for w in words
+    )
+
+
+def relator_insertion(rng: random.Random, m: int, samples: int, max_len: int,
+                      factory: TableFactory = build_action_table) -> Check:
+    """comb(u r v) == comb(u v) for random words u, v and a random relator r,
+    drawn in that order; stops drawing at the first failure."""
+    relators = presentations.build_gamma_rp2(m, 2).relators
+    for _ in range(samples):
+        u = random_x_word(rng, m, max_len)
+        v = random_x_word(rng, m, max_len)
+        r = rng.choice(relators)
+        if combing._comb_letters(m, (u * r * v).letters, factory) != \
+                combing._comb_letters(m, (u * v).letters, factory):
+            return True, False
+    return True, True
+
+
+def ln_generators_killed(n: int) -> Check:
+    return True, all(_zero(homs.iota_hat(n - 2, g)) for g in combing.ln_generators(n))
+
+
+def ln_index(n: int) -> Check:
+    """The surface letters hit every standard basis vector of (Z/2)^(n-2)."""
+    images = {homs.iota_hat(n - 2, Word.of(gen_rho(j))) for j in range(3, n + 1)}
+    basis = {tuple(1 if t == k else 0 for t in range(n - 2)) for k in range(n - 2)}
+    return True, images == basis
+
+
 def presentations_suite(max_n: int, rng: random.Random) -> VerificationReport:
     rep = VerificationReport("presentations", max_n)
     for n in range(1, max_n + 1):
@@ -121,12 +244,9 @@ def presentations_suite(max_n: int, rng: random.Random) -> VerificationReport:
             all(_zero(homs.iota_hat(m, r)) for r in pres.relators),
         )
         if m <= 4:
-            rep.add(
-                f"gamma-comb-kills-m{m}",
-                "every two-puncture relator combs to the empty form",
-                True,
-                all(combing.comb(m, r).is_identity for r in pres.relators),
-            )
+            rep.add(f"gamma-comb-kills-m{m}",
+                    "every two-puncture relator combs to the empty form",
+                    *relators_comb_to_identity(m))
         if m >= 2 and m <= 4:
             rep.add(
                 f"gamma-forget-hom-m{m}",
@@ -149,203 +269,98 @@ def presentations_suite(max_n: int, rng: random.Random) -> VerificationReport:
     return rep
 
 
-def _section_identity(m: int) -> bool:
-    pres = presentations.build_gamma_rp2(m - 1, 2)
-    for g in pres.generators:
-        w = Word.of(g)
-        if combing.strip_last(m, combing.section_s(m, w)) != w:
-            return False
-    return True
-
-
 def combing_suite(max_n: int, rng: random.Random,
                   table_factory: Callable[[int], combing.ActionTable] = build_action_table,
                   samples: int = 100) -> VerificationReport:
     rep = VerificationReport("combing", max_n)
     for m in range(1, max_n + 1):
-        rep.add(
-            f"table-roundtrip-m{m}",
-            "inverse row pairs compose to the identity on the kernel basis",
-            True,
-            not table_factory(m).round_trip_failures(),
-        )
+        rep.add(f"table-roundtrip-m{m}",
+                "inverse row pairs compose to the identity on the kernel basis",
+                *table_round_trip(m, table_factory))
     for m in range(2, max_n + 1):
-        rep.add(
-            f"section-id-m{m}",
-            "strand forgetting after the section is the identity on generators",
-            True,
-            _section_identity(m),
-        )
+        rep.add(f"section-id-m{m}",
+                "strand forgetting after the section is the identity on generators",
+                *section_splits(m))
     for m in range(1, min(max_n - 2, 4) + 1):
-        pres = presentations.build_gamma_rp2(m, 2)
-        rep.add(
-            f"comb-relators-m{m}",
-            "relators comb to the empty form",
-            True,
-            all(
-                combing._comb_letters(m, r.letters, table_factory).is_identity
-                for r in pres.relators
-            ),
-        )
-        ok = True
-        for _ in range(samples):
-            w = random_x_word(rng, m, 40)
-            letters = w.letters + invert_letters(w.letters)
-            if not combing._comb_letters(m, letters, table_factory).is_identity:
-                ok = False
-                break
-        rep.add(
-            f"comb-inverse-m{m}",
-            f"{samples} random words times their inverses comb to empty",
-            True,
-            ok,
-        )
+        rep.add(f"comb-relators-m{m}", "relators comb to the empty form",
+                *relators_comb_to_identity(m, table_factory))
+        rep.add(f"comb-inverse-m{m}",
+                f"{samples} random words times their inverses comb to empty",
+                *inverse_products_comb_to_identity(rng, m, samples, 40, table_factory))
         if m <= 3:
-            relators = pres.relators
-            ok = True
             # random-word normal forms grow exponentially with length, so
             # the insertion checks keep u and v short
-            for _ in range(samples // 2):
-                u = random_x_word(rng, m, 8)
-                v = random_x_word(rng, m, 8)
-                r = rng.choice(relators)
-                if combing._comb_letters(m, (u * r * v).letters, table_factory) != \
-                        combing._comb_letters(m, (u * v).letters, table_factory):
-                    ok = False
-                    break
-            rep.add(
-                f"comb-welldef-m{m}",
-                "inserting a relator does not change the combed form",
-                True,
-                ok,
-            )
+            rep.add(f"comb-welldef-m{m}",
+                    "inserting a relator does not change the combed form",
+                    *relator_insertion(rng, m, samples // 2, 8, table_factory))
     for n in range(3, max_n + 1):
-        gens = combing.ln_generators(n)
-        rep.add(
-            f"ln-gens-killed-n{n}",
-            "restricted mod-2 map kills the torsion-free generators",
-            True,
-            all(_zero(homs.iota_hat(n - 2, g)) for g in gens),
-        )
-        images = {homs.iota_hat(n - 2, Word.of(gen_rho(j))) for j in range(3, n + 1)}
-        expected = {
-            tuple(1 if t == k else 0 for t in range(n - 2)) for k in range(n - 2)
-        }
-        rep.add(
-            f"ln-index-n{n}",
-            "surface letters hit every standard basis vector (index 2^(n-2))",
-            True,
-            images == expected,
-        )
-        rep.add(
-            f"tower-ranks-n{n}",
-            "tower rank lists match the closed forms",
-            str(([j for j in range(n - 1, 1, -1)],
-                 [2 * j - 1 for j in range(n - 1, 1, -1)])),
-            str((combing.gamma_tower_ranks(n), combing.ln_tower_ranks(n))),
-        )
+        rep.add(f"ln-gens-killed-n{n}",
+                "restricted mod-2 map kills the torsion-free generators",
+                *ln_generators_killed(n))
+        rep.add(f"ln-index-n{n}",
+                "surface letters hit every standard basis vector (index 2^(n-2))",
+                *ln_index(n))
+        rep.add(f"tower-ranks-n{n}", "tower rank lists match the closed forms",
+                *tower_ranks(n))
     return rep
 
 
 def abelianizations_suite(max_n: int, rng: random.Random) -> VerificationReport:
     rep = VerificationReport("abelianizations", max_n)
     for n in range(1, max_n + 1):
-        inv = abelian.abelianize_presentation(presentations.build_pn_rp2(n))
-        rep.add(
-            f"pn-ab-n{n}",
-            f"abelianization of the {n}-strand projective-plane group",
-            str(abelian.AbelianInvariants(0, tuple([2] * n))),
-            str(inv),
-        )
+        rep.add(f"pn-ab-n{n}",
+                f"abelianization of the {n}-strand projective-plane group",
+                *pn_abelianization(n))
     for m in range(1, max(0, max_n - 2) + 1):
-        via_pres = abelian.abelianize_presentation(presentations.build_gamma_rp2(m, 2))
-        via_tower = abelian.gamma_tower_abelianization(m)
-        rep.add(
-            f"gamma-ab-two-routes-m{m}",
-            "presentation and tower abelianizations agree",
-            f"{abelian.AbelianInvariants(2 * m)} == {abelian.AbelianInvariants(2 * m)}",
-            f"{via_pres} == {via_tower}",
-        )
+        rep.add(f"gamma-ab-two-routes-m{m}",
+                "presentation and tower abelianizations agree",
+                *gamma_abelianization_two_routes(m))
     for l in range(3, max_n + 1):
-        rep.add(
-            f"delta-omega-l{l}",
-            "coinvariants of the level free kernel",
-            str(abelian.AbelianInvariants(2)),
-            str(abelian.omega_delta(l)),
-        )
-        rep.add(
-            f"delta-keromega-l{l}",
-            "coinvariants of the index-2 kernel factor",
-            str(abelian.AbelianInvariants(2 * l - 1)),
-            str(abelian.keromega_delta(l)),
-        )
+        rep.add(f"delta-omega-l{l}", "coinvariants of the level free kernel",
+                *omega_delta(l))
+        rep.add(f"delta-keromega-l{l}", "coinvariants of the index-2 kernel factor",
+                *keromega_delta(l))
     for l in range(2, 5):
         for m in range(1, 4):
-            rep.add(
-                f"fn-coinv-rp2-m{m}-l{l}",
-                "strand-forgetting kernel coinvariants, projective plane",
-                str(abelian.AbelianInvariants(l)),
-                str(abelian.fn_kernel_coinvariants("rp2", m, l)),
-            )
+            rep.add(f"fn-coinv-rp2-m{m}-l{l}",
+                    "strand-forgetting kernel coinvariants, projective plane",
+                    *fn_coinvariants("rp2", m, l))
     for l in range(3, 5):
         for m in range(1, 4):
-            rep.add(
-                f"fn-coinv-s2-m{m}-l{l}",
-                "strand-forgetting kernel coinvariants, sphere",
-                str(abelian.AbelianInvariants(m + l - 1)),
-                str(abelian.fn_kernel_coinvariants("s2", m, l)),
-            )
+            rep.add(f"fn-coinv-s2-m{m}-l{l}",
+                    "strand-forgetting kernel coinvariants, sphere",
+                    *fn_coinvariants("s2", m, l))
     return rep
 
 
 def towers_suite(max_n: int, rng: random.Random) -> VerificationReport:
     rep = VerificationReport("towers", max_n)
     for m in range(1, max(0, max_n - 2) + 1):
-        rep.add(
-            f"gamma-tower-m{m}",
-            "tower abelianization of the two-puncture group",
-            str(abelian.AbelianInvariants(2 * m)),
-            str(abelian.gamma_tower_abelianization(m)),
-        )
+        rep.add(f"gamma-tower-m{m}", "tower abelianization of the two-puncture group",
+                *gamma_tower(m))
     for n in range(3, max_n + 1):
-        rep.add(
-            f"ln-tower-n{n}",
-            "tower abelianization of the torsion-free complement",
-            str(abelian.AbelianInvariants(n * (n - 2))),
-            str(abelian.ln_tower_abelianization(n)),
-        )
+        rep.add(f"ln-tower-n{n}",
+                "tower abelianization of the torsion-free complement",
+                *ln_tower(n))
     return rep
 
 
 def counts_suite(max_n: int, rng: random.Random) -> VerificationReport:
     rep = VerificationReport("counts", max_n)
     for n in range(3, max_n + 1):
-        exponent = abelian.subgroup_count_exponent(n)
-        rep.add(
-            f"count-exponent-n{n}",
-            f"n={n}: exponent {exponent}, count {2 ** exponent}",
-            n * (n - 2),
-            exponent,
-        )
+        expected, exponent = count_exponent(n)
+        rep.add(f"count-exponent-n{n}",
+                f"n={n}: exponent {exponent}, count {2 ** exponent}",
+                expected, exponent)
     return rep
 
 
 def vcd_suite(max_n: int, rng: random.Random) -> VerificationReport:
     rep = VerificationReport("vcd", max_n)
     for n in range(3, max_n + 1):
-        rep.add(
-            f"vcd-rp2-n{n}",
-            f"RP2 n={n}",
-            n - 2,
-            abelian.vcd_report("rp2", n),
-        )
+        rep.add(f"vcd-rp2-n{n}", f"RP2 n={n}", *vcd("rp2", n))
     for n in range(4, max_n + 1):
-        rep.add(
-            f"vcd-s2-n{n}",
-            f"S2 n={n}",
-            n - 3,
-            abelian.vcd_report("s2", n),
-        )
+        rep.add(f"vcd-s2-n{n}", f"S2 n={n}", *vcd("s2", n))
     return rep
 
 

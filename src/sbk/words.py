@@ -81,6 +81,11 @@ def gen_sigma(i: int) -> Gen:
     return (KIND_SIGMA, i)
 
 
+def gen_level(gen: Gen) -> int:
+    """The strand level a letter lives at: j for A[i,j], k for rho[k]."""
+    return gen[2] if gen[0] == KIND_A else gen[1]
+
+
 def gen_sort_key(g: Gen) -> tuple:
     """Lexicographic key on (kind, indices); kinds ordered A, rho, tau, s."""
     return (_KIND_ORDER[g[0]],) + g[1:]

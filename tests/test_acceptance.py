@@ -2,17 +2,18 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  The
 randomized criteria are seeded (override with the SBK_SEED environment
-variable) so timings and outcomes are reproducible.
+variable) so timings and outcomes are reproducible.  Every criterion but 9
+runs the check functions of ``sbk.verify`` that the matching ``sbk verify``
+suite cases run, over the criterion's own range.
 """
 
 import os
 import random
 import time
+from itertools import chain
 
-from sbk import abelian, combing, homs
-from sbk.abelian import AbelianInvariants
-from sbk.combing import comb, x_alphabet
-from sbk.presentations import build_gamma_rp2, build_pn_rp2
+from sbk import homs, verify
+from sbk.combing import build_action_table
 from sbk.words import Word, gen_rho
 
 SEED = int(os.environ.get("SBK_SEED", 70839))
@@ -24,124 +25,64 @@ def _report(num: int, description: str, ok: bool, elapsed: float) -> None:
     assert ok, f"criterion {num} failed: {description}"
 
 
-def _rand_word(rng: random.Random, m: int, max_len: int) -> Word:
-    alphabet = x_alphabet(m)
-    return Word.from_letters(
-        (rng.choice(alphabet), rng.choice((1, -1)))
-        for _ in range(rng.randint(0, max_len))
-    )
+def _run(num: int, description: str, checks, gate: float | None = None) -> None:
+    """Time the lazily computed checks, pass them by ``verify.holds`` and
+    report; ``gate`` is the criterion's time limit in seconds, if any."""
+    t0 = time.perf_counter()
+    ok = all(verify.holds(check) for check in checks)
+    elapsed = time.perf_counter() - t0
+    _report(num, description, ok and (gate is None or elapsed < gate), elapsed)
 
 
 def test_criterion_01_pn_abelianization():
-    t0 = time.perf_counter()
-    ok = all(
-        abelian.abelianize_presentation(build_pn_rp2(n))
-        == AbelianInvariants(0, tuple([2] * n))
-        for n in range(1, 9)
-    )
-    elapsed = time.perf_counter() - t0
-    _report(1, "abelianization of the projective-plane groups is (Z/2)^n, n=1..8",
-            ok and elapsed < 1.0, elapsed)
+    _run(1, "abelianization of the projective-plane groups is (Z/2)^n, n=1..8",
+         (verify.pn_abelianization(n) for n in range(1, 9)), gate=1.0)
 
 
 def test_criterion_02_gamma_abelianization_two_ways():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(1, 6):
-        expected = AbelianInvariants(2 * m, ())
-        via_pres = abelian.abelianize_presentation(build_gamma_rp2(m, 2))
-        via_tower = abelian.gamma_tower_abelianization(m)
-        ok = ok and via_pres == via_tower == expected
-    elapsed = time.perf_counter() - t0
-    _report(2, "two-puncture abelianization Z^2m by both routes, m=1..5",
-            ok and elapsed < 5.0, elapsed)
+    _run(2, "two-puncture abelianization Z^2m by both routes, m=1..5",
+         (verify.gamma_abelianization_two_routes(m) for m in range(1, 6)), gate=5.0)
 
 
 def test_criterion_03_ln_abelianization():
-    t0 = time.perf_counter()
-    ok = all(
-        abelian.ln_tower_abelianization(n) == AbelianInvariants(n * (n - 2), ())
-        for n in range(3, 7)
-    )
-    elapsed = time.perf_counter() - t0
-    _report(3, "torsion-free complement abelianizes to Z^(n(n-2)), n=3..6",
-            ok and elapsed < 5.0, elapsed)
+    _run(3, "torsion-free complement abelianizes to Z^(n(n-2)), n=3..6",
+         (verify.ln_tower(n) for n in range(3, 7)), gate=5.0)
 
 
 def test_criterion_04_delta_computations():
-    t0 = time.perf_counter()
-    ok = all(
-        abelian.omega_delta(n) == AbelianInvariants(2, ())
-        and abelian.keromega_delta(n) == AbelianInvariants(2 * n - 1, ())
-        for n in range(3, 7)
-    )
-    _report(4, "coinvariants: Delta(Omega_n) = Z^2 and Delta(ker) = Z^(2n-1), n=3..6",
-            ok, time.perf_counter() - t0)
+    _run(4, "coinvariants: Delta(Omega_n) = Z^2 and Delta(ker) = Z^(2n-1), n=3..6",
+         (check for n in range(3, 7)
+          for check in (verify.omega_delta(n), verify.keromega_delta(n))))
 
 
 def test_criterion_05_combing_soundness():
     rng = random.Random(SEED)
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(1, 6):
-        for rel in build_gamma_rp2(m, 2).relators:
-            if not comb(m, rel).is_identity:
-                ok = False
-        for _ in range(1000):
-            w = _rand_word(rng, m, 40)
-            if not comb(m, w * ~w).is_identity:
-                ok = False
-    elapsed = time.perf_counter() - t0
-    _report(5, "relators comb to empty (m=1..5) and 1000 w*w^-1 per m comb to empty",
-            ok and elapsed < 60.0, elapsed)
+    _run(5, "relators comb to empty (m=1..5) and 1000 w*w^-1 per m comb to empty",
+         (check for m in range(1, 6)
+          for check in (verify.relators_comb_to_identity(m),
+                        verify.inverse_products_comb_to_identity(rng, m, 1000, 40))),
+         gate=60.0)
 
 
 def test_criterion_06_normal_form_well_definedness():
     rng = random.Random(SEED + 6)
-    t0 = time.perf_counter()
-    ok = True
     # the combed form of a random word grows exponentially with its
     # length, so the factors u, v are kept short at higher strand counts
     max_len = {1: 10, 2: 10, 3: 8, 4: 6}
-    for m in range(1, 5):
-        relators = build_gamma_rp2(m, 2).relators
-        for _ in range(500):
-            u = _rand_word(rng, m, max_len[m])
-            v = _rand_word(rng, m, max_len[m])
-            r = rng.choice(relators)
-            if comb(m, u * r * v) != comb(m, u * v):
-                ok = False
-    _report(6, "combed form unchanged by relator insertion (500 triples per m<=4)",
-            ok, time.perf_counter() - t0)
+    _run(6, "combed form unchanged by relator insertion (500 triples per m<=4)",
+         (verify.relator_insertion(rng, m, 500, max_len[m]) for m in range(1, 5)))
 
 
 def test_criterion_07_section_and_action_certification():
-    t0 = time.perf_counter()
-    ok = True
-    for m in range(2, 7):
-        for g in build_gamma_rp2(m - 1, 2).generators:
-            w = Word.of(g)
-            if combing.strip_last(m, combing.section_s(m, w)) != w:
-                ok = False
-    for m in range(1, 7):
-        if combing.build_action_table(m).round_trip_failures():
-            ok = False
-    _report(7, "section splits strand forgetting (m<=6); action rows invert exactly",
-            ok, time.perf_counter() - t0)
+    _run(7, "section splits strand forgetting (m<=6); action rows invert exactly",
+         chain((verify.section_splits(m) for m in range(2, 7)),
+               (verify.table_round_trip(m, build_action_table) for m in range(1, 7))))
 
 
 def test_criterion_08_index_and_surjectivity():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(3, 7):
-        if not all(not any(homs.iota_hat(n - 2, g)) for g in combing.ln_generators(n)):
-            ok = False
-        images = {homs.iota_hat(n - 2, Word.of(gen_rho(j))) for j in range(3, n + 1)}
-        basis = {tuple(1 if t == k else 0 for t in range(n - 2)) for k in range(n - 2)}
-        if images != basis:
-            ok = False
-    _report(8, "mod-2 image spans (Z/2)^(n-2) and kills the complement generators",
-            ok, time.perf_counter() - t0)
+    _run(8, "mod-2 image spans (Z/2)^(n-2) and kills the complement generators",
+         (check for n in range(3, 7)
+          for check in (verify.ln_generators_killed(n), verify.ln_index(n))))
 
 
 def test_criterion_09_torsion_images():
@@ -164,35 +105,20 @@ def test_criterion_09_torsion_images():
 
 
 def test_criterion_10_fn_kernel_coinvariants():
-    t0 = time.perf_counter()
-    ok = all(
-        abelian.fn_kernel_coinvariants("rp2", m, l) == AbelianInvariants(l, ())
-        for l in range(2, 5)
-        for m in range(1, 4)
-    ) and all(
-        abelian.fn_kernel_coinvariants("s2", m, l) == AbelianInvariants(m + l - 1, ())
-        for l in range(3, 5)
-        for m in range(1, 4)
-    )
-    _report(10, "strand-forgetting kernel coinvariants: Z^l (RP2) and Z^(m+l-1) (S2)",
-            ok, time.perf_counter() - t0)
+    _run(10, "strand-forgetting kernel coinvariants: Z^l (RP2) and Z^(m+l-1) (S2)",
+         chain((verify.fn_coinvariants("rp2", m, l)
+                for l in range(2, 5) for m in range(1, 4)),
+               (verify.fn_coinvariants("s2", m, l)
+                for l in range(3, 5) for m in range(1, 4))))
 
 
 def test_criterion_11_counts_and_vcd():
-    t0 = time.perf_counter()
-    ok = all(abelian.subgroup_count_exponent(n) == n * (n - 2) for n in range(3, 7))
-    ok = ok and all(abelian.vcd_report("s2", n) == n - 3 for n in range(4, 8))
-    ok = ok and all(abelian.vcd_report("rp2", n) == n - 2 for n in range(3, 8))
-    _report(11, "complement count exponent n(n-2); vcd n-3 (S2) and n-2 (RP2)",
-            ok, time.perf_counter() - t0)
+    _run(11, "complement count exponent n(n-2); vcd n-3 (S2) and n-2 (RP2)",
+         chain((verify.count_exponent(n) for n in range(3, 7)),
+               (verify.vcd("s2", n) for n in range(4, 8)),
+               (verify.vcd("rp2", n) for n in range(3, 8))))
 
 
 def test_criterion_12_tower_shapes():
-    t0 = time.perf_counter()
-    ok = all(
-        combing.gamma_tower_ranks(n) == list(range(n - 1, 1, -1))
-        and combing.ln_tower_ranks(n) == [2 * l - 1 for l in range(n - 1, 1, -1)]
-        for n in range(3, 9)
-    )
-    _report(12, "tower rank lists [n-1..2] and [2n-3, 2n-5, .., 3], n=3..8",
-            ok, time.perf_counter() - t0)
+    _run(12, "tower rank lists [n-1..2] and [2n-3, 2n-5, .., 3], n=3..8",
+         (verify.tower_ranks(n) for n in range(3, 9)))

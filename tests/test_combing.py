@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from sbk import combing
+from sbk import combing, verify
 from sbk.combing import (
     CombedForm,
     Verdict,
@@ -25,11 +25,10 @@ from sbk.combing import (
     rewrite_kernel_letters,
     section_s,
     sphere_tower_ranks,
-    strip_last,
     to_x_letters,
-    x_alphabet,
 )
 from sbk.presentations import build_gamma_rp2
+from sbk.verify import random_x_word
 from sbk.words import (
     AlphabetError,
     Word,
@@ -43,14 +42,6 @@ from sbk.words import (
 )
 
 RNG_SEED = 70839
-
-
-def rand_word(rng, m, max_len):
-    alphabet = x_alphabet(m)
-    return Word.from_letters(
-        (rng.choice(alphabet), rng.choice((1, -1)))
-        for _ in range(rng.randint(0, max_len))
-    )
 
 
 def test_expand_c_examples():
@@ -102,17 +93,15 @@ def test_section_alphabet():
 
 def test_section_strip_identity():
     for m in range(2, 7):
-        for g in build_gamma_rp2(m - 1, 2).generators:
-            w = Word.of(g)
-            assert strip_last(m, section_s(m, w)) == w
+        assert verify.holds(verify.section_splits(m)), m
 
 
 def test_section_is_homomorphism_up_to_comb():
     rng = random.Random(RNG_SEED)
     for m in (2, 3):
         for _ in range(25):
-            u = rand_word(rng, m - 1, 6)
-            v = rand_word(rng, m - 1, 6)
+            u = random_x_word(rng, m - 1, 6)
+            v = random_x_word(rng, m - 1, 6)
             lhs = comb(m, section_s(m, u) * section_s(m, v))
             rhs = comb(m, section_s(m, u * v))
             assert lhs == rhs
@@ -136,8 +125,7 @@ def test_comb_component_alphabets():
 
 def test_comb_relator_soundness():
     for m in range(1, 5):
-        for rel in build_gamma_rp2(m, 2).relators:
-            assert comb(m, rel).is_identity, (m, str(rel))
+        assert verify.holds(verify.relators_comb_to_identity(m)), m
 
 
 def test_comb_eliminated_letters_accepted():
@@ -150,20 +138,13 @@ def test_comb_eliminated_letters_accepted():
 def test_comb_well_definedness():
     rng = random.Random(RNG_SEED)
     for m in (1, 2, 3):
-        relators = build_gamma_rp2(m, 2).relators
-        for _ in range(40):
-            u = rand_word(rng, m, 8)
-            v = rand_word(rng, m, 8)
-            r = rng.choice(relators)
-            assert comb(m, u * r * v) == comb(m, u * v)
+        assert verify.holds(verify.relator_insertion(rng, m, 40, 8)), m
 
 
 def test_comb_inverse_consistency():
     rng = random.Random(RNG_SEED)
     for m in (1, 2, 3, 4):
-        for _ in range(50):
-            w = rand_word(rng, m, 40)
-            assert comb(m, w * ~w).is_identity
+        assert verify.holds(verify.inverse_products_comb_to_identity(rng, m, 50, 40)), m
 
 
 def test_comb_conjugated_relator():
@@ -172,7 +153,7 @@ def test_comb_conjugated_relator():
     for m in (1, 2, 3):
         relators = build_gamma_rp2(m, 2).relators
         for _ in range(30):
-            w = rand_word(rng, m, 6)
+            w = random_x_word(rng, m, 6)
             r = rng.choice(relators)
             letters = w.letters + r.letters + invert_letters(w.letters)
             assert combing._comb_letters(m, letters, build_action_table).is_identity
@@ -239,7 +220,7 @@ def test_engines_agree():
     rng = random.Random(RNG_SEED)
     for m in (1, 2, 3):
         for _ in range(40):
-            w = rand_word(rng, m, 10)
+            w = random_x_word(rng, m, 10)
             assert comb(m, w) == reference_comb(m, w)
 
 
@@ -255,16 +236,17 @@ def test_comb_known_value():
 
 
 def test_comb_reconstruction():
-    # w equals omega_top * s(lower levels combed), checked by combing the
-    # difference of the two sides
+    # rebuild w = omega_{m+1} * s(omega_m * s( ... s(omega_2) ... )) from its
+    # combed form and comb the quotient; unlike w * ~w, ~rebuilt * w is
+    # usually not freely trivial, so the comber decides it
     rng = random.Random(RNG_SEED)
-    m = 2
-    for _ in range(25):
-        w = rand_word(rng, m, 8)
-        form = comb(m, w)
-        omega3, omega2 = form.components
-        rebuilt = omega3 * section_s(m, omega2)
-        assert comb(m, ~rebuilt * w).is_identity
+    for m, max_len in {1: 10, 2: 10, 3: 8, 4: 6}.items():
+        for _ in range(25):
+            w = random_x_word(rng, m, max_len)
+            *upper, rebuilt = comb(m, w).components
+            for k, omega in enumerate(reversed(upper), start=2):
+                rebuilt = omega * section_s(k, rebuilt)
+            assert comb(m, ~rebuilt * w).is_identity, (m, str(w))
 
 
 def test_ln_membership_examples():

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +111,20 @@ def test_cli_main_in_process():
     # main() returns the exit code without raising
     assert main(["verify", "--suite", "counts", "--max-n", "3"]) == 0
     assert main(["eval", "--hom", "iota", "--n", "2", "--word", "A[9,2]"]) == 2
+
+
+def test_verify_all_report_matches_pinned_digest(capsys, monkeypatch):
+    # the full report at the desk-scale bound is pinned byte for byte in the
+    # benchmark's expected digests; this test only reads that file
+    argv = ["verify", "--suite", "all", "--max-n", "8"]
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    entries = json.loads(expected.read_text())["cli"]
+    pinned = next((rc, sha) for args, rc, sha in entries if args == argv)
+    monkeypatch.delenv("SBK_SEED", raising=False)
+    capsys.readouterr()
+    rc = main(argv)
+    out = capsys.readouterr().out
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()[:16]) == pinned
 
 
 def _corrupted_table_factory(m: int) -> ActionTable:
