@@ -59,9 +59,6 @@ class IntMatrix:
                 m.entries[r][c] = v
         return m
 
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, [row[:] for row in self.entries])
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:

@@ -14,13 +14,15 @@ reduced words (omega_{m+1}, ..., omega_2), one per kernel level, with
     w = omega_{m+1} * s(omega_m * s( ... s(omega_2) ... )).
 
 The conjugation action of the lower-level generators on each kernel
-basis is tabulated from the defining relations, one :class:`ActionTable`
-per level, stored as ``maps[(x, sign)][b] -> image``.  Rows for inverse
-letters are derived symbolically and certified by
-:meth:`ActionTable.round_trip_failures`.  The table also derives, on
-first use, the kernel part of every lower-level letter; it is the only
-store of per-level combing data, and :func:`build_action_table` caches
-one table per m.
+basis is the defining conjugation relations read as automorphisms: one
+:class:`ActionTable` per level, stored as ``maps[(x, sign)][b] -> image``,
+whose rows are :func:`sbk.presentations.conjugate` with the eliminated
+letter expanded, certified by :meth:`ActionTable.round_trip_failures`.
+The table also derives, on first use, the kernel part of every
+lower-level letter from the section (:func:`_section_parts`); it is the
+only store of per-level combing data, and :func:`build_action_table`
+caches one table per m.  The eliminated letters are expanded by solving
+the surface relation (:func:`sbk.presentations.surface_relation`).
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
 pass per level.  The private :func:`_comb_letters` takes the table
@@ -37,8 +39,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .homs import Q_ONE, expand_even_crossings, iota_hat, iota_sharp, q2_sharp
-from .presentations import artin_conjugate, artin_conjugate_inv, cln_letters
+from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
+                   iota_sharp, q2_sharp)
+from .presentations import cln_letters, conjugate, surface_relation
 from .words import (
     KIND_A,
     KIND_RHO,
@@ -61,6 +64,7 @@ SURFACE_RP2 = "rp2"
 SURFACE_S2 = "s2"
 
 
+@lru_cache(maxsize=None)
 def surface_letters(top: int, surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
     """Expansion of the eliminated top band generator A[top-1,top]:
     A[top-2,top]^-1 ... A[1,top]^-1 rho[top]^-2 (no rho tail on the sphere)."""
@@ -68,13 +72,6 @@ def surface_letters(top: int, surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
     if surface == SURFACE_RP2:
         letters.append((gen_rho(top), -2))
     return tuple(letters)
-
-
-def _a_word(i: int, top: int, surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    """A[i,top] as a word over the kernel basis (surface-expanded at i = top-1)."""
-    if i == top - 1:
-        return surface_letters(top, surface)
-    return ((gen_a(i, top), 1),)
 
 
 def _expand_top_band(letters: Iterable[Letter], top: int,
@@ -101,10 +98,6 @@ def expand_C(i: int, j: int, top: int) -> Word:
     return Word.from_letters(letters)
 
 
-def _expand_c_letters(i: int, top: int, surface: str) -> tuple[Letter, ...]:
-    return _expand_top_band(cln_letters(i, top), top, surface)
-
-
 def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
                     surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
     """The word over the top-level kernel basis equal to x^sign b x^-sign.
@@ -112,54 +105,17 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
     ``x`` is a generator at a level below ``top`` (a band generator
     A[r,s] with s < top, or on the projective plane a surface generator
     rho[k] with punctures < k < top); ``b`` is a kernel basis letter
-    (A[i,top] with i <= top-2, or rho[top]).  Rows for ``sign == -1``
-    invert the defining relations; the pairing is certified by the
-    round-trip checks.  The returned word is freely reduced.
+    (A[i,top] with i <= top-2, or rho[top]).  The row is the defining
+    relation :func:`sbk.presentations.conjugate` with the eliminated
+    letter A[top-1,top] expanded, freely reduced.
     """
-    rho_top = gen_rho(top)
-    if x[0] == KIND_A:
-        r, s = x[1], x[2]
-        if not (punctures + 1 <= s < top):
-            raise AlphabetError(f"conjugator {format_gen(x)} outside level range")
-        if b == rho_top:
-            return ((b, 1),)
-        i = b[1]
-        raw = artin_conjugate(r, s, i, top) if sign > 0 else artin_conjugate_inv(r, s, i, top)
-        return _expand_top_band(raw, top, surface)
-    if x[0] == KIND_RHO:
-        if surface != SURFACE_RP2:
-            raise AlphabetError("surface generators only exist on the projective plane")
-        k = x[1]
-        if not (punctures + 1 <= k < top):
-            raise AlphabetError(f"conjugator {format_gen(x)} outside level range")
-        if b == rho_top:
-            if sign > 0:
-                return concat_letters(_expand_c_letters(k, top, surface), ((rho_top, 1),))
-            return concat_letters(((rho_top, 1),), _a_word(k, top, surface))
-        i = b[1]
-        if sign > 0:
-            if k < i:
-                return ((b, 1),)
-            if k == i:
-                c = _expand_c_letters(i, top, surface)
-                return concat_letters(((rho_top, -1),), invert_letters(c), ((rho_top, 1),))
-            c = _expand_c_letters(k, top, surface)
-            return concat_letters(
-                ((rho_top, -1),), invert_letters(c), ((rho_top, 1),),
-                ((b, 1),),
-                ((rho_top, -1),), c, ((rho_top, 1),),
-            )
-        # inverse rows, solved from the forward relations
-        if i < k:
-            ak = _a_word(k, top, surface)
-            return concat_letters(invert_letters(ak), ((b, 1),), ak)
-        if i == k:
-            w = concat_letters(*(_a_word(t, top, surface) for t in range(k + 1, top)))
-            return concat_letters(
-                w, ((rho_top, 1),), ((b, -1),), ((rho_top, -1),), invert_letters(w)
-            )
-        return ((b, 1),)
-    raise AlphabetError(f"unexpected conjugator {format_gen(x)}")
+    if x[0] == KIND_RHO and surface != SURFACE_RP2:
+        raise AlphabetError("surface generators only exist on the projective plane")
+    if x[0] not in (KIND_A, KIND_RHO):
+        raise AlphabetError(f"unexpected conjugator {format_gen(x)}")
+    if not punctures + 1 <= gen_level(x) < top:
+        raise AlphabetError(f"conjugator {format_gen(x)} outside level range")
+    return _expand_top_band(conjugate(x, sign, b), top, surface)
 
 
 @dataclass(frozen=True)
@@ -218,27 +174,17 @@ class ActionTable:
     @cached_property
     def kappa(self) -> dict[tuple[Gen, int], tuple[Letter, ...]]:
         """The kernel part g * s(r(g))^-1 of each lower-level letter g^sign,
-        derived from the rows on first use."""
-        top = self.top
-        maps = self.maps
+        derived on first use from the section s(g) = left * g * right:
+        phi_g(right^-1) * left^-1 for g, phi_{g^-1}(left) * right for g^-1."""
         kappa: dict[tuple[Gen, int], tuple[Letter, ...]] = {}
-        for j in range(3, top):
-            ajt = _a_word(j, top)
-            inv_ajt = invert_letters(ajt)
-            for i in range(1, j - 1):
-                g = gen_a(i, j)
-                if i == 1:
-                    kappa[(g, 1)] = concat_letters(_substitute(maps[(g, 1)], ajt), inv_ajt)
-                    kappa[(g, -1)] = concat_letters(_substitute(maps[(g, -1)], ajt), inv_ajt)
-                elif i == 2:
-                    kappa[(g, 1)] = inv_ajt
-                    kappa[(g, -1)] = _substitute(maps[(g, -1)], ajt)
-                else:
-                    kappa[(g, 1)] = ()
-                    kappa[(g, -1)] = ()
-            r = gen_rho(j)
-            kappa[(r, 1)] = _substitute(maps[(r, 1)], ajt)
-            kappa[(r, -1)] = inv_ajt
+        for (g, sign), row_map in self.maps.items():
+            left, right = (_expand_top_band(part, self.top)
+                           for part in _section_parts(g, self.top))
+            if sign > 0:
+                kappa[(g, sign)] = concat_letters(
+                    _substitute(row_map, invert_letters(right)), invert_letters(left))
+            else:
+                kappa[(g, sign)] = concat_letters(_substitute(row_map, left), right)
         return kappa
 
 
@@ -293,55 +239,50 @@ def _substitute(row_map: Mapping[Gen, tuple[Letter, ...]],
 
 @lru_cache(maxsize=None)
 def _x_expansion(m: int, j: int) -> tuple[Letter, ...]:
-    """A[j-1,j] over the combing alphabet, by eliminating through the
-    surface relation at each level from j up to the top."""
-    top = m + 2
-    if j == top:
-        return surface_letters(top)
-    letters = [(gen_a(t, j), -1) for t in range(j - 2, 0, -1)]
-    letters.append((gen_rho(j), -1))
-    letters += list(_x_expansion(m, j + 1))
-    letters += [(gen_a(j, l), 1) for l in range(j + 2, top + 1)]
-    letters.append((gen_rho(j), -1))
-    return reduce_letters(letters)
+    """A[j-1,j] over the combing alphabet: the surface relation at level j
+    solved for it, with the eliminated letter A[j,j+1] expanded in turn."""
+    lhs, rhs = surface_relation(j, m + 2)
+    cut = lhs.index((gen_a(j - 1, j), 1))
+    return to_x_letters(m, invert_letters(lhs[:cut]) + rhs + invert_letters(lhs[cut + 1:]))
 
 
 def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Rewrite a word over the full two-puncture alphabet into the combing
     alphabet (eliminated band generators A[j-1,j] are expanded)."""
-    top = m + 2
     out: list[Letter] = []
     for gen, exp in letters:
-        kind = gen[0]
-        if kind == KIND_A:
-            i, j = gen[1], gen[2]
-            if j < 3 or j > top:
-                raise AlphabetError(
-                    f"{format_gen(gen)} outside the {m}-strand, 2-puncture alphabet")
-            if i <= j - 2:
-                push_letter(out, gen, exp)
-            else:
-                for g2, e2 in pow_letters(_x_expansion(m, j), exp):
-                    push_letter(out, g2, e2)
-        elif kind == KIND_RHO:
-            if gen[1] < 3 or gen[1] > top:
-                raise AlphabetError(
-                    f"{format_gen(gen)} outside the {m}-strand, 2-puncture alphabet")
-            push_letter(out, gen, exp)
+        check_gamma_letter(gen, m, 2)
+        if gen[0] == KIND_A and gen[1] == gen[2] - 1:
+            for g2, e2 in pow_letters(_x_expansion(m, gen[2]), exp):
+                push_letter(out, g2, e2)
         else:
-            raise AlphabetError(f"unexpected letter {format_gen(gen)}")
+            push_letter(out, gen, exp)
     return tuple(out)
 
 
-def section_s(m: int, w: Word) -> Word:
-    """The explicit splitting of strand forgetting, applied letterwise to a
-    word over the (m-1)-strand alphabet (levels 3 .. m+1):
+def _section_parts(gen: Gen, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """``(left, right)`` with s(gen) = left * gen * right, for a letter
+    below the strand level ``top``; the one statement of the section:
 
-        A[1,j] -> A[j,m+2] A[1,j] A[j,m+2]^-1
-        A[2,j] -> A[j,m+2] A[2,j]
+        A[1,j] -> A[j,top] A[1,j] A[j,top]^-1
+        A[2,j] -> A[j,top] A[2,j]
         A[i,j] -> A[i,j]            (3 <= i < j)
-        rho[j] -> rho[j] A[j,m+2]^-1
+        rho[j] -> rho[j] A[j,top]^-1
     """
+    a = gen_a(gen_level(gen), top)
+    if gen[0] == KIND_RHO:
+        return (), ((a, -1),)
+    if gen[1] == 1:
+        return ((a, 1),), ((a, -1),)
+    if gen[1] == 2:
+        return ((a, 1),), ()
+    return (), ()
+
+
+def section_s(m: int, w: Word) -> Word:
+    """The explicit splitting of strand forgetting, applied letterwise
+    (:func:`_section_parts`) to a word over the (m-1)-strand alphabet
+    (levels 3 .. m+1)."""
     if m < 2:
         raise ValueError("the section needs m >= 2")
     top = m + 2
@@ -352,16 +293,8 @@ def section_s(m: int, w: Word) -> Word:
         if kind not in (KIND_A, KIND_RHO) or not 3 <= level <= m + 1:
             raise AlphabetError(
                 f"{format_gen(gen)} outside the section domain (levels 3..{m + 1})")
-        ajt = gen_a(level, top)
-        if kind == KIND_RHO:
-            image: tuple[Letter, ...] = ((gen, 1), (ajt, -1))
-        elif gen[1] == 1:
-            image = ((ajt, 1), (gen, 1), (ajt, -1))
-        elif gen[1] == 2:
-            image = ((ajt, 1), (gen, 1))
-        else:
-            image = ((gen, 1),)
-        for g2, e2 in pow_letters(image, exp):
+        left, right = _section_parts(gen, top)
+        for g2, e2 in pow_letters(left + ((gen, 1),) + right, exp):
             push_letter(out, g2, e2)
     return Word(tuple(out))
 

@@ -149,7 +149,9 @@ def iota_sharp(n: int, w: Word) -> Z2Vector:
     return tuple(bits)
 
 
-def _check_gamma_letter(gen: Gen, m: int, p: int = 2) -> None:
+def check_gamma_letter(gen: Gen, m: int, p: int = 2) -> None:
+    """Reject a letter outside the m-strand, p-puncture alphabet: A[i,j]
+    and rho[j] need p+1 <= j <= m+p."""
     kind = gen[0]
     top = m + p
     if kind == KIND_A:
@@ -173,7 +175,7 @@ def iota_hat(m: int, w: Word) -> Z2Vector:
         raise ValueError("m must be >= 1")
     bits = [0] * m
     for gen, exp in w.letters:
-        _check_gamma_letter(gen, m, 2)
+        check_gamma_letter(gen, m, 2)
         if gen[0] == KIND_RHO:
             bits[gen[1] - 3] ^= exp & 1
     return tuple(bits)

@@ -13,9 +13,11 @@ Families (parameters are strand counts ``>= 1`` throughout):
 
 Relations with right-hand sides are stored as single relator words
 ``lhs * rhs^-1``, canonically reduced, with the convention that a
-relator equals the identity.  The conjugation case analysis for the
-band generators is implemented once (:func:`artin_conjugate`) and is
-shared with the action tables of :mod:`sbk.combing`.
+relator equals the identity.  Every conjugation relation (the band
+relations of all three families and the rho relations of ``gamma-rp2``)
+is stated once, in :func:`conjugate`, and so is the surface relation of
+``gamma-rp2`` (:func:`surface_relation`); the relator builders and the
+action tables of :mod:`sbk.combing` share both.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .words import (
+    KIND_A,
+    KIND_RHO,
     Gen,
     Letter,
     Word,
     concat_letters,
     format_gen,
     gen_a,
+    gen_level,
     gen_rho,
     gen_tau,
     invert_letters,
@@ -130,24 +135,67 @@ def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
     return tuple(head + [(gen_a(i, j), 1)] + tail)
 
 
+def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
+    """A word equal to ``x^sign b x^-sign`` by the defining relations, for a
+    band or surface letter ``x`` below the level of the letter ``b``.
+
+    The ``sign == -1`` forms are the ``sign == 1`` relations solved for
+    the inverse conjugation; the pairing is certified by the action-table
+    round-trip checks.  The result is an unreduced concatenation.
+    """
+    j = gen_level(b)
+    if x[0] not in (KIND_A, KIND_RHO) or gen_level(x) >= j:
+        raise ValueError(f"cannot conjugate {format_gen(b)} by {format_gen(x)}")
+    if x[0] == KIND_A:
+        if b[0] == KIND_RHO:
+            return ((b, 1),)
+        if sign > 0:
+            return artin_conjugate(x[1], x[2], b[1], j)
+        return artin_conjugate_inv(x[1], x[2], b[1], j)
+    k = x[1]
+    rj = gen_rho(j)
+    if b[0] == KIND_RHO:
+        # rho_k rho_j rho_k^-1 = C[k,j] rho_j
+        if sign > 0:
+            return cln_letters(k, j) + ((rj, 1),)
+        return ((rj, 1), (gen_a(k, j), 1))
+    i = b[1]
+    if sign > 0:
+        if k < i:
+            return ((b, 1),)
+        if k == i:
+            return ((rj, -1),) + invert_letters(cln_letters(i, j)) + ((rj, 1),)
+        c = cln_letters(k, j)
+        return ((rj, -1),) + invert_letters(c) + ((rj, 1), (b, 1), (rj, -1)) + c + ((rj, 1),)
+    if i < k:
+        a = gen_a(k, j)
+        return ((a, -1), (b, 1), (a, 1))
+    if i == k:
+        w = tuple((gen_a(t, j), 1) for t in range(k + 1, j))
+        return w + ((rj, 1), (b, -1), (rj, -1)) + invert_letters(w)
+    return ((b, 1),)
+
+
+def surface_relation(j: int, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The projective-plane surface relation at level j as ``(lhs, rhs)``:
+    rho[j] A[1,j] ... A[j-1,j] rho[j] = A[j,j+1] ... A[j,top]."""
+    rj = gen_rho(j)
+    lhs = ((rj, 1),) + tuple((gen_a(i, j), 1) for i in range(1, j)) + ((rj, 1),)
+    return lhs, tuple((gen_a(j, l), 1) for l in range(j + 1, top + 1))
+
+
 def _relator(*parts: Sequence[Letter]) -> Word:
     return Word.from_letters(concat_letters(*parts))
 
 
-def _artin_relators(pairs) -> list[Word]:
-    out = []
-    for (r, s), (i, j) in pairs:
-        lhs = ((gen_a(r, s), 1), (gen_a(i, j), 1), (gen_a(r, s), -1))
-        out.append(_relator(lhs, invert_letters(artin_conjugate(r, s, i, j))))
-    return out
+def _conjugation_relator(x: Gen, b: Gen) -> Word:
+    return _relator(((x, 1), (b, 1), (x, -1)), invert_letters(conjugate(x, 1, b)))
 
 
-def _band_pairs(gens: Sequence[tuple[int, int]]):
-    """Ordered pairs of band generator indices with s < j (one per relation)."""
-    for (i, j) in gens:
-        for (r, s) in gens:
-            if s < j:
-                yield (r, s), (i, j)
+def _artin_relators(bands: Sequence[tuple[int, int]]) -> list[Word]:
+    """One band conjugation relator per ordered pair (r,s), (i,j) with s < j."""
+    return [_conjugation_relator(gen_a(r, s), gen_a(i, j))
+            for (i, j) in bands for (r, s) in bands if s < j]
 
 
 def build_pn_rp2(n: int) -> Presentation:
@@ -159,7 +207,7 @@ def build_pn_rp2(n: int) -> Presentation:
         gen_tau(k) for k in range(1, n + 1)
     )
     relators: list[Word] = []
-    relators += _artin_relators(_band_pairs(bands))
+    relators += _artin_relators(bands)
     # tau_i tau_j tau_i^-1 = tau_j^-1 A[i,j]^-1 tau_j^2
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -215,45 +263,18 @@ def build_gamma_rp2(m: int, p: int) -> Presentation:
         generators += [gen_a(i, j) for i in range(1, j)]
         generators.append(gen_rho(j))
     relators: list[Word] = []
-    relators += _artin_relators(_band_pairs(bands))
+    relators += _artin_relators(bands)
     # A[i,j] rho_k A[i,j]^-1 = rho_k for j < k
-    for (i, j) in bands:
-        for k in range(j + 1, top + 1):
-            a, rk = gen_a(i, j), gen_rho(k)
-            relators.append(_relator(((a, 1), (rk, 1), (a, -1), (rk, -1)),))
+    relators += [_conjugation_relator(gen_a(i, j), gen_rho(k))
+                 for (i, j) in bands for k in range(j + 1, top + 1)]
     # rho_k A[i,j] rho_k^-1 for p+1 <= k < j, with C expanded eagerly
-    for (i, j) in bands:
-        for k in range(p + 1, j):
-            a, rk, rj = gen_a(i, j), gen_rho(k), gen_rho(j)
-            if k < i:
-                rhs: tuple[Letter, ...] = ((a, 1),)
-            elif k == i:
-                rhs = concat_letters(
-                    ((rj, -1),), invert_letters(cln_letters(i, j)), ((rj, 1),)
-                )
-            else:
-                c = cln_letters(k, j)
-                rhs = concat_letters(
-                    ((rj, -1),), invert_letters(c), ((rj, 1),),
-                    ((a, 1),),
-                    ((rj, -1),), c, ((rj, 1),),
-                )
-            relators.append(_relator(
-                ((rk, 1), (a, 1), (rk, -1)), invert_letters(rhs)
-            ))
+    relators += [_conjugation_relator(gen_rho(k), gen_a(i, j))
+                 for (i, j) in bands for k in range(p + 1, j)]
     # rho_k rho_j rho_k^-1 = C[k,j] rho_j for p+1 <= k < j
+    relators += [_conjugation_relator(gen_rho(k), gen_rho(j))
+                 for j in range(p + 1, top + 1) for k in range(p + 1, j)]
     for j in range(p + 1, top + 1):
-        for k in range(p + 1, j):
-            rk, rj = gen_rho(k), gen_rho(j)
-            rhs = concat_letters(cln_letters(k, j), ((rj, 1),))
-            relators.append(_relator(
-                ((rk, 1), (rj, 1), (rk, -1)), invert_letters(rhs)
-            ))
-    # rho_j (prod_{i<j} A[i,j]) rho_j = prod_{l>j} A[j,l]
-    for j in range(p + 1, top + 1):
-        rj = gen_rho(j)
-        lhs = [(rj, 1)] + [(gen_a(i, j), 1) for i in range(1, j)] + [(rj, 1)]
-        rhs = [(gen_a(j, l), 1) for l in range(j + 1, top + 1)]
+        lhs, rhs = surface_relation(j, top)
         relators.append(_relator(lhs, invert_letters(rhs)))
     return Presentation(
         family=FAMILY_GAMMA_RP2,
@@ -272,7 +293,7 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
     bands = [(i, j) for j in range(m + 1, top + 1) for i in range(1, j)]
     generators = tuple(gen_a(i, j) for (i, j) in bands)
     relators: list[Word] = []
-    relators += _artin_relators(_band_pairs(bands))
+    relators += _artin_relators(bands)
     for j in range(m + 1, top + 1):
         letters = [(gen_a(i, j), 1) for i in range(1, j)]
         letters += [(gen_a(j, k), 1) for k in range(j + 1, top + 1)]

@@ -30,14 +30,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 KIND_A = "A"
 KIND_RHO = "rho"
 KIND_TAU = "tau"
 KIND_SIGMA = "s"
-
-_KIND_ORDER = {KIND_A: 0, KIND_RHO: 1, KIND_TAU: 2, KIND_SIGMA: 3}
 
 # A generator is a plain tuple: ("A", i, j), ("rho", k), ("tau", k) or
 # ("s", i).  A letter is a pair (gen, exponent) with nonzero exponent.
@@ -84,11 +82,6 @@ def gen_sigma(i: int) -> Gen:
 def gen_level(gen: Gen) -> int:
     """The strand level a letter lives at: j for A[i,j], k for rho[k]."""
     return gen[2] if gen[0] == KIND_A else gen[1]
-
-
-def gen_sort_key(g: Gen) -> tuple:
-    """Lexicographic key on (kind, indices); kinds ordered A, rho, tau, s."""
-    return (_KIND_ORDER[g[0]],) + g[1:]
 
 
 def format_gen(g: Gen) -> str:
