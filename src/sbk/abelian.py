@@ -32,7 +32,7 @@ from .combing import (
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Gen, Letter, Word, gen_a, gen_rho
+from .words import Gen, Letter, Word, gen_a, gen_rho, substitute
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 
@@ -280,7 +280,7 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         for gen, exp in reversed(actor.letters):
             sign = 1 if exp > 0 else -1
             for _ in range(abs(exp)):
-                letters = combing._substitute(maps[(gen, sign)], letters)
+                letters = substitute(letters, maps[(gen, sign)])
         return letters
 
     basis_words = keromega_basis(l)

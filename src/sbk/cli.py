@@ -73,7 +73,8 @@ def _cmd_nf(args) -> int:
 
 def _cmd_eval(args) -> int:
     word = parse_word(args.word)
-    if args.hom == "iota":
+    if args.hom in ("iota", "abelianize"):
+        # the mod-2 exponent map is the abelianization of the n-strand group
         bits = homs.iota_sharp(args.n, word)
         _emit({"value": list(bits), "display": homs.format_z2(bits)})
     elif args.hom == "iota-hat":
@@ -85,10 +86,6 @@ def _cmd_eval(args) -> int:
         if args.to is None:
             raise ValueError("--to is required for the forget homomorphism")
         _emit({"value": str(homs.forget_strands(word, args.n, args.to))})
-    elif args.hom == "abelianize":
-        # the mod-2 exponent map is the abelianization of the n-strand group
-        bits = homs.iota_sharp(args.n, word)
-        _emit({"value": list(bits), "display": homs.format_z2(bits)})
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown homomorphism {args.hom!r}")
     return 0

@@ -22,7 +22,9 @@ The table also derives, on first use, the kernel part of every
 lower-level letter from the section (:func:`_section_parts`); it is the
 only store of per-level combing data, and :func:`build_action_table`
 caches one table per m.  The eliminated letters are expanded by solving
-the surface relation (:func:`sbk.presentations.surface_relation`).
+the surface relation (:func:`sbk.presentations.surface_relation`) for
+them.  Every letterwise rewrite here (rows, kernel parts, eliminated
+letters, the section, the per-level split) is :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
 pass per level.  The private :func:`_comb_letters` takes the table
@@ -41,7 +43,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
-from .presentations import cln_letters, conjugate, surface_relation
+from .presentations import (SURFACE_RP2, SURFACE_S2, cln_letters, conjugate,
+                            surface_relation)
 from .words import (
     KIND_A,
     KIND_RHO,
@@ -55,36 +58,29 @@ from .words import (
     gen_level,
     gen_rho,
     invert_letters,
-    pow_letters,
     push_letter,
     reduce_letters,
+    substitute,
 )
 
-SURFACE_RP2 = "rp2"
-SURFACE_S2 = "s2"
+
+def _solved_surface_relation(j: int, top: int, surface: str) -> tuple[Letter, ...]:
+    """The surface relation at level j solved for A[j-1,j], reduced."""
+    lhs, rhs = surface_relation(j, top, surface)
+    cut = lhs.index((gen_a(j - 1, j), 1))
+    return concat_letters(invert_letters(lhs[:cut]), rhs, invert_letters(lhs[cut + 1:]))
 
 
 @lru_cache(maxsize=None)
-def surface_letters(top: int, surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    """Expansion of the eliminated top band generator A[top-1,top]:
-    A[top-2,top]^-1 ... A[1,top]^-1 rho[top]^-2 (no rho tail on the sphere)."""
-    letters = [(gen_a(t, top), -1) for t in range(top - 2, 0, -1)]
-    if surface == SURFACE_RP2:
-        letters.append((gen_rho(top), -2))
-    return tuple(letters)
+def _top_band_images(top: int, surface: str) -> dict[Gen, tuple[Letter, ...]]:
+    return {gen_a(top - 1, top): _solved_surface_relation(top, top, surface)}
 
 
 def _expand_top_band(letters: Iterable[Letter], top: int,
                      surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    eliminated = gen_a(top - 1, top)
-    out: list[Letter] = []
-    for gen, exp in letters:
-        if gen == eliminated:
-            for g2, e2 in pow_letters(surface_letters(top, surface), exp):
-                push_letter(out, g2, e2)
-        else:
-            push_letter(out, gen, exp)
-    return tuple(out)
+    """Expand the eliminated top band generator A[top-1,top] by the surface
+    relation at level top, solved for it."""
+    return substitute(letters, _top_band_images(top, surface))
 
 
 def expand_C(i: int, j: int, top: int) -> Word:
@@ -168,7 +164,7 @@ class ActionTable:
             (x, sign, b)
             for (x, sign), row_map in self.maps.items()
             for b in self.basis
-            if _substitute(self.maps[(x, -sign)], row_map[b]) != ((b, 1),)
+            if substitute(row_map[b], self.maps[(x, -sign)]) != ((b, 1),)
         ]
 
     @cached_property
@@ -182,9 +178,9 @@ class ActionTable:
                            for part in _section_parts(g, self.top))
             if sign > 0:
                 kappa[(g, sign)] = concat_letters(
-                    _substitute(row_map, invert_letters(right)), invert_letters(left))
+                    substitute(invert_letters(right), row_map), invert_letters(left))
             else:
-                kappa[(g, sign)] = concat_letters(_substitute(row_map, left), right)
+                kappa[(g, sign)] = concat_letters(substitute(left, row_map), right)
         return kappa
 
 
@@ -217,47 +213,25 @@ def build_action_table(m: int) -> ActionTable:
     return ActionTable(m=m, level=m + 1, top=top, basis=basis, maps=maps)
 
 
-def _substitute(row_map: Mapping[Gen, tuple[Letter, ...]],
-                letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """Apply a basis-image map letterwise to a word over the basis."""
-    out: list[Letter] = []
-    for gen, exp in letters:
-        image = row_map[gen]
-        if len(image) == 1 and image[0] == (gen, 1):
-            push_letter(out, gen, exp)
-        elif exp == 1:
-            for g2, e2 in image:
-                push_letter(out, g2, e2)
-        elif exp == -1:
-            for g2, e2 in reversed(image):
-                push_letter(out, g2, -e2)
-        else:
-            for g2, e2 in pow_letters(image, exp):
-                push_letter(out, g2, e2)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
-def _x_expansion(m: int, j: int) -> tuple[Letter, ...]:
-    """A[j-1,j] over the combing alphabet: the surface relation at level j
-    solved for it, with the eliminated letter A[j,j+1] expanded in turn."""
-    lhs, rhs = surface_relation(j, m + 2)
-    cut = lhs.index((gen_a(j - 1, j), 1))
-    return to_x_letters(m, invert_letters(lhs[:cut]) + rhs + invert_letters(lhs[cut + 1:]))
+def _x_images(m: int) -> dict[Gen, tuple[Letter, ...]]:
+    """Every eliminated A[j-1,j] over the combing alphabet: the surface
+    relation at level j solved for it, built from the top level down, so
+    the eliminated A[j,j+1] it contains is already expanded."""
+    images: dict[Gen, tuple[Letter, ...]] = {}
+    for j in range(m + 2, 2, -1):
+        images[gen_a(j - 1, j)] = substitute(
+            _solved_surface_relation(j, m + 2, SURFACE_RP2), images)
+    return images
 
 
 def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Rewrite a word over the full two-puncture alphabet into the combing
     alphabet (eliminated band generators A[j-1,j] are expanded)."""
-    out: list[Letter] = []
-    for gen, exp in letters:
+    letters = tuple(letters)
+    for gen, _ in letters:
         check_gamma_letter(gen, m, 2)
-        if gen[0] == KIND_A and gen[1] == gen[2] - 1:
-            for g2, e2 in pow_letters(_x_expansion(m, gen[2]), exp):
-                push_letter(out, g2, e2)
-        else:
-            push_letter(out, gen, exp)
-    return tuple(out)
+    return substitute(letters, _x_images(m))
 
 
 def _section_parts(gen: Gen, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
@@ -285,18 +259,14 @@ def section_s(m: int, w: Word) -> Word:
     (levels 3 .. m+1)."""
     if m < 2:
         raise ValueError("the section needs m >= 2")
-    top = m + 2
-    out: list[Letter] = []
-    for gen, exp in w.letters:
-        kind = gen[0]
-        level = gen_level(gen)
-        if kind not in (KIND_A, KIND_RHO) or not 3 <= level <= m + 1:
+    images: dict[Gen, tuple[Letter, ...]] = {}
+    for gen, _ in w.letters:
+        if gen[0] not in (KIND_A, KIND_RHO) or not 3 <= gen_level(gen) <= m + 1:
             raise AlphabetError(
                 f"{format_gen(gen)} outside the section domain (levels 3..{m + 1})")
-        left, right = _section_parts(gen, top)
-        for g2, e2 in pow_letters(left + ((gen, 1),) + right, exp):
-            push_letter(out, g2, e2)
-    return Word(tuple(out))
+        left, right = _section_parts(gen, m + 2)
+        images[gen] = left + ((gen, 1),) + right
+    return Word(substitute(w.letters, images))
 
 
 def strip_last(m: int, w: Word) -> Word:
@@ -342,7 +312,7 @@ def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, .
             row_map = maps[(gen, sign)]
             tail = kappa_table[(gen, sign)]
             for _ in range(abs(exp)):
-                kappa = concat_letters(_substitute(row_map, kappa), tail)
+                kappa = concat_letters(substitute(kappa, row_map), tail)
     return kappa
 
 
@@ -357,7 +327,7 @@ def _comb_letters(m: int, letters: Sequence[Letter],
         current = reduce_letters(
             (gen, exp) for gen, exp in current if gen_level(gen) < top
         )
-    components.append(Word(reduce_letters(current)))
+    components.append(Word(current))
     return CombedForm(m, tuple(components))
 
 

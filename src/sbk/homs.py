@@ -36,6 +36,7 @@ from .words import (
     gen_rho,
     gen_sigma,
     push_letter,
+    substitute,
 )
 
 Z2Vector = tuple  # fixed-length tuple of 0/1 entries
@@ -227,16 +228,13 @@ def forget_strands(w: Word, frm: int, to: int) -> Word:
     if not 1 <= to < frm:
         raise ValueError(f"need 1 <= to < from, got from={frm}, to={to}")
     w = expand_even_crossings(w)
-    out: list[Letter] = []
-    for gen, exp in w.letters:
+    images: dict[Gen, tuple[Letter, ...]] = {}
+    for gen, _ in w.letters:
         _check_pn_letter(gen, frm)
         if gen[0] == KIND_TAU:
-            for g2, e2 in (tau_from_rho(gen[1], frm) ** exp).letters:
-                if gen_level(g2) <= to:
-                    push_letter(out, g2, e2)
-        elif gen_level(gen) <= to:
-            push_letter(out, gen, exp)
-    return Word(tuple(out))
+            images[gen] = tau_from_rho(gen[1], frm).letters
+    return Word.from_letters(
+        (gen, exp) for gen, exp in substitute(w.letters, images) if gen_level(gen) <= to)
 
 
 def aij_from_sigma(i: int, j: int) -> Word:

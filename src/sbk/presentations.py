@@ -16,8 +16,8 @@ Relations with right-hand sides are stored as single relator words
 relator equals the identity.  Every conjugation relation (the band
 relations of all three families and the rho relations of ``gamma-rp2``)
 is stated once, in :func:`conjugate`, and so is the surface relation of
-``gamma-rp2`` (:func:`surface_relation`); the relator builders and the
-action tables of :mod:`sbk.combing` share both.
+both surfaces (:func:`surface_relation`); the relator builders and the
+action tables and eliminated-letter expansions of :mod:`sbk.combing` share both.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from .words import (
 FAMILY_PN_RP2 = "pn-rp2"
 FAMILY_GAMMA_RP2 = "gamma-rp2"
 FAMILY_GAMMA_S2 = "gamma-s2"
+SURFACE_RP2 = "rp2"
+SURFACE_S2 = "s2"
 
 
 @dataclass(frozen=True)
@@ -176,16 +178,21 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
     return ((b, 1),)
 
 
-def surface_relation(j: int, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """The projective-plane surface relation at level j as ``(lhs, rhs)``:
-    rho[j] A[1,j] ... A[j-1,j] rho[j] = A[j,j+1] ... A[j,top]."""
+def surface_relation(j: int, top: int, surface: str = SURFACE_RP2
+                     ) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The surface relation at level j as ``(lhs, rhs)``, on the projective
+    plane rho[j] A[1,j] ... A[j-1,j] rho[j] = A[j,j+1] ... A[j,top], on the
+    sphere A[1,j] ... A[j-1,j] = (A[j,j+1] ... A[j,top])^-1."""
+    lhs = tuple((gen_a(i, j), 1) for i in range(1, j))
+    rhs = tuple((gen_a(j, l), 1) for l in range(j + 1, top + 1))
+    if surface == SURFACE_S2:
+        return lhs, invert_letters(rhs)
     rj = gen_rho(j)
-    lhs = ((rj, 1),) + tuple((gen_a(i, j), 1) for i in range(1, j)) + ((rj, 1),)
-    return lhs, tuple((gen_a(j, l), 1) for l in range(j + 1, top + 1))
+    return ((rj, 1),) + lhs + ((rj, 1),), rhs
 
 
 def _relator(*parts: Sequence[Letter]) -> Word:
-    return Word.from_letters(concat_letters(*parts))
+    return Word(concat_letters(*parts))
 
 
 def _conjugation_relator(x: Gen, b: Gen) -> Word:
@@ -295,9 +302,8 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
     relators: list[Word] = []
     relators += _artin_relators(bands)
     for j in range(m + 1, top + 1):
-        letters = [(gen_a(i, j), 1) for i in range(1, j)]
-        letters += [(gen_a(j, k), 1) for k in range(j + 1, top + 1)]
-        relators.append(_relator(letters))
+        lhs, rhs = surface_relation(j, top, SURFACE_S2)
+        relators.append(_relator(lhs, invert_letters(rhs)))
     return Presentation(
         family=FAMILY_GAMMA_S2,
         params=(("n", n), ("m", m)),

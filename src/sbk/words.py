@@ -16,6 +16,9 @@ storage performs exactly the free cancellation that is valid in every
 group.  Words carry no ambient-group tag; each operation that needs an
 alphabet checks its own letters.
 
+:func:`push_letter` is the one free-reduction step and :func:`substitute`
+the one letterwise map ``gen -> images[gen]`` of letter tuples.
+
 The text grammar (exact) is::
 
     word := term (WS+ term)* | eps
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 KIND_A = "A"
 KIND_RHO = "rho"
@@ -142,6 +145,29 @@ def pow_letters(letters: tuple[Letter, ...], e: int) -> tuple[Letter, ...]:
     return result
 
 
+def substitute(letters: Iterable[Letter],
+               images: Mapping[Gen, tuple[Letter, ...]]) -> tuple[Letter, ...]:
+    """The reduced image of a word under the letterwise map gen -> images[gen];
+    a generator without an entry maps to itself."""
+    out: list[Letter] = []
+    for gen, exp in letters:
+        image = images.get(gen)
+        if image is None:
+            push_letter(out, gen, exp)
+        elif exp == 1:
+            for g2, e2 in image:
+                push_letter(out, g2, e2)
+        elif exp == -1:
+            for g2, e2 in reversed(image):
+                push_letter(out, g2, -e2)
+        elif len(image) == 1:
+            push_letter(out, image[0][0], image[0][1] * exp)
+        else:
+            for g2, e2 in pow_letters(image, exp):
+                push_letter(out, g2, e2)
+    return tuple(out)
+
+
 _TERM_RE = re.compile(
     r"""(?:A\[(?P<ai>\d+),(?P<aj>\d+)\]
         |rho\[(?P<rk>\d+)\]
@@ -222,9 +248,9 @@ def parse_word(text: str) -> Word:
                 gen = gen_tau(int(m.group("tk")))
             else:
                 gen = gen_sigma(int(m.group("si")))
-        except ValueError as err:
+            exp = 1 if m.group("exp") is None else int(m.group("exp"))
+        except ValueError as err:  # also digit strings beyond int()'s limit
             raise WordSyntaxError(str(err), pos) from None
-        exp = 1 if m.group("exp") is None else int(m.group("exp"))
         if exp == 0:
             raise WordSyntaxError("exponent must be nonzero", m.start("exp"))
         letters.append((gen, exp))

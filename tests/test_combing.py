@@ -38,6 +38,7 @@ from sbk.words import (
     parse_word,
     push_letter,
     reduce_letters,
+    substitute,
 )
 
 RNG_SEED = 70839
@@ -199,7 +200,7 @@ def _split_top_accumulate(m, letters):
         for g2, e2 in reversed(quotient):
             row_map = psi[(g2, 1 if e2 > 0 else -1)]
             for _ in range(abs(e2)):
-                pieces = combing._substitute(row_map, pieces)
+                pieces = substitute(pieces, row_map)
         return pieces
 
     for gen, exp in letters:

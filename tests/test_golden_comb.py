@@ -3,7 +3,7 @@ import json
 from pathlib import Path
 
 from sbk.combing import build_action_table, comb
-from sbk.presentations import build_gamma_rp2
+from sbk.presentations import build_gamma_rp2, build_gamma_s2
 from sbk.words import Word, format_gen, parse_word
 
 GOLDEN = Path(__file__).resolve().parent / "golden_comb.json"
@@ -23,6 +23,17 @@ RELATOR_DIGESTS = {
     (4, 1): "f7288be59c3b82c0", (4, 2): "db08471a3e0ca1de", (4, 3): "1adf2d57fbb956b1",
     (5, 1): "4159743fffc960fe", (5, 2): "1da5766094c36f3a", (5, 3): "e1946d945e2dd417",
     (6, 1): "7bec3ed83b769e2c", (6, 2): "409cb9c8caa2407d", (6, 3): "1e70835d188a456a",
+}
+# sha256(...)[:16] of the gamma-s2 relator text per (n, m), recorded while the
+# sphere relation was still written out in build_gamma_s2; at n = 1 its
+# right-hand side is empty, so only these pins see the sign of that side
+S2_RELATOR_DIGESTS = {
+    (1, 1): "89ad2a693d62fec0", (1, 2): "92dceaaee45102ca", (1, 3): "774574f47cb2f934",
+    (1, 4): "e6410b405c7e2474", (2, 1): "064b2f5501bb6aa4", (2, 2): "e737d63420003954",
+    (2, 3): "be3291f3f0f65789", (2, 4): "ce0f21d9488b2b21", (3, 1): "77eec4afce1151d9",
+    (3, 2): "2fcf4d3b9d4d0244", (3, 3): "42a613e4f2ed7456", (3, 4): "6c5c6617317e0c69",
+    (4, 1): "3a9bf69acf7d2bf8", (4, 2): "6f24b7e789753add", (4, 3): "557de3ef7b6b10b2",
+    (4, 4): "10be68494883cb5e",
 }
 
 
@@ -56,3 +67,9 @@ def test_action_tables_and_relators_pinned():
     got = {(m, p): _digest([str(r) for r in build_gamma_rp2(m, p).relators])
            for m, p in RELATOR_DIGESTS}
     assert got == RELATOR_DIGESTS
+
+
+def test_sphere_relators_pinned():
+    got = {(n, m): _digest([str(r) for r in build_gamma_s2(n, m).relators])
+           for n, m in S2_RELATOR_DIGESTS}
+    assert got == S2_RELATOR_DIGESTS

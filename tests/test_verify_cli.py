@@ -1,16 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbk import verify
 from sbk.cli import main
 from sbk.combing import ActionTable, build_action_table
 from sbk.words import gen_a
+
+# child interpreters import sbk from this checkout, as the tests do
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(*argv):
@@ -18,6 +27,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "sbk.cli", *argv],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -113,6 +123,28 @@ def test_cli_main_in_process():
     assert main(["eval", "--hom", "iota", "--n", "2", "--word", "A[9,2]"]) == 2
 
 
+# grammar terms for `sbk nf`, in and out of the m-strand alphabet; combed
+# forms grow exponentially with the letter count (at m = 2, 3 six terms of
+# total |exponent| 20 took up to 11 s, of total 12 up to 0.3 s), hence the cap
+nf_terms = st.lists(st.tuples(
+    st.sampled_from(["A[{},{}]", "rho[{}]", "tau[{}]", "s[{}]"]),
+    st.integers(0, 6), st.integers(0, 6), st.integers(-20, 20),
+), max_size=6).filter(lambda terms: sum(abs(t[3]) for t in terms) <= 12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), nf_terms)
+def test_nf_fuzz_exit_code_and_one_json_document(m, terms):
+    text = " ".join(form.format(i, j) + (f"^{e}" if e != 1 else "")
+                    for form, i, j, e in terms)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["nf", "--m", str(m), "--word", text])
+    assert rc in (0, 2)
+    assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
+    json.loads(out.getvalue())
+
+
 def test_verify_all_report_matches_pinned_digest(capsys, monkeypatch):
     # the full report at the desk-scale bound is pinned byte for byte in the
     # benchmark's expected digests; this test only reads that file
@@ -188,7 +220,8 @@ def test_core_imports_only_stdlib():
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'sbk'}))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

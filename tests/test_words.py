@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sbk.words import (
     Word,
@@ -11,7 +11,10 @@ from sbk.words import (
     gen_sigma,
     gen_tau,
     invert,
+    invert_letters,
     parse_word,
+    reduce_letters,
+    substitute,
 )
 
 
@@ -114,3 +117,63 @@ def test_pow_matches_repeated_product(w, e):
     for _ in range(abs(e)):
         expected = concat_reduce(expected, step)
     assert w ** e == expected
+
+
+# substitute: a small alphabet, so that images cancel against each other
+sub_gens = st.sampled_from([gen_a(1, 3), gen_a(2, 3), gen_rho(3), gen_rho(4)])
+sub_letters = st.lists(st.tuples(sub_gens, st.integers(-4, 4)), max_size=8)
+sub_images = st.dictionaries(sub_gens, st.one_of(
+    st.just(()),                                        # the generator dies
+    st.just(None),                                      # identity image
+    st.tuples(st.tuples(sub_gens, st.integers(-3, 3).filter(bool))),  # one letter
+    st.lists(st.tuples(sub_gens, st.integers(-3, 3).filter(bool)),
+             min_size=2, max_size=5).map(tuple),
+)).map(lambda images: {g: ((g, 1),) if im is None else im for g, im in images.items()})
+
+
+def naive_substitute(letters, images):
+    # g^e is |e| copies of the image of g, or of its inverse, then reduced
+    out = []
+    for gen, exp in letters:
+        image = images.get(gen, ((gen, 1),))
+        step = image if exp > 0 else invert_letters(image)
+        out += list(step) * abs(exp)
+    return reduce_letters(out)
+
+
+@given(sub_letters, sub_images)
+def test_substitute_matches_naive_expansion(letters, images):
+    assert substitute(letters, images) == naive_substitute(letters, images)
+
+
+@given(sub_letters, sub_letters, sub_images)
+def test_substitute_is_a_homomorphism(u, v, images):
+    assert substitute(u + v, images) == reduce_letters(
+        substitute(u, images) + substitute(v, images))
+
+
+# parser fuzz: the grammar's characters plus noise, and runs of real terms
+grammar_noise = st.text(
+    alphabet=st.one_of(st.sampled_from("Arhotaus[],^-0123456789 \t"), st.characters()),
+    max_size=40,
+)
+term_text = st.tuples(
+    st.sampled_from(["A[{},{}]", "rho[{}]", "tau[{}]", "s[{}]"]),
+    st.integers(0, 7), st.integers(0, 7), st.integers(-3, 3),
+).map(lambda t: t[0].format(t[1], t[2]) + ("" if t[3] == 1 else f"^{t[3]}"))
+term_runs = st.lists(term_text, max_size=6).map(" ".join)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(grammar_noise, term_runs))
+def test_parse_accepts_or_raises_syntax_error(text):
+    try:
+        w = parse_word(text)
+    except WordSyntaxError:
+        return
+    assert parse_word(str(w)) == w
+
+
+def test_parse_overlong_exponent_is_a_syntax_error():
+    with pytest.raises(WordSyntaxError):
+        parse_word("rho[1]^" + "1" * 5000)
