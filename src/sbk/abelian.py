@@ -32,7 +32,7 @@ from .combing import (
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Gen, Letter, Word, gen_a, gen_rho, substitute
+from .words import Gen, Letter, Word, gen_a, gen_rho
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 
@@ -274,14 +274,15 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 3, []
-    maps = build_action_table(l - 1).maps
+    coded = build_action_table(l - 1).coded
 
     def conj(actor: Word, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+        units = coded.encode(letters)
         for gen, exp in reversed(actor.letters):
-            sign = 1 if exp > 0 else -1
+            row, _ = coded.steps[(gen, 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                letters = substitute(letters, maps[(gen, sign)])
-        return letters
+                units = combing._act(units, row)
+        return coded.decode_letters(units)
 
     basis_words = keromega_basis(l)
     rank = 2 * l - 1

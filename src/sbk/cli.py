@@ -138,8 +138,18 @@ def _cmd_verify(args) -> int:
     return 0 if passed else 1
 
 
+class _JsonErrorParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors also print the JSON error
+    document on stdout; the usage text still goes to stderr and the exit
+    code is still 2.  Subparsers are built from the same class."""
+
+    def error(self, message):
+        _emit({"error": message})
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _JsonErrorParser(
         prog="sbk",
         description="surface braid words, presentations, combing and abelianization",
     )
@@ -181,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:  # usage errors (code 2) and --help (code 0)
+        return stop.code
     try:
         return args.func(args)
     except (ValueError, KeyError) as err:

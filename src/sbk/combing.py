@@ -37,6 +37,7 @@ fixed once and for all here.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
@@ -139,6 +140,54 @@ def omega_basis(level: int) -> OmegaBasis:
 
 
 @dataclass(frozen=True)
+class CodedTable:
+    """An :class:`ActionTable` compiled to signed unit ints over its basis:
+    ``i`` is b_i and ``-i`` is b_i^-1, for 1 <= i <= r.
+
+    ``index[b_i] = i``; ``decode[±i] = (b_i, ±1)``; ``steps[(x, sign)]``
+    is ``(row, tail)``, where ``row[±i]`` is the image of b_i^±1 under
+    conjugation by x^sign as a unit tuple (the inverse images, reversed and
+    negated, are stored at the negative indices) and ``tail`` is the
+    kernel part of x^sign as a unit tuple.
+    """
+
+    index: Mapping[Gen, int]
+    decode: tuple[Letter, ...]
+    steps: Mapping[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]]
+
+    def encode(self, letters: Iterable[Letter]) -> list[int]:
+        index = self.index
+        return [unit for gen, exp in letters
+                for unit in [index[gen] if exp > 0 else -index[gen]] * abs(exp)]
+
+    def decode_letters(self, units: Iterable[int]) -> tuple[Letter, ...]:
+        """The letters of a unit word, run-length merged."""
+        out: list[Letter] = []
+        decode = self.decode
+        for unit in units:
+            push_letter(out, *decode[unit])
+        return tuple(out)
+
+
+def _act(units: Iterable[int], row: Sequence[tuple[int, ...]],
+         tail: tuple[int, ...] = ()) -> list[int]:
+    """The reduced unit word row(units) * tail, by reduce-on-push.
+
+    Each pushed piece (the image ``row[u]`` of a unit, then the tail) is
+    reduced, so once one of its units stays, the rest of it cannot cancel:
+    a piece pops the output while its head cancels, then the remainder is
+    appended in one go."""
+    out: list[int] = []
+    for piece in chain(map(row.__getitem__, units), (tail,)):
+        k = 0
+        while out and k < len(piece) and out[-1] == -piece[k]:
+            out.pop()
+            k += 1
+        out.extend(piece[k:] if k else piece)
+    return out
+
+
+@dataclass(frozen=True)
 class ActionTable:
     """Conjugation rows of the lower-level generating letters on the rank
     m+1 kernel basis at strand level m+2.
@@ -146,6 +195,9 @@ class ActionTable:
     ``maps[(x, sign)][b]`` is the reduced word x^sign b x^-sign over the
     basis, for every combing letter x below the top level and both signs.
     Basis letters themselves act by free conjugation and are not stored.
+    ``maps`` is the one constructed shape; ``kappa`` (the kernel parts)
+    and ``coded`` (the int-coded rows and kernel parts the comber runs on)
+    are derived from it on first use.
     """
 
     m: int
@@ -182,6 +234,21 @@ class ActionTable:
             else:
                 kappa[(g, sign)] = concat_letters(substitute(left, row_map), right)
         return kappa
+
+    @cached_property
+    def coded(self) -> CodedTable:
+        """``maps`` and ``kappa`` over the basis interned as 1..r."""
+        index = {b: i for i, b in enumerate(self.basis, 1)}
+        decode = ((None,) + tuple((b, 1) for b in self.basis)
+                  + tuple((b, -1) for b in reversed(self.basis)))
+        steps: dict[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}
+        coded = CodedTable(index, decode, steps)
+        for key, row_map in self.maps.items():
+            images = [tuple(coded.encode(row_map[b])) for b in self.basis]
+            row = [()] + images + [tuple(-z for z in reversed(image))
+                                   for image in reversed(images)]
+            steps[key] = (row, tuple(coded.encode(self.kappa[key])))
+        return coded
 
 
 def x_alphabet(m: int) -> tuple[Gen, ...]:
@@ -298,22 +365,29 @@ class CombedForm:
 
 def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, ...]:
     """Kernel component of the word at the table's top level, by one
-    right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g."""
+    right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g.
+
+    The pass runs on signed unit ints (:attr:`ActionTable.coded`) and
+    decodes once at the end.  The leading top-level letters are never
+    acted on, so they stay letters and multiply in on the left last."""
     top = table.top
-    maps = table.maps
-    kappa_table = table.kappa
-    kappa: tuple[Letter, ...] = ()
-    for gen, exp in reversed(letters):
+    cut = 0
+    while cut < len(letters) and gen_level(letters[cut][0]) == top:
+        cut += 1
+    coded = table.coded
+    index = coded.index
+    steps = coded.steps
+    units: list[int] = []
+    for gen, exp in reversed(letters[cut:]):
         if gen_level(gen) == top:
-            # r(g) is trivial, so the letter just multiplies in on the left
-            kappa = concat_letters(((gen, exp),), kappa)
+            # r(g) is trivial, so the letter just multiplies in on the left;
+            # a lower letter follows, and its step reduces the junction
+            units[:0] = [index[gen] if exp > 0 else -index[gen]] * abs(exp)
         else:
-            sign = 1 if exp > 0 else -1
-            row_map = maps[(gen, sign)]
-            tail = kappa_table[(gen, sign)]
+            row, tail = steps[(gen, 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                kappa = concat_letters(substitute(kappa, row_map), tail)
-    return kappa
+                units = _act(units, row, tail)
+    return concat_letters(letters[:cut], coded.decode_letters(units))
 
 
 def _comb_letters(m: int, letters: Sequence[Letter],

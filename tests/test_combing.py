@@ -2,6 +2,7 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sbk import combing, verify
 from sbk.combing import (
@@ -77,6 +78,37 @@ def test_action_table_round_trip():
         # rows are stored as built, so conjugation_row must return reduced words
         for row_map in table.maps.values():
             assert all(reduce_letters(image) == image for image in row_map.values())
+        # the int-coded rows decode to the stored rows, the negative indices
+        # to their inverses, and the tails to the kernel parts
+        coded = table.coded
+        for i, b in enumerate(table.basis, 1):
+            assert coded.index[b] == i and coded.decode[i] == (b, 1), (m, b)
+        for key, (row, tail) in coded.steps.items():
+            for i, b in enumerate(table.basis, 1):
+                image = table.maps[key][b]
+                assert coded.decode_letters(row[i]) == image, (m, key, b)
+                assert coded.decode_letters(row[-i]) == invert_letters(image), (m, key, b)
+            assert coded.decode_letters(tail) == table.kappa[key], (m, key)
+
+
+# words over the kernel basis at m = 1..4, not necessarily reduced
+kernel_words = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
+    st.tuples(st.sampled_from(build_action_table(m).basis),
+              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+    max_size=12)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(kernel_words)
+def test_int_step_matches_substitute(case):
+    m, letters = case
+    table = build_action_table(m)
+    coded = table.coded
+    for key, (row, tail) in coded.steps.items():
+        for units_tail, letters_tail in (((), ()), (tail, table.kappa[key])):
+            expected = concat_letters(substitute(letters, table.maps[key]), letters_tail)
+            got = coded.decode_letters(combing._act(coded.encode(letters), row, units_tail))
+            assert got == expected, (m, key, units_tail)
 
 
 def test_section_examples():

@@ -83,8 +83,15 @@ def test_input_error_exit_code_2():
 
 
 def test_usage_error_exit_code_2():
-    rc, _, _ = run_cli("eval", "--hom", "nonsense", "--n", "3", "--word", "rho[1]")
-    assert rc == 2
+    # argparse usage errors keep the usage text on stderr and print one JSON
+    # document on stdout, like every other exit-2 input
+    for argv in (("nf", "--m", "1", "--word", "-x"),
+                 ("eval", "--hom", "nonsense", "--n", "3", "--word", "A[1,2]")):
+        rc, out, err = run_cli(*argv)
+        assert rc == 2, argv
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        assert "error" in json.loads(out), argv
+        assert "usage:" in err, argv
     rc, out, _ = run_cli("verify", "--suite", "counts", "--max-n", "99")
     assert rc == 2
     assert "error" in json.loads(out)
@@ -133,14 +140,16 @@ nf_terms = st.lists(st.tuples(
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 3), nf_terms)
-def test_nf_fuzz_exit_code_and_one_json_document(m, terms):
-    text = " ".join(form.format(i, j) + (f"^{e}" if e != 1 else "")
-                    for form, i, j, e in terms)
+@given(st.integers(1, 3), st.sampled_from(["", "-", "--"]), nf_terms)
+def test_nf_fuzz_exit_code_and_one_json_document(m, lead, terms):
+    # a word starting with "-" may be read as an option: a usage error, which
+    # must also exit 2 with one JSON document
+    text = lead + " ".join(form.format(i, j) + (f"^{e}" if e != 1 else "")
+                           for form, i, j, e in terms)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["nf", "--m", str(m), "--word", text])
-    assert rc in (0, 2)
+    assert rc == 2 if lead else rc in (0, 2)
     assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
     json.loads(out.getvalue())
 
