@@ -15,21 +15,30 @@ reduced words (omega_{m+1}, ..., omega_2), one per kernel level, with
 
 The conjugation action of the lower-level generators on each kernel
 basis is the defining conjugation relations read as automorphisms: one
-:class:`ActionTable` per level, stored as ``maps[(x, sign)][b] -> image``,
-whose rows are :func:`sbk.presentations.conjugate` with the eliminated
-letter expanded, certified by :meth:`ActionTable.round_trip_failures`.
-The table also derives, on first use, the kernel part of every
-lower-level letter from the section (:func:`_section_parts`); it is the
-only store of per-level combing data, and :func:`build_action_table`
-caches one table per m.  The eliminated letters are expanded by solving
-the surface relation (:func:`sbk.presentations.surface_relation`) for
-them.  Every letterwise rewrite here (rows, kernel parts, eliminated
-letters, the section, the per-level split) is :func:`sbk.words.substitute`.
+:class:`ActionTable` per level, constructed as ``maps[(x, sign)][b] ->
+image``, whose rows are :func:`sbk.presentations.conjugate` with the
+eliminated letter expanded, certified by
+:meth:`ActionTable.round_trip_failures`.  ``maps`` is the one constructed
+shape; the table derives two views from it on first use: ``kappa``, the
+kernel part of every lower-level letter, from the section
+(:func:`_section_parts`), and ``coded`` (:class:`CodedTable`), the rows
+and kernel parts over the basis interned as the signed unit ints ``1 .. r``
+and ``-1 .. -r``.  The table is the only store of per-level combing data,
+and :func:`build_action_table` caches one table per m.  The eliminated
+letters are expanded by solving the surface relation
+(:func:`sbk.presentations.surface_relation`) for them.  The cold
+letterwise rewrites here (rows, kernel parts, eliminated letters, the
+section) are :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
-pass per level.  The private :func:`_comb_letters` takes the table
-factory as a plain argument, so the verification suite can comb against
-a deliberately corrupted table.  Combed-form equality is the canonical
+pass per level.  The pass is the hot loop: it runs on lists of signed unit
+ints, one int step (:func:`_act`, shared with
+:func:`sbk.abelian.keromega_action`) per unit of exponent of each
+lower-level letter, and decodes to letters once per level.  Reduced words
+are unique, so the combed forms are those the letterwise rewrite gives.
+The private :func:`_comb_letters` takes the table factory as a plain
+argument, so the verification suite can comb against a deliberately
+corrupted table.  Combed-form equality is the canonical
 equality of this library; it depends on the chosen section, which is
 fixed once and for all here.
 """
@@ -37,9 +46,9 @@ fixed once and for all here.
 from __future__ import annotations
 
 import enum
-from itertools import chain
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
@@ -141,14 +150,15 @@ def omega_basis(level: int) -> OmegaBasis:
 
 @dataclass(frozen=True)
 class CodedTable:
-    """An :class:`ActionTable` compiled to signed unit ints over its basis:
-    ``i`` is b_i and ``-i`` is b_i^-1, for 1 <= i <= r.
+    """An :class:`ActionTable` compiled to signed unit ints over its basis
+    b_1, ..., b_r: the unit ``i`` is b_i and ``-i`` is b_i^-1.
 
-    ``index[b_i] = i``; ``decode[±i] = (b_i, ±1)``; ``steps[(x, sign)]``
-    is ``(row, tail)``, where ``row[±i]`` is the image of b_i^±1 under
-    conjugation by x^sign as a unit tuple (the inverse images, reversed and
-    negated, are stored at the negative indices) and ``tail`` is the
-    kernel part of x^sign as a unit tuple.
+    ``index[b_i]`` is ``i``; ``decode[i]`` is the letter ``(b_i, 1)`` and
+    ``decode[-i]`` is ``(b_i, -1)``.  ``steps[(x, sign)]`` is ``(row, tail)``:
+    ``row[i]`` is the image of b_i under conjugation by x^sign as a tuple
+    of units, ``row[-i]`` the image of b_i^-1 (``row[i]`` reversed and
+    negated, stored at the negative index), and ``tail`` the kernel part
+    of x^sign as a tuple of units.
     """
 
     index: Mapping[Gen, int]
@@ -156,6 +166,7 @@ class CodedTable:
     steps: Mapping[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]]
 
     def encode(self, letters: Iterable[Letter]) -> list[int]:
+        """The units of a word over the basis, one per unit of exponent."""
         index = self.index
         return [unit for gen, exp in letters
                 for unit in [index[gen] if exp > 0 else -index[gen]] * abs(exp)]
