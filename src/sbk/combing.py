@@ -165,11 +165,11 @@ class CodedTable:
     decode: tuple[Letter, ...]
     steps: Mapping[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]]
 
-    def encode(self, letters: Iterable[Letter]) -> list[int]:
+    def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         """The units of a word over the basis, one per unit of exponent."""
         index = self.index
-        return [unit for gen, exp in letters
-                for unit in [index[gen] if exp > 0 else -index[gen]] * abs(exp)]
+        return tuple(unit for gen, exp in letters
+                     for unit in [index[gen] if exp > 0 else -index[gen]] * abs(exp))
 
     def decode_letters(self, units: Iterable[int]) -> tuple[Letter, ...]:
         """The letters of a unit word, run-length merged."""
@@ -255,10 +255,10 @@ class ActionTable:
         steps: dict[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}
         coded = CodedTable(index, decode, steps)
         for key, row_map in self.maps.items():
-            images = [tuple(coded.encode(row_map[b])) for b in self.basis]
+            images = [coded.encode(row_map[b]) for b in self.basis]
             row = [()] + images + [tuple(-z for z in reversed(image))
                                    for image in reversed(images)]
-            steps[key] = (row, tuple(coded.encode(self.kappa[key])))
+            steps[key] = (row, coded.encode(self.kappa[key]))
         return coded
 
 

@@ -17,7 +17,9 @@ group.  Words carry no ambient-group tag; each operation that needs an
 alphabet checks its own letters.
 
 :func:`push_letter` is the one free-reduction step and :func:`substitute`
-the one letterwise map ``gen -> images[gen]`` of letter tuples.
+the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
+comber's hot loop reduces on its own, over signed unit ints
+(:func:`sbk.combing._act`), and decodes back through :func:`push_letter`.
 
 The text grammar (exact) is::
 
