@@ -277,12 +277,12 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     coded = build_action_table(l - 1).coded
 
     def conj(actor: Word, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-        units = coded.encode(letters)
+        codes = coded.encode(letters)
         for gen, exp in reversed(actor.letters):
             row, _ = coded.steps[(gen, 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                units = combing._act(units, row)
-        return coded.decode_letters(units)
+                codes = combing._act(codes, row)
+        return coded.decode_letters(codes)
 
     basis_words = keromega_basis(l)
     rank = 2 * l - 1

@@ -22,20 +22,23 @@ eliminated letter expanded, certified by
 shape; the table derives two views from it on first use: ``kappa``, the
 kernel part of every lower-level letter, from the section
 (:func:`_section_parts`), and ``coded`` (:class:`CodedTable`), the rows
-and kernel parts over the basis interned as the signed unit ints ``1 .. r``
-and ``-1 .. -r``.  The table is the only store of per-level combing data,
-and :func:`build_action_table` caches one table per m.  The eliminated
-letters are expanded by solving the surface relation
-(:func:`sbk.presentations.surface_relation`) for them.  The cold
+and kernel parts over the basis interned as ``1 .. r``, with every letter
+b_i^e coded as one signed int (:func:`_code`).  The table is the only
+store of per-level combing data, and :func:`build_action_table` caches one
+table per m.  The eliminated letters are expanded by solving the surface
+relation (:func:`sbk.presentations.surface_relation`) for them.  The cold
 letterwise rewrites here (rows, kernel parts, eliminated letters, the
 section) are :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
-pass per level.  The pass is the hot loop: it runs on lists of signed unit
-ints, one int step (:func:`_act`, shared with
+pass per level.  The pass is the hot loop: it runs on lists of coded
+letters, one step (:func:`_act`, shared with
 :func:`sbk.abelian.keromega_action`) per unit of exponent of each
-lower-level letter, and decodes to letters once per level.  Reduced words
-are unique, so the combed forms are those the letterwise rewrite gives.
+lower-level letter, and decodes to letters once per level.  A power of a
+basis letter stays one coded letter, mapped through that power of its
+image, so large exponents on top-level letters cost what they cost in the
+letterwise rewrite.  Reduced words are unique, so the combed forms are
+those the letterwise rewrite gives.
 The private :func:`_comb_letters` takes the table factory as a plain
 argument, so the verification suite can comb against a deliberately
 corrupted table.  Combed-form equality is the canonical
@@ -148,54 +151,105 @@ def omega_basis(level: int) -> OmegaBasis:
     return OmegaBasis(level, kernel_basis(level + 1))
 
 
-@dataclass(frozen=True)
-class CodedTable:
-    """An :class:`ActionTable` compiled to signed unit ints over its basis
-    b_1, ..., b_r: the unit ``i`` is b_i and ``-i`` is b_i^-1.
-
-    ``index[b_i]`` is ``i``; ``decode[i]`` is the letter ``(b_i, 1)`` and
-    ``decode[-i]`` is ``(b_i, -1)``.  ``steps[(x, sign)]`` is ``(row, tail)``:
-    ``row[i]`` is the image of b_i under conjugation by x^sign as a tuple
-    of units, ``row[-i]`` the image of b_i^-1 (``row[i]`` reversed and
-    negated, stored at the negative index), and ``tail`` the kernel part
-    of x^sign as a tuple of units.
-    """
-
-    index: Mapping[Gen, int]
-    decode: tuple[Letter, ...]
-    steps: Mapping[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]]
-
-    def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
-        """The units of a word over the basis, one per unit of exponent."""
-        index = self.index
-        return tuple(unit for gen, exp in letters
-                     for unit in [index[gen] if exp > 0 else -index[gen]] * abs(exp))
-
-    def decode_letters(self, units: Iterable[int]) -> tuple[Letter, ...]:
-        """The letters of a unit word, run-length merged."""
-        out: list[Letter] = []
-        decode = self.decode
-        for unit in units:
-            push_letter(out, *decode[unit])
-        return tuple(out)
+# A letter b_i^e over a level basis b_1, ..., b_r is coded as one signed
+# int: i for b_i, -i for b_i^-1 and +-((|e| - 1) << _SHIFT | i) for a
+# longer power, so the inverse of a letter is its negative and a power of
+# a generator stays one int however large its exponent.
+_SHIFT = 16
+_MASK = (1 << _SHIFT) - 1
 
 
-def _act(units: Iterable[int], row: Sequence[tuple[int, ...]],
-         tail: tuple[int, ...] = ()) -> list[int]:
-    """The reduced unit word row(units) * tail, by reduce-on-push.
+def _code(i: int, exp: int) -> int:
+    code = (abs(exp) - 1) << _SHIFT | i
+    return code if exp > 0 else -code
 
-    Each pushed piece (the image ``row[u]`` of a unit, then the tail) is
-    reduced, so once one of its units stays, the rest of it cannot cancel:
-    a piece pops the output while its head cancels, then the remainder is
-    appended in one go."""
+
+def _split_code(code: int) -> tuple[int, int]:
+    """``(i, e)`` for the coded letter b_i^e."""
+    a = abs(code)
+    exp = (a >> _SHIFT) + 1
+    return a & _MASK, exp if code > 0 else -exp
+
+
+def _reduce(pieces: Iterable[Sequence[int]]) -> list[int]:
+    """The reduced product of reduced coded words, by reduce-on-push; a
+    coded word is reduced when no two adjacent letters share a generator.
+
+    Each piece is reduced, so once its head neither cancels nor merges,
+    the rest of it cannot either: a piece pops the output while its head
+    cancels, merges its head into a last letter on the same generator, and
+    the remainder is appended in one go."""
     out: list[int] = []
-    for piece in chain(map(row.__getitem__, units), (tail,)):
+    for piece in pieces:
         k = 0
-        while out and k < len(piece) and out[-1] == -piece[k]:
+        n = len(piece)
+        while out and k < n and out[-1] == -piece[k]:
             out.pop()
+            k += 1
+        if out and k < n and not (abs(out[-1]) ^ abs(piece[k])) & _MASK:
+            i, exp = _split_code(out[-1])
+            out[-1] = _code(i, exp + _split_code(piece[k])[1])
             k += 1
         out.extend(piece[k:] if k else piece)
     return out
+
+
+class _Row(dict):
+    """The images of the letters b_i^e for e = +-1, +-2, keyed by code; the
+    image of a longer power is computed on lookup and not stored."""
+
+    def __missing__(self, code: int) -> list[int]:
+        i, exp = _split_code(code)
+        base = self[i if exp > 0 else -i]
+        count = abs(exp)
+        # by squaring, so a conjugate p b_j p^-1 stays short: p b_j^count p^-1
+        out: list[int] = []
+        while True:
+            if count & 1:
+                out = _reduce((out, base))
+            count >>= 1
+            if not count:
+                return out
+            base = _reduce((base, base))
+
+
+@dataclass(frozen=True)
+class CodedTable:
+    """An :class:`ActionTable` compiled to coded letters over its basis
+    b_1, ..., b_r (see :func:`_code`: ``i`` is b_i, ``-i`` is b_i^-1).
+
+    ``index[b_i]`` is ``i`` and ``basis[i]`` is b_i (``basis[0]`` is
+    unused).  ``steps[(x, sign)]`` is ``(row, tail)``: ``row[i]`` is the
+    image of b_i under conjugation by x^sign as a tuple of coded letters,
+    ``row[-i]`` the image of b_i^-1 (stored, not inverted on use),
+    ``row[code]`` of any power b_i^e that power of the image, and ``tail``
+    the kernel part of x^sign.
+    """
+
+    index: Mapping[Gen, int]
+    basis: tuple[Gen | None, ...]
+    steps: Mapping[tuple[Gen, int], tuple[Mapping[int, Sequence[int]], tuple[int, ...]]]
+
+    def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
+        """The coded letters of a word over the basis, one per letter."""
+        index = self.index
+        return tuple(_code(index[gen], exp) for gen, exp in letters)
+
+    def decode_letters(self, codes: Iterable[int]) -> tuple[Letter, ...]:
+        """The letters of a coded word, run-length merged."""
+        out: list[Letter] = []
+        basis = self.basis
+        for code in codes:
+            i, exp = _split_code(code)
+            push_letter(out, basis[i], exp)
+        return tuple(out)
+
+
+def _act(codes: Iterable[int], row: Mapping[int, Sequence[int]],
+         tail: Sequence[int] = ()) -> list[int]:
+    """The reduced coded word row(codes) * tail: the one step of the
+    comber's hot loop."""
+    return _reduce(chain(map(row.__getitem__, codes), (tail,)))
 
 
 @dataclass(frozen=True)
@@ -249,15 +303,16 @@ class ActionTable:
     @cached_property
     def coded(self) -> CodedTable:
         """``maps`` and ``kappa`` over the basis interned as 1..r."""
+        if len(self.basis) > _MASK:
+            raise ValueError(f"a level basis of rank {len(self.basis)} is too large to code")
         index = {b: i for i, b in enumerate(self.basis, 1)}
-        decode = ((None,) + tuple((b, 1) for b in self.basis)
-                  + tuple((b, -1) for b in reversed(self.basis)))
-        steps: dict[tuple[Gen, int], tuple[list[tuple[int, ...]], tuple[int, ...]]] = {}
-        coded = CodedTable(index, decode, steps)
+        steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
+        coded = CodedTable(index, (None,) + self.basis, steps)
         for key, row_map in self.maps.items():
-            images = [coded.encode(row_map[b]) for b in self.basis]
-            row = [()] + images + [tuple(-z for z in reversed(image))
-                                   for image in reversed(images)]
+            # squares are stored too: the rows and kernel parts contain
+            # rho[j]^2, so nearly every longer power looked up is a square
+            row = _Row((_code(i, exp), coded.encode(substitute(((b, exp),), row_map)))
+                       for b, i in index.items() for exp in (1, -1, 2, -2))
             steps[key] = (row, coded.encode(self.kappa[key]))
         return coded
 
@@ -378,27 +433,23 @@ def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, .
     """Kernel component of the word at the table's top level, by one
     right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g.
 
-    The pass runs on signed unit ints (:attr:`ActionTable.coded`) and
-    decodes once at the end.  The leading top-level letters are never
-    acted on, so they stay letters and multiply in on the left last."""
+    The pass runs on coded letters (:attr:`ActionTable.coded`), one step
+    :func:`_act` per unit of exponent of each lower-level letter, and
+    decodes once at the end."""
     top = table.top
-    cut = 0
-    while cut < len(letters) and gen_level(letters[cut][0]) == top:
-        cut += 1
     coded = table.coded
     index = coded.index
     steps = coded.steps
-    units: list[int] = []
-    for gen, exp in reversed(letters[cut:]):
+    codes: list[int] = []
+    for gen, exp in reversed(letters):
         if gen_level(gen) == top:
-            # r(g) is trivial, so the letter just multiplies in on the left;
-            # a lower letter follows, and its step reduces the junction
-            units[:0] = [index[gen] if exp > 0 else -index[gen]] * abs(exp)
+            # r(g) is trivial, so the letter just multiplies in on the left
+            codes.insert(0, _code(index[gen], exp))
         else:
             row, tail = steps[(gen, 1 if exp > 0 else -1)]
             for _ in range(abs(exp)):
-                units = _act(units, row, tail)
-    return concat_letters(letters[:cut], coded.decode_letters(units))
+                codes = _act(codes, row, tail)
+    return coded.decode_letters(codes)
 
 
 def _comb_letters(m: int, letters: Sequence[Letter],

@@ -18,7 +18,7 @@ alphabet checks its own letters.
 
 :func:`push_letter` is the one free-reduction step and :func:`substitute`
 the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
-comber's hot loop reduces on its own, over signed unit ints
+comber's hot loop reduces on its own, over letters coded as signed ints
 (:func:`sbk.combing._act`), and decodes back through :func:`push_letter`.
 
 The text grammar (exact) is::

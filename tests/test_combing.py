@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -78,11 +79,11 @@ def test_action_table_round_trip():
         # rows are stored as built, so conjugation_row must return reduced words
         for row_map in table.maps.values():
             assert all(reduce_letters(image) == image for image in row_map.values())
-        # the int-coded rows decode to the stored rows, the negative indices
-        # to their inverses, and the tails to the kernel parts
+        # the coded rows decode to the stored rows, the negative indices to
+        # their inverses, and the tails to the kernel parts
         coded = table.coded
         for i, b in enumerate(table.basis, 1):
-            assert coded.index[b] == i and coded.decode[i] == (b, 1), (m, b)
+            assert coded.index[b] == i and coded.basis[i] == b, (m, b)
         for key, (row, tail) in coded.steps.items():
             for i, b in enumerate(table.basis, 1):
                 image = table.maps[key][b]
@@ -91,10 +92,11 @@ def test_action_table_round_trip():
             assert coded.decode_letters(tail) == table.kappa[key], (m, key)
 
 
-# words over the kernel basis at m = 1..4, not necessarily reduced
+# words over the kernel basis at m = 1..4, not necessarily reduced; the
+# larger exponents map a power through the power of its image
 kernel_words = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
     st.tuples(st.sampled_from(build_action_table(m).basis),
-              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+              st.sampled_from([-40, -7, -3, -2, -1, 1, 2, 3, 7, 40])),
     max_size=12)))
 
 
@@ -105,10 +107,10 @@ def test_int_step_matches_substitute(case):
     table = build_action_table(m)
     coded = table.coded
     for key, (row, tail) in coded.steps.items():
-        for units_tail, letters_tail in (((), ()), (tail, table.kappa[key])):
+        for codes_tail, letters_tail in (((), ()), (tail, table.kappa[key])):
             expected = concat_letters(substitute(letters, table.maps[key]), letters_tail)
-            got = coded.decode_letters(combing._act(coded.encode(letters), row, units_tail))
-            assert got == expected, (m, key, units_tail)
+            got = coded.decode_letters(combing._act(coded.encode(letters), row, codes_tail))
+            assert got == expected, (m, key, codes_tail)
 
 
 def test_section_examples():
@@ -267,6 +269,28 @@ def test_engines_agree():
         for _ in range(40):
             w = random_x_word(rng, m, 10)
             assert comb(m, w) == reference_comb(m, w)
+
+
+def test_comb_top_level_powers_stay_compact():
+    # a top-level power that lower letters act on stays one coded letter:
+    # each step maps it through the power of its image, so neither time
+    # nor memory grows with the exponent
+    words = ("A[2,4] A[1,5]^{n}", "rho[4] A[1,5]^{n}",
+             "A[1,3] A[2,5]^{n} A[1,4]^-1", "A[1,4] A[3,5]^-{n} rho[3]")
+    comb(3, parse_word("A[1,3]"))  # builds the tables outside the trace
+    tracemalloc.start()
+    try:
+        for text in words:
+            comb(3, parse_word(text.format(n=10**6)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    for text in words:
+        w = parse_word(text.format(n=10**9))
+        assert comb(3, w) == reference_comb(3, w), text
+    assert comb(3, parse_word("A[2,4] A[1,5]^1000000000")).to_json() == [
+        "A[1,5]^1000000000 rho[5]^2 A[1,5] A[2,5] A[3,5]", "A[2,4]", ""]
 
 
 def test_comb_known_value():

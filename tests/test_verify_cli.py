@@ -139,19 +139,33 @@ nf_terms = st.lists(st.tuples(
 ), max_size=6).filter(lambda terms: sum(abs(t[3]) for t in terms) <= 12)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(1, 3), st.sampled_from(["", "-", "--"]), nf_terms)
-def test_nf_fuzz_exit_code_and_one_json_document(m, lead, terms):
-    # a word starting with "-" may be read as an option: a usage error, which
-    # must also exit 2 with one JSON document
-    text = lead + " ".join(form.format(i, j) + (f"^{e}" if e != 1 else "")
-                           for form, i, j, e in terms)
+def _nf_text(terms):
+    return " ".join(form.format(i, j) + (f"^{e}" if e != 1 else "")
+                    for form, i, j, e in terms)
+
+
+def _nf_in_process(m, text):
+    """Exit code of ``sbk nf`` run in process; stdout must be one JSON document."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["nf", "--m", str(m), "--word", text])
-    assert rc == 2 if lead else rc in (0, 2)
     assert out.getvalue().count("\n") == 1 and out.getvalue().endswith("\n")
     json.loads(out.getvalue())
+    return rc
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), nf_terms)
+def test_nf_fuzz_exit_code_and_one_json_document(m, terms):
+    assert _nf_in_process(m, _nf_text(terms)) in (0, 2)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.integers(1, 3), st.sampled_from(["-", "--"]), nf_terms)
+def test_nf_fuzz_leading_dash_is_a_usage_error(m, lead, terms):
+    # a word starting with "-" may be read as an option: a usage error, which
+    # must also exit 2 with one JSON document
+    assert _nf_in_process(m, lead + _nf_text(terms)) == 2
 
 
 def test_verify_all_report_matches_pinned_digest(capsys, monkeypatch):
