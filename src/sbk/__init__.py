@@ -23,7 +23,6 @@ from .homs import (
 from .combing import (
     ActionTable,
     CombedForm,
-    OmegaBasis,
     build_action_table,
     comb,
     expand_C,

@@ -4,6 +4,11 @@ Everything runs over Python's arbitrary-precision integers; there is no
 floating point anywhere.  The one convention, fixed here once: relation
 matrices have generators indexing rows and relators indexing columns,
 and :func:`snf` reports the invariants of the cokernel Z^rows / colspace.
+The column space does not change when a column is negated, when a copy
+of another column is dropped or when a zero column is dropped, so
+:func:`smith_diagonal` eliminates on the distinct nonzero columns up to
+sign only: the exponent matrix of pn-rp2 has n^2 of them, 484 among
+the 30,129 relators at n = 22.
 
 On top of Smith normal form this module computes presentation
 abelianizations, the coinvariant quotient Delta(K) of a free group K
@@ -16,6 +21,7 @@ reports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,19 +51,22 @@ class IntMatrix:
     cols: int
     entries: list[list[int]]
 
+    def __post_init__(self):
+        if len(self.entries) != self.rows or any(len(row) != self.cols
+                                                 for row in self.entries):
+            raise ValueError(f"entries are not a {self.rows} x {self.cols} matrix")
+
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
         return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
 
     @staticmethod
     def from_columns(rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        m = IntMatrix.zeros(rows, len(columns))
-        for c, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("column length mismatch")
-            for r, v in enumerate(col):
-                m.entries[r][c] = v
-        return m
+        if any(len(col) != rows for col in columns):
+            raise ValueError("column length mismatch")
+        if not columns:
+            return IntMatrix.zeros(rows, 0)
+        return IntMatrix(rows, len(columns), [list(row) for row in zip(*columns)])
 
 
 @dataclass(frozen=True)
@@ -96,14 +105,31 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
+def _distinct_columns(matrix: IntMatrix) -> list[tuple[int, ...]]:
+    """The distinct nonzero columns of ``matrix`` up to sign, each with its
+    first nonzero entry positive, in first-seen order."""
+    seen: dict[tuple[int, ...], None] = {}
+    for col in zip(*matrix.entries):
+        if any(col):
+            # of col and -col, the larger one is positive where they first differ
+            seen[max(col, tuple(map(operator.neg, col)))] = None
+    return list(seen)
+
+
 def smith_diagonal(matrix: IntMatrix) -> list[int]:
     """Nonnegative diagonal of the Smith normal form, as a divisor chain.
 
-    Classical elimination with minimal-absolute-value pivoting to keep
-    entry growth in check; unimodular row and column operations only.
+    Elimination runs on the distinct nonzero columns up to sign
+    (:func:`_distinct_columns`).  Negating a column is a unimodular column
+    operation, and so is subtracting a column from a copy of it, which
+    leaves a zero column; a zero column adds nothing to the column space.
+    So the cokernel, and with it the diagonal, is that of ``matrix``.
+    Classical elimination with minimal-absolute-value pivoting keeps entry
+    growth in check; unimodular row and column operations only.
     """
-    a = [row[:] for row in matrix.entries]
-    rows, cols = matrix.rows, matrix.cols
+    columns = _distinct_columns(matrix)
+    a = [list(row) for row in zip(*columns)]
+    rows, cols = matrix.rows, len(columns)
     diag: list[int] = []
     t = 0
     while t < min(rows, cols):
@@ -252,7 +278,7 @@ def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 2, []
-    basis = omega_basis(l).elements
+    basis = omega_basis(l)
     index = {g: i for i, g in enumerate(basis)}
     table = build_action_table(l - 1)
     images = []
@@ -349,16 +375,9 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
         actors += [gen_a(r, s) for r in range(1, s)]
         if surface == SURFACE_RP2:
             actors.append(gen_rho(s))
-    columns: list[list[int]] = []
-    for x in actors:
-        for b in basis:
-            image = conjugation_row(x, 1, b, top, l, surface)
-            col = [0] * len(basis)
-            for gen, exp in image:
-                col[index[gen]] += exp
-            col[index[b]] -= 1
-            columns.append(col)
-    return snf(IntMatrix.from_columns(len(basis), columns))
+    images = [[_indexed(conjugation_row(x, 1, b, top, l, surface), index)
+               for b in basis] for x in actors]
+    return delta_coinvariants(len(basis), images)
 
 
 def subgroup_count_exponent(n: int) -> int:

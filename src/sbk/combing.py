@@ -127,14 +127,6 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
     return _expand_top_band(conjugate(x, sign, b), top, surface)
 
 
-@dataclass(frozen=True)
-class OmegaBasis:
-    """Basis of the level-l free kernel: A[1,l+1], ..., A[l-1,l+1], rho[l+1]."""
-
-    level: int
-    elements: tuple[Gen, ...]
-
-
 def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
     """Free basis of the kernel of forgetting strand ``top``: A[1,top], ...,
     A[top-2,top], then rho[top] on the projective plane (the band letter
@@ -145,10 +137,11 @@ def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
     return gens
 
 
-def omega_basis(level: int) -> OmegaBasis:
+def omega_basis(level: int) -> tuple[Gen, ...]:
+    """Basis of the level-l free kernel: A[1,l+1], ..., A[l-1,l+1], rho[l+1]."""
     if level < 2:
         raise ValueError("kernel levels start at 2")
-    return OmegaBasis(level, kernel_basis(level + 1))
+    return kernel_basis(level + 1)
 
 
 # A letter b_i^e over a level basis b_1, ..., b_r is coded as one signed
@@ -334,7 +327,7 @@ def build_action_table(m: int) -> ActionTable:
     if m < 1:
         raise ValueError("m must be >= 1")
     top = m + 2
-    basis = omega_basis(m + 1).elements
+    basis = omega_basis(m + 1)
     maps: dict[tuple[Gen, int], dict[Gen, tuple[Letter, ...]]] = {}
     for x in x_alphabet(m):
         if gen_level(x) == top:
@@ -624,7 +617,7 @@ def gamma_tower_ranks(n: int) -> list[int]:
     two-puncture group, counted from the level bases: [n-1, n-2, ..., 2]."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return [len(omega_basis(l).elements) for l in range(n - 1, 1, -1)]
+    return [len(omega_basis(l)) for l in range(n - 1, 1, -1)]
 
 
 def ln_tower_ranks(n: int) -> list[int]:

@@ -86,6 +86,59 @@ def test_snf_against_oracles_random():
             assert got == AbelianInvariants(rows, ())
 
 
+def test_snf_ignores_repeated_negated_and_zero_columns():
+    rng = random.Random(RNG_SEED + 2)
+    for _ in range(40):
+        rows = rng.randint(1, 4)
+        cols = rng.randint(1, 4)
+        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        columns = [list(col) for col in zip(*entries)]
+        padded = []
+        for col in columns:
+            for _ in range(rng.randint(1, 3)):
+                padded.append([-v for v in col] if rng.random() < 0.5 else col)
+        padded += [[0] * rows for _ in range(rng.randint(0, 2))]
+        rng.shuffle(padded)
+        variant = IntMatrix.from_columns(rows, padded)
+        reference = determinant_divisor_invariants(rows, cols, entries)
+        assert snf(IntMatrix(rows, cols, entries)) == reference
+        assert snf(variant) == reference
+        assert sorted(smith_diagonal(variant)) == \
+            sorted(smith_diagonal(IntMatrix(rows, cols, entries)))
+
+
+def test_snf_keeps_multiples_of_a_column():
+    # (2) and (4) span 2Z, (2) and (3) span Z: no column is a copy of the other
+    assert snf(IntMatrix(1, 2, [[2, 4]])) == AbelianInvariants(0, (2,))
+    assert snf(IntMatrix(1, 2, [[2, 3]])) == AbelianInvariants(0, ())
+
+
+def test_distinct_columns_up_to_sign():
+    matrix = IntMatrix(2, 5, [[0, 1, -1, 0, 2], [0, -2, 2, 0, -4]])
+    assert abelian._distinct_columns(matrix) == [(1, -2), (2, -4)]
+    assert abelian._distinct_columns(IntMatrix(2, 0, [[], []])) == []
+
+
+def test_distinct_exponent_columns_counts():
+    # the exponent matrices repeat columns heavily: n^2 distinct ones for
+    # pn-rp2 and m^2 for gamma-rp2 with two punctures
+    for n in range(1, 11):
+        matrix = exponent_matrix(build_pn_rp2(n))
+        assert len(abelian._distinct_columns(matrix)) == n * n
+    for m in range(1, 7):
+        matrix = exponent_matrix(build_gamma_rp2(m, 2))
+        assert len(abelian._distinct_columns(matrix)) == m * m
+
+
+def test_int_matrix_checks_shape():
+    with pytest.raises(ValueError):
+        IntMatrix(2, 2, [[2], [0, 3]])
+    with pytest.raises(ValueError):
+        IntMatrix(3, 2, [[2, 0], [0, 3]])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns(2, [[1, 0], [1]])
+
+
 def test_snf_unimodular_invariance():
     rng = random.Random(RNG_SEED + 1)
     base = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]

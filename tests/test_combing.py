@@ -54,7 +54,7 @@ def test_expand_c_examples():
 
 def test_omega_basis():
     basis = omega_basis(3)
-    assert basis.elements == (gen_a(1, 4), gen_a(2, 4), gen_rho(4))
+    assert basis == (gen_a(1, 4), gen_a(2, 4), gen_rho(4))
     with pytest.raises(ValueError):
         omega_basis(1)
 
