@@ -2,7 +2,7 @@
 abelianization machinery for the braid groups of the sphere and the
 projective plane."""
 
-from .words import Word, parse_word, format_word, invert, concat_reduce
+from .words import Word, parse_word, format_word
 from .presentations import (
     Presentation,
     build_pn_rp2,

@@ -23,22 +23,22 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import combing
 from .combing import (
     SURFACE_RP2,
     SURFACE_S2,
+    _split_top,
     build_action_table,
     conjugation_row,
     kernel_basis,
     keromega_basis,
-    omega_basis,
     rewrite_kernel_letters,
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Gen, Letter, Word, gen_a, gen_rho
+from .words import Gen, Letter, gen_a, gen_rho
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 
@@ -182,7 +182,12 @@ def smith_diagonal(matrix: IntMatrix) -> list[int]:
                 break
         diag.append(abs(a[t][t]))
         t += 1
-    # enforce the divisibility chain d1 | d2 | ...
+    return _divisor_chain(diag)
+
+
+def _divisor_chain(diag: list[int]) -> list[int]:
+    """Turn ``diag`` in place into a divisor chain d1 | d2 | ... with the
+    same cokernel, by replacing pairs with their gcd and lcm."""
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             if diag[j] % diag[i]:
@@ -247,13 +252,7 @@ def direct_sum(parts: Iterable[AbelianInvariants]) -> AbelianInvariants:
     for part in parts:
         free += part.free_rank
         torsion.extend(part.torsion)
-    if not torsion:
-        return AbelianInvariants(free, ())
-    diag = IntMatrix.zeros(len(torsion), len(torsion))
-    for i, d in enumerate(torsion):
-        diag.entries[i][i] = d
-    recombined = snf(diag)
-    return AbelianInvariants(free + recombined.free_rank, recombined.torsion)
+    return AbelianInvariants(free, tuple(d for d in _divisor_chain(torsion) if d >= 2))
 
 
 def tower_abelianization(levels: Sequence[tuple[int, Sequence[Sequence[IndexedWord]]]]
@@ -264,11 +263,17 @@ def tower_abelianization(levels: Sequence[tuple[int, Sequence[Sequence[IndexedWo
     return direct_sum(delta_coinvariants(rank, images) for rank, images in levels)
 
 
-def _indexed(letters: Iterable[Letter], index: dict[Gen, int]) -> IndexedWord:
-    out = []
-    for gen, exp in letters:
-        out.append((index[gen], exp))
-    return tuple(out)
+def _action_images(basis: Sequence[Gen], actors: Iterable,
+                   image: Callable[..., Iterable[Letter]]
+                   ) -> tuple[int, list[list[IndexedWord]]]:
+    """``(rank, images)`` of an action on the free basis ``basis``:
+    ``image(x, b)`` is the word of the image of b under the actor x, and
+    ``images[k][i]`` is that of the i-th basis element under the k-th
+    actor, as an indexed basis-image word."""
+    index = {g: i for i, g in enumerate(basis)}
+    return len(basis), [
+        [tuple([(index[gen], exp) for gen, exp in image(x, b)]) for b in basis]
+        for x in actors]
 
 
 def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
@@ -278,13 +283,9 @@ def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 2, []
-    basis = omega_basis(l)
-    index = {g: i for i, g in enumerate(basis)}
     table = build_action_table(l - 1)
-    images = []
-    for x in x_alphabet(l - 2):
-        images.append([_indexed(table.row(x, 1, b), index) for b in basis])
-    return l, images
+    return _action_images(table.basis, x_alphabet(l - 2),
+                          lambda x, b: table.row(x, 1, b))
 
 
 def omega_delta(l: int) -> AbelianInvariants:
@@ -295,31 +296,21 @@ def omega_delta(l: int) -> AbelianInvariants:
 
 def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     """The action on the rank 2l-1 index-2 kernel basis at level l, by the
-    generators of the lower torsion-free part, rewritten in that basis."""
+    generators of the lower torsion-free part, rewritten in that basis.
+
+    Each image is the comber's split of ``actor * basis word`` without the
+    kernel parts, which is the actor's action on the basis word."""
     if l < 2:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 3, []
-    coded = build_action_table(l - 1).coded
-
-    def conj(actor: Word, letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-        codes = coded.encode(letters)
-        for gen, exp in reversed(actor.letters):
-            row, _ = coded.steps[(gen, 1 if exp > 0 else -1)]
-            for _ in range(abs(exp)):
-                codes = combing._act(codes, row)
-        return coded.decode_letters(codes)
-
+    table = build_action_table(l - 1)
     basis_words = keromega_basis(l)
-    rank = 2 * l - 1
-    images = []
-    for actor in combing.ln_generators(l):
-        actor_images = []
-        for bw in basis_words:
-            conjugated = conj(actor, bw.letters)
-            actor_images.append(rewrite_kernel_letters(l, conjugated))
-        images.append(actor_images)
-    return rank, images
+    return 2 * l - 1, [
+        [rewrite_kernel_letters(l, _split_top(table, actor.letters + bw.letters,
+                                              tails=False))
+         for bw in basis_words]
+        for actor in combing.ln_generators(l)]
 
 
 def keromega_delta(l: int) -> AbelianInvariants:
@@ -368,16 +359,14 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     if surface == SURFACE_S2 and l < 3:
         raise ValueError("the sphere case needs l >= 3")
     top = m + l + 1
-    basis = kernel_basis(top, surface)
-    index = {g: i for i, g in enumerate(basis)}
     actors: list[Gen] = []
     for s in range(l + 1, top):
         actors += [gen_a(r, s) for r in range(1, s)]
         if surface == SURFACE_RP2:
             actors.append(gen_rho(s))
-    images = [[_indexed(conjugation_row(x, 1, b, top, l, surface), index)
-               for b in basis] for x in actors]
-    return delta_coinvariants(len(basis), images)
+    return delta_coinvariants(*_action_images(
+        kernel_basis(top, surface), actors,
+        lambda x, b: conjugation_row(x, 1, b, top, l, surface)))
 
 
 def subgroup_count_exponent(n: int) -> int:

@@ -31,13 +31,15 @@ letterwise rewrites here (rows, kernel parts, eliminated letters, the
 section) are :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
-pass per level.  The pass is the hot loop: it runs on lists of coded
-letters, one step (:func:`_act`, shared with
-:func:`sbk.abelian.keromega_action`) per unit of exponent of each
-lower-level letter, and decodes to letters once per level.  A power of a
-basis letter stays one coded letter, mapped through that power of its
-image, so large exponents on top-level letters cost what they cost in the
-letterwise rewrite.  Reduced words are unique, so the combed forms are
+pass per level, :func:`_split_top`.  The pass is the hot loop: it runs on
+lists of coded letters, one step :func:`_act` per unit of exponent of each
+lower-level letter, and decodes to letters once per level.  It is the
+only driver of :func:`_act`: without the kernel parts it also gives the
+action of a lower-level word on a kernel word, which is how
+:func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
+complement.  A power of a basis letter stays one coded letter, mapped
+through that power of its image, so large exponents on top-level letters
+cost what they cost in the letterwise rewrite.  Reduced words are unique, so the combed forms are
 those the letterwise rewrite gives.
 The private :func:`_comb_letters` takes the table factory as a plain
 argument, so the verification suite can comb against a deliberately
@@ -422,13 +424,18 @@ class CombedForm:
         return "(" + ", ".join(repr(str(c)) for c in self.components) + ")"
 
 
-def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, ...]:
+def _split_top(table: ActionTable, letters: Sequence[Letter],
+               tails: bool = True) -> tuple[Letter, ...]:
     """Kernel component of the word at the table's top level, by one
     right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g.
 
+    With ``tails=False`` the kernel parts kernel_g are left out, so the
+    word u . v, with u below the top level and v at it, gives the action
+    phi_u(v) of u on the kernel word v.
+
     The pass runs on coded letters (:attr:`ActionTable.coded`), one step
     :func:`_act` per unit of exponent of each lower-level letter, and
-    decodes once at the end."""
+    decodes once at the end; it is the only driver of :func:`_act`."""
     top = table.top
     coded = table.coded
     index = coded.index
@@ -440,6 +447,8 @@ def _split_top(table: ActionTable, letters: Sequence[Letter]) -> tuple[Letter, .
             codes.insert(0, _code(index[gen], exp))
         else:
             row, tail = steps[(gen, 1 if exp > 0 else -1)]
+            if not tails:
+                tail = ()
             for _ in range(abs(exp)):
                 codes = _act(codes, row, tail)
     return coded.decode_letters(codes)
@@ -586,23 +595,14 @@ def rewrite_kernel_letters(l: int, letters: Iterable[Letter]) -> tuple[tuple[int
     rho_top = gen_rho(top)
     square_idx = 2 * l - 2
     out: list[tuple[int, int]] = []
-    state = 0
+    state = 0  # the coset: 1 after an odd rho-exponent
     for gen, exp in letters:
         if gen == rho_top:
-            sign = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                if sign > 0:
-                    if state == 0:
-                        state = 1
-                    else:
-                        push_letter(out, square_idx, 1)
-                        state = 0
-                else:
-                    if state == 0:
-                        push_letter(out, square_idx, -1)
-                        state = 1
-                    else:
-                        state = 0
+            # rho^(state + exp) = (rho^2)^q rho^r with r in {0, 1}; floor
+            # division gives the q, r of a negative exponent too
+            state += exp
+            push_letter(out, square_idx, state // 2)
+            state %= 2
         elif gen[0] == KIND_A and gen[2] == top and gen[1] <= l - 1:
             push_letter(out, 2 * (gen[1] - 1) + state, exp)
         else:

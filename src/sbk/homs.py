@@ -123,14 +123,12 @@ def expand_even_crossings(w: Word) -> Word:
     return Word(tuple(out))
 
 
-def _check_pn_letter(gen: Gen, n: int, allow_tau: bool = True) -> None:
+def _check_pn_letter(gen: Gen, n: int) -> None:
     kind = gen[0]
     if kind == KIND_A:
         if gen[2] > n:
             raise AlphabetError(f"{format_gen(gen)} needs strand count > {n}")
     elif kind in (KIND_RHO, KIND_TAU):
-        if kind == KIND_TAU and not allow_tau:
-            raise AlphabetError(f"{format_gen(gen)} not in the rho/A alphabet")
         if gen[1] > n:
             raise AlphabetError(f"{format_gen(gen)} needs strand count > {n}")
     else:
@@ -252,8 +250,9 @@ def full_twist_pure(n: int) -> Word:
     (A[1,2])(A[1,3] A[2,3]) ... (A[1,n] ... A[n-1,n]).
 
     This classical expansion of (s[1] ... s[n-1])^n is not trusted
-    blindly: the verification suites check its images (zero under
-    iota_sharp, -1 in the quaternion group).
+    blindly: ``tests/test_homs.py`` checks its images (zero under
+    iota_sharp, -1 in the quaternion group) and acceptance criterion 9
+    the quaternion one; the verification suites do not check it yet.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -18,8 +18,10 @@ alphabet checks its own letters.
 
 :func:`push_letter` is the one free-reduction step and :func:`substitute`
 the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
-comber's hot loop reduces on its own, over letters coded as signed ints
-(:func:`sbk.combing._act`), and decodes back through :func:`push_letter`.
+comber's hot loop (:func:`sbk.combing._split_top`, which also computes the
+tower actions of :mod:`sbk.abelian`) reduces on its own, over letters
+coded as signed ints, and decodes back through :func:`push_letter`.
+Inverse and product of words are ``~w`` and ``u * v``.
 
 The text grammar (exact) is::
 
@@ -266,15 +268,5 @@ def format_word(w: Word) -> str:
         format_gen(gen) + (f"^{exp}" if exp != 1 else "")
         for gen, exp in w.letters
     )
-
-
-def invert(w: Word) -> Word:
-    """Letters reversed with negated exponents; an involution."""
-    return w.inverse()
-
-
-def concat_reduce(u: Word, v: Word) -> Word:
-    """Concatenation followed by canonical merging (free cancellation only)."""
-    return u * v
 
 

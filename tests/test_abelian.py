@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -252,6 +253,42 @@ def test_tower_single_trivial_level():
 def test_direct_sum_recombines_torsion():
     total = direct_sum([AbelianInvariants(1, (2,)), AbelianInvariants(0, (3,))])
     assert total == AbelianInvariants(1, (6,))
+
+
+def _random_invariants(rng):
+    torsion = []
+    d = rng.randint(2, 12)
+    for _ in range(rng.randint(0, 3)):
+        torsion.append(d)
+        d *= rng.choice((1, 1, 2, 3, 5))
+    return AbelianInvariants(rng.randint(0, 3), tuple(torsion))
+
+
+def test_direct_sum_matches_snf_of_the_diagonal():
+    # the torsion of a direct sum is the Smith normal form of the diagonal
+    # matrix of all torsion coefficients
+    rng = random.Random(RNG_SEED)
+    for _ in range(200):
+        parts = [_random_invariants(rng) for _ in range(rng.randint(0, 4))]
+        torsion = [d for part in parts for d in part.torsion]
+        diag = IntMatrix.zeros(len(torsion), len(torsion))
+        for i, d in enumerate(torsion):
+            diag.entries[i][i] = d
+        recombined = snf(diag)
+        expected = AbelianInvariants(sum(part.free_rank for part in parts)
+                                     + recombined.free_rank, recombined.torsion)
+        assert direct_sum(parts) == expected, parts
+
+
+def test_tower_data_pinned():
+    # the exact basis-image words of both towers, pinned by digest: the
+    # coinvariants alone would not see a change of basis or of action
+    digest = hashlib.sha256()
+    for m in range(1, 8):
+        digest.update(repr(abelian.gamma_tower_levels(m)).encode())
+    for n in range(3, 10):
+        digest.update(repr(abelian.ln_tower_levels(n)).encode())
+    assert digest.hexdigest()[:16] == "702c87678d21d61b"
 
 
 def test_fn_kernel_coinvariants_rp2():

@@ -113,6 +113,27 @@ def test_int_step_matches_substitute(case):
             assert got == expected, (m, key, codes_tail)
 
 
+def test_split_top_without_tails_is_the_action():
+    # u . v with u below the top level and v at it splits, without the
+    # kernel parts, to v mapped through the rows of u's letters, one unit
+    # at a time from right to left
+    rng = random.Random(RNG_SEED)
+    for m in range(1, 5):
+        table = build_action_table(m)
+        lower = [x for x, sign in table.maps if sign > 0]  # none at m = 1
+        for _ in range(30):
+            u = tuple((rng.choice(lower), rng.choice((-2, -1, 1, 2)))
+                      for _ in range(rng.randint(0, 4) if lower else 0))
+            v = tuple((rng.choice(table.basis), rng.choice((-3, -1, 1, 2)))
+                      for _ in range(rng.randint(0, 5)))
+            expected = reduce_letters(v)
+            for gen, exp in reversed(u):
+                for _ in range(abs(exp)):
+                    expected = substitute(expected, table.maps[(gen, 1 if exp > 0 else -1)])
+            got = combing._split_top(table, u + v, tails=False)
+            assert got == expected, (m, u, v)
+
+
 def test_section_examples():
     assert str(section_s(2, parse_word("rho[3]"))) == "rho[3] A[3,4]^-1"
     assert str(section_s(4, parse_word("A[3,5]"))) == "A[3,5]"
@@ -397,6 +418,69 @@ def test_rewrite_kernel_letters():
     assert rewrite_kernel_letters(3, ((rho4, 1), (a14, 1), (rho4, 1))) == ((1, 1), (4, 1))
     with pytest.raises(ValueError):
         rewrite_kernel_letters(3, ((rho4, 1),))
+
+
+def _rewrite_kernel_letters_unit_steps(l, letters):
+    """The coset rewrite one unit of rho-exponent at a time: the oracle for
+    the closed form in :func:`rewrite_kernel_letters`."""
+    top = l + 1
+    rho_top = gen_rho(top)
+    square_idx = 2 * l - 2
+    out = []
+    state = 0
+    for gen, exp in letters:
+        if gen == rho_top:
+            sign = 1 if exp > 0 else -1
+            for _ in range(abs(exp)):
+                if sign > 0:
+                    if state == 0:
+                        state = 1
+                    else:
+                        push_letter(out, square_idx, 1)
+                        state = 0
+                else:
+                    if state == 0:
+                        push_letter(out, square_idx, -1)
+                        state = 1
+                    else:
+                        state = 0
+        else:
+            push_letter(out, 2 * (gen[1] - 1) + state, exp)
+    if state:
+        raise ValueError("word has odd rho-exponent, not in the kernel")
+    return tuple(out)
+
+
+# words over the level-l kernel basis, l = 2..5, heavy in rho[l+1]; both
+# even and odd total rho-exponents occur
+coset_words = st.integers(2, 5).flatmap(lambda l: st.tuples(st.just(l), st.lists(
+    st.tuples(st.sampled_from(omega_basis(l) + (gen_rho(l + 1),) * l),
+              st.sampled_from([-40, -7, -3, -2, -1, 1, 2, 3, 7, 40])),
+    max_size=10)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(coset_words)
+def test_rewrite_kernel_letters_matches_unit_steps(case):
+    l, letters = case
+    try:
+        expected = _rewrite_kernel_letters_unit_steps(l, letters)
+    except ValueError:
+        with pytest.raises(ValueError):
+            rewrite_kernel_letters(l, letters)
+    else:
+        assert rewrite_kernel_letters(l, letters) == expected
+
+
+def test_rewrite_kernel_letters_negative_exponents():
+    rho4 = gen_rho(4)
+    a14 = gen_a(1, 4)
+    # rho^-3 a rho^-1 = (rho^2)^-2 . rho a rho^-1
+    assert rewrite_kernel_letters(3, ((rho4, -3), (a14, 1), (rho4, -1))) == ((4, -2), (1, 1))
+    assert rewrite_kernel_letters(3, ((rho4, -7), (rho4, 7))) == ()
+    for letters in (((rho4, -3),), ((rho4, 40), (a14, 2), (rho4, -7))):
+        with pytest.raises(ValueError):
+            rewrite_kernel_letters(3, letters)
 
 
 def test_comb_alphabet_validation():

@@ -4,13 +4,11 @@ from hypothesis import given, settings, strategies as st
 from sbk.words import (
     Word,
     WordSyntaxError,
-    concat_reduce,
     format_word,
     gen_a,
     gen_rho,
     gen_sigma,
     gen_tau,
-    invert,
     invert_letters,
     parse_word,
     reduce_letters,
@@ -59,16 +57,16 @@ def test_parse_zero_exponent_rejected():
 
 
 def test_invert_examples():
-    assert str(invert(parse_word("A[1,2] rho[3]"))) == "rho[3]^-1 A[1,2]^-1"
-    assert invert(Word()).is_identity
-    assert str(invert(parse_word("tau[2]^3"))) == "tau[2]^-3"
+    assert str(~parse_word("A[1,2] rho[3]")) == "rho[3]^-1 A[1,2]^-1"
+    assert (~Word()).is_identity
+    assert str(~parse_word("tau[2]^3")) == "tau[2]^-3"
 
 
 def test_concat_reduce_examples():
-    assert concat_reduce(parse_word("A[1,3]"), parse_word("A[1,3]^-1")).is_identity
-    assert str(concat_reduce(parse_word("rho[1]"), parse_word("rho[2]"))) == "rho[1] rho[2]"
+    assert (parse_word("A[1,3]") * parse_word("A[1,3]^-1")).is_identity
+    assert str(parse_word("rho[1]") * parse_word("rho[2]")) == "rho[1] rho[2]"
     assert str(
-        concat_reduce(parse_word("rho[3]^2"), parse_word("rho[3]^-1 A[1,3]"))
+        parse_word("rho[3]^2") * parse_word("rho[3]^-1 A[1,3]")
     ) == "rho[3] A[1,3]"
 
 
@@ -91,8 +89,8 @@ words = st.lists(
 
 @given(words)
 def test_word_times_inverse_is_identity(w):
-    assert concat_reduce(w, invert(w)).is_identity
-    assert concat_reduce(invert(w), w).is_identity
+    assert (w * ~w).is_identity
+    assert (~w * w).is_identity
 
 
 @given(words)
@@ -102,20 +100,20 @@ def test_parse_format_round_trip(w):
 
 @given(words)
 def test_double_inverse(w):
-    assert invert(invert(w)) == w
+    assert ~~w == w
 
 
 @given(words, words, words)
 def test_concat_reduce_associative(u, v, w):
-    assert concat_reduce(concat_reduce(u, v), w) == concat_reduce(u, concat_reduce(v, w))
+    assert (u * v) * w == u * (v * w)
 
 
 @given(words, st.integers(-4, 4))
 def test_pow_matches_repeated_product(w, e):
     expected = Word()
-    step = w if e >= 0 else invert(w)
+    step = w if e >= 0 else ~w
     for _ in range(abs(e)):
-        expected = concat_reduce(expected, step)
+        expected = expected * step
     assert w ** e == expected
 
 
