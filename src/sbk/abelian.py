@@ -71,22 +71,20 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    """A finitely generated abelian group: free rank plus the invariant
-    factors d1 | d2 | ... (each >= 2, no units kept)."""
+    """A finitely generated abelian group: free rank (>= 0) plus the
+    invariant factors d1 | d2 | ... (each >= 2, no units kept)."""
 
     free_rank: int
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError("the free rank must be >= 0")
+        if any(d < 2 for d in self.torsion):
+            raise ValueError("torsion coefficients must be >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisor chain")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError("torsion coefficients must be >= 2")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
     def mod2_rank(self) -> int:
         """Rank of the tensor product with Z/2."""

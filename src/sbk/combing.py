@@ -17,30 +17,32 @@ The conjugation action of the lower-level generators on each kernel
 basis is the defining conjugation relations read as automorphisms: one
 :class:`ActionTable` per level, constructed as ``maps[(x, sign)][b] ->
 image``, whose rows are :func:`sbk.presentations.conjugate` with the
-eliminated letter expanded, certified by
-:meth:`ActionTable.round_trip_failures`.  ``maps`` is the one constructed
-shape; the table derives two views from it on first use: ``kappa``, the
-kernel part of every lower-level letter, from the section
-(:func:`_section_parts`), and ``coded`` (:class:`CodedTable`), the rows
-and kernel parts over the basis interned as ``1 .. r``, with every letter
-b_i^e coded as one signed int (:func:`_code`).  The table is the only
-store of per-level combing data, and :func:`build_action_table` caches one
-table per m.  The eliminated letters are expanded by solving the surface
-relation (:func:`sbk.presentations.surface_relation`) for them.  The cold
-letterwise rewrites here (rows, kernel parts, eliminated letters, the
-section) are :func:`sbk.words.substitute`.
+eliminated letter expanded.  ``maps`` is the one constructed shape; the
+table compiles one view from it on first use, ``steps``: the rows and the
+kernel part of every lower-level letter over the basis interned as
+``1 .. r``, with every letter b_i^e coded as one signed int
+(:func:`_code`).  The kernel parts come from the section
+(:func:`_section_parts`) through the comber's own step :func:`_act`, and
+:meth:`ActionTable.round_trip_failures` certifies the compiled rows.  The
+table is the only store of per-level combing data, and
+:func:`build_action_table` caches one table per m.  The eliminated letters
+are expanded by solving the surface relation
+(:func:`sbk.presentations.surface_relation`) for them.  The cold
+letterwise rewrites here (rows, eliminated letters, the section) are
+:func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
 pass per level, :func:`_split_top`.  The pass is the hot loop: it runs on
 lists of coded letters, one step :func:`_act` per unit of exponent of each
 lower-level letter, and decodes to letters once per level.  It is the
-only driver of :func:`_act`: without the kernel parts it also gives the
-action of a lower-level word on a kernel word, which is how
+only loop over :func:`_act` (compiling ``steps`` and the round trip apply
+it once per row): without the kernel parts it also gives the action of a
+lower-level word on a kernel word, which is how
 :func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
 complement.  A power of a basis letter stays one coded letter, mapped
 through that power of its image, so large exponents on top-level letters
-cost what they cost in the letterwise rewrite.  Reduced words are unique, so the combed forms are
-those the letterwise rewrite gives.
+cost what they cost in the letterwise rewrite.  Reduced words are unique,
+so the combed forms are those the letterwise rewrite gives.
 The private :func:`_comb_letters` takes the table factory as a plain
 argument, so the verification suite can comb against a deliberately
 corrupted table.  Combed-form equality is the canonical
@@ -208,22 +210,54 @@ class _Row(dict):
             base = _reduce((base, base))
 
 
-@dataclass(frozen=True)
-class CodedTable:
-    """An :class:`ActionTable` compiled to coded letters over its basis
-    b_1, ..., b_r (see :func:`_code`: ``i`` is b_i, ``-i`` is b_i^-1).
+def _act(codes: Iterable[int], row: Mapping[int, Sequence[int]],
+         tail: Sequence[int] = ()) -> list[int]:
+    """The reduced coded word row(codes) * tail: the one step of the
+    comber's hot loop, which also compiles the kernel parts and checks the
+    round trip of :attr:`ActionTable.steps`."""
+    return _reduce(chain(map(row.__getitem__, codes), (tail,)))
 
-    ``index[b_i]`` is ``i`` and ``basis[i]`` is b_i (``basis[0]`` is
-    unused).  ``steps[(x, sign)]`` is ``(row, tail)``: ``row[i]`` is the
-    image of b_i under conjugation by x^sign as a tuple of coded letters,
-    ``row[-i]`` the image of b_i^-1 (stored, not inverted on use),
-    ``row[code]`` of any power b_i^e that power of the image, and ``tail``
-    the kernel part of x^sign.
+
+@dataclass(frozen=True)
+class ActionTable:
+    """Conjugation rows of the lower-level generating letters on the rank
+    m+1 kernel basis at strand level ``top`` = m+2.
+
+    ``maps[(x, sign)][b]`` is the reduced word x^sign b x^-sign over the
+    basis, for every combing letter x below the top level and both signs.
+    Basis letters themselves act by free conjugation and are not stored.
+    ``maps`` is the one constructed shape, and the abelian route reads
+    only it; ``steps``, the rows and kernel parts the comber runs on, is
+    compiled from it on first use.
+
+    ``steps`` is over the basis b_1, ..., b_r interned as ``index[b_i] =
+    i``, with every letter b_i^e coded as one signed int (:func:`_code`).
+    ``steps[(x, sign)]`` is ``(row, tail)``: ``row[i]`` is the image of b_i
+    under conjugation by x^sign as a tuple of coded letters, ``row[-i]``
+    the image of b_i^-1 (stored, not inverted on use), ``row[code]`` of any
+    power b_i^e that power of the image, and ``tail`` the kernel part
+    x^sign * s(x^sign)^-1.
     """
 
-    index: Mapping[Gen, int]
-    basis: tuple[Gen | None, ...]
-    steps: Mapping[tuple[Gen, int], tuple[Mapping[int, Sequence[int]], tuple[int, ...]]]
+    m: int
+    maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
+
+    @property
+    def top(self) -> int:
+        return self.m + 2
+
+    @cached_property
+    def basis(self) -> tuple[Gen, ...]:
+        return omega_basis(self.m + 1)
+
+    @cached_property
+    def index(self) -> dict[Gen, int]:
+        if len(self.basis) > _MASK:
+            raise ValueError(f"a level basis of rank {len(self.basis)} is too large to code")
+        return {b: i for i, b in enumerate(self.basis, 1)}
+
+    def row(self, x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
+        return self.maps[(x, sign)][b]
 
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         """The coded letters of a word over the basis, one per letter."""
@@ -236,90 +270,48 @@ class CodedTable:
         basis = self.basis
         for code in codes:
             i, exp = _split_code(code)
-            push_letter(out, basis[i], exp)
+            push_letter(out, basis[i - 1], exp)
         return tuple(out)
 
-
-def _act(codes: Iterable[int], row: Mapping[int, Sequence[int]],
-         tail: Sequence[int] = ()) -> list[int]:
-    """The reduced coded word row(codes) * tail: the one step of the
-    comber's hot loop."""
-    return _reduce(chain(map(row.__getitem__, codes), (tail,)))
-
-
-@dataclass(frozen=True)
-class ActionTable:
-    """Conjugation rows of the lower-level generating letters on the rank
-    m+1 kernel basis at strand level m+2.
-
-    ``maps[(x, sign)][b]`` is the reduced word x^sign b x^-sign over the
-    basis, for every combing letter x below the top level and both signs.
-    Basis letters themselves act by free conjugation and are not stored.
-    ``maps`` is the one constructed shape; ``kappa`` (the kernel parts)
-    and ``coded`` (the int-coded rows and kernel parts the comber runs on)
-    are derived from it on first use.
-    """
-
-    m: int
-    level: int
-    top: int
-    basis: tuple[Gen, ...]
-    maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
-
-    def row(self, x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
-        return self.maps[(x, sign)][b]
-
-    def round_trip_failures(self) -> list[tuple[Gen, int, Gen]]:
-        """The rows (x, sign, b) that the opposite-sign row of x does not map
-        back to b; empty when every pair x, x^-1 composes to the identity."""
-        return [
-            (x, sign, b)
-            for (x, sign), row_map in self.maps.items()
-            for b in self.basis
-            if substitute(row_map[b], self.maps[(x, -sign)]) != ((b, 1),)
-        ]
-
     @cached_property
-    def kappa(self) -> dict[tuple[Gen, int], tuple[Letter, ...]]:
-        """The kernel part g * s(r(g))^-1 of each lower-level letter g^sign,
-        derived on first use from the section s(g) = left * g * right:
-        phi_g(right^-1) * left^-1 for g, phi_{g^-1}(left) * right for g^-1."""
-        kappa: dict[tuple[Gen, int], tuple[Letter, ...]] = {}
-        for (g, sign), row_map in self.maps.items():
-            left, right = (_expand_top_band(part, self.top)
-                           for part in _section_parts(g, self.top))
-            if sign > 0:
-                kappa[(g, sign)] = concat_letters(
-                    substitute(invert_letters(right), row_map), invert_letters(left))
-            else:
-                kappa[(g, sign)] = concat_letters(substitute(left, row_map), right)
-        return kappa
+    def steps(self) -> dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]]:
+        """The rows of ``maps`` and the kernel parts, coded.
 
-    @cached_property
-    def coded(self) -> CodedTable:
-        """``maps`` and ``kappa`` over the basis interned as 1..r."""
-        if len(self.basis) > _MASK:
-            raise ValueError(f"a level basis of rank {len(self.basis)} is too large to code")
-        index = {b: i for i, b in enumerate(self.basis, 1)}
+        The kernel part of g^sign comes from the section s(g) = left * g *
+        right (:func:`_section_parts`): phi_g(right^-1) * left^-1 for g,
+        phi_{g^-1}(left) * right for g^-1."""
+        index = self.index
         steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
-        coded = CodedTable(index, (None,) + self.basis, steps)
-        for key, row_map in self.maps.items():
+        for (x, sign), row_map in self.maps.items():
             # squares are stored too: the rows and kernel parts contain
             # rho[j]^2, so nearly every longer power looked up is a square
-            row = _Row((_code(i, exp), coded.encode(substitute(((b, exp),), row_map)))
+            row = _Row((_code(i, exp), self.encode(substitute(((b, exp),), row_map)))
                        for b, i in index.items() for exp in (1, -1, 2, -2))
-            steps[key] = (row, coded.encode(self.kappa[key]))
-        return coded
+            left, right = (_expand_top_band(part, self.top)
+                           for part in _section_parts(x, self.top))
+            if sign > 0:
+                left, right = invert_letters(right), invert_letters(left)
+            tail = _act(self.encode(left), row, self.encode(right))
+            steps[(x, sign)] = (row, tuple(tail))
+        return steps
+
+    def round_trip_failures(self) -> list[tuple[Gen, int, Gen]]:
+        """The rows (x, sign, b) of ``steps`` that the opposite-sign row of x
+        does not map back to b; empty when every pair x, x^-1 composes to
+        the identity."""
+        steps = self.steps
+        return [
+            (x, sign, b)
+            for (x, sign), (row, _) in steps.items()
+            for i, b in enumerate(self.basis, 1)
+            if _act(row[i], steps[(x, -sign)][0]) != [i]
+        ]
 
 
 def x_alphabet(m: int) -> tuple[Gen, ...]:
-    """The combing generating set: A[i,j] with i <= j-2 and rho[j],
-    for levels 3 <= j <= m+2."""
-    gens: list[Gen] = []
-    for j in range(3, m + 3):
-        gens += [gen_a(i, j) for i in range(1, j - 1)]
-        gens.append(gen_rho(j))
-    return tuple(gens)
+    """The combing generating set: the kernel bases of levels 3 <= j <= m+2,
+    that is A[i,j] with i <= j-2 and rho[j]."""
+    return tuple(chain.from_iterable(kernel_basis(j) for j in range(3, m + 3)))
 
 
 @lru_cache(maxsize=None)
@@ -330,15 +322,8 @@ def build_action_table(m: int) -> ActionTable:
         raise ValueError("m must be >= 1")
     top = m + 2
     basis = omega_basis(m + 1)
-    maps: dict[tuple[Gen, int], dict[Gen, tuple[Letter, ...]]] = {}
-    for x in x_alphabet(m):
-        if gen_level(x) == top:
-            continue
-        for sign in (1, -1):
-            maps[(x, sign)] = {
-                b: conjugation_row(x, sign, b, top) for b in basis
-            }
-    return ActionTable(m=m, level=m + 1, top=top, basis=basis, maps=maps)
+    return ActionTable(m, {(x, sign): {b: conjugation_row(x, sign, b, top) for b in basis}
+                           for x in x_alphabet(m - 1) for sign in (1, -1)})
 
 
 @lru_cache(maxsize=None)
@@ -433,13 +418,12 @@ def _split_top(table: ActionTable, letters: Sequence[Letter],
     word u . v, with u below the top level and v at it, gives the action
     phi_u(v) of u on the kernel word v.
 
-    The pass runs on coded letters (:attr:`ActionTable.coded`), one step
+    The pass runs on coded letters (:attr:`ActionTable.steps`), one step
     :func:`_act` per unit of exponent of each lower-level letter, and
-    decodes once at the end; it is the only driver of :func:`_act`."""
+    decodes once at the end; it is the only loop over :func:`_act`."""
     top = table.top
-    coded = table.coded
-    index = coded.index
-    steps = coded.steps
+    index = table.index
+    steps = table.steps
     codes: list[int] = []
     for gen, exp in reversed(letters):
         if gen_level(gen) == top:
@@ -451,7 +435,7 @@ def _split_top(table: ActionTable, letters: Sequence[Letter],
                 tail = ()
             for _ in range(abs(exp)):
                 codes = _act(codes, row, tail)
-    return coded.decode_letters(codes)
+    return table.decode_letters(codes)
 
 
 def _comb_letters(m: int, letters: Sequence[Letter],
@@ -551,18 +535,12 @@ def pn_triviality(n: int, w: Word) -> Verdict:
 
 def ln_generators(n: int) -> tuple[Word, ...]:
     """Generators of the torsion-free complement inside the (n-2)-strand
-    two-puncture group: A[i,j], rho[j] A[i,j] rho[j]^-1 and rho[j]^2."""
+    two-puncture group: the index-2 kernel bases (:func:`keromega_basis`)
+    of levels 2 .. n-1, that is A[i,j], rho[j] A[i,j] rho[j]^-1 and
+    rho[j]^2."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    out: list[Word] = []
-    for j in range(3, n + 1):
-        rj = gen_rho(j)
-        for i in range(1, j - 1):
-            a = gen_a(i, j)
-            out.append(Word.of(a))
-            out.append(Word.from_letters(((rj, 1), (a, 1), (rj, -1))))
-        out.append(Word.of(rj, 2))
-    return tuple(out)
+    return tuple(chain.from_iterable(keromega_basis(l) for l in range(2, n)))
 
 
 def keromega_basis(l: int) -> tuple[Word, ...]:

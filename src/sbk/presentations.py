@@ -54,12 +54,6 @@ class Presentation:
     generators: tuple[Gen, ...]
     relators: tuple[Word, ...]
 
-    def param(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def to_json(self) -> dict:
         return {
             "family": self.family,

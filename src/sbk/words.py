@@ -196,10 +196,6 @@ class Word:
     def of(gen: Gen, exp: int = 1) -> "Word":
         return Word(((gen, exp),)) if exp else Word()
 
-    @staticmethod
-    def parse(text: str) -> "Word":
-        return parse_word(text)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters
@@ -207,11 +203,8 @@ class Word:
     def length(self) -> int:
         return sum(abs(exp) for _, exp in self.letters)
 
-    def inverse(self) -> "Word":
-        return Word(invert_letters(self.letters))
-
     def __invert__(self) -> "Word":
-        return self.inverse()
+        return Word(invert_letters(self.letters))
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(concat_letters(self.letters, other.letters))

@@ -181,6 +181,14 @@ def test_invariants_printing():
         AbelianInvariants(0, (1,))
 
 
+def test_invariants_reject_zero_factors_and_negative_rank():
+    # the >= 2 rule comes before the divisor chain, so a zero factor is a
+    # ValueError and not a ZeroDivisionError
+    for free_rank, torsion in ((0, (0, 2)), (1, (0,)), (-1, ()), (-2, (2,))):
+        with pytest.raises(ValueError):
+            AbelianInvariants(free_rank, torsion)
+
+
 def test_abelianize_pn():
     assert abelianize_presentation(build_pn_rp2(3)) == AbelianInvariants(0, (2, 2, 2))
     for n in range(1, 9):

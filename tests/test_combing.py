@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sbk import combing, verify
 from sbk.combing import (
+    ActionTable,
     CombedForm,
     Verdict,
     build_action_table,
@@ -72,6 +73,18 @@ def test_action_table_disjoint_band_row():
     assert table.row(gen_a(2, 4), 1, gen_a(1, 5)) == ((gen_a(1, 5), 1),)
 
 
+def _kernel_part(table, x, sign):
+    """The kernel part x^sign * s(x^sign)^-1 in letters, from the section
+    s(x) = left * x * right: phi_x(right^-1) * left^-1 for x and
+    phi_{x^-1}(left) * right for x^-1; the oracle for the compiled tails."""
+    left, right = (combing._expand_top_band(part, table.top)
+                   for part in combing._section_parts(x, table.top))
+    row_map = table.maps[(x, sign)]
+    if sign > 0:
+        return concat_letters(substitute(invert_letters(right), row_map), invert_letters(left))
+    return concat_letters(substitute(left, row_map), right)
+
+
 def test_action_table_round_trip():
     for m in range(1, 7):
         table = build_action_table(m)
@@ -79,17 +92,26 @@ def test_action_table_round_trip():
         # rows are stored as built, so conjugation_row must return reduced words
         for row_map in table.maps.values():
             assert all(reduce_letters(image) == image for image in row_map.values())
-        # the coded rows decode to the stored rows, the negative indices to
-        # their inverses, and the tails to the kernel parts
-        coded = table.coded
+        # the compiled rows decode to the stored rows, the negative indices
+        # to their inverses, and the tails to the kernel parts
         for i, b in enumerate(table.basis, 1):
-            assert coded.index[b] == i and coded.basis[i] == b, (m, b)
-        for key, (row, tail) in coded.steps.items():
+            assert table.index[b] == i, (m, b)
+        for (x, sign), (row, tail) in table.steps.items():
             for i, b in enumerate(table.basis, 1):
-                image = table.maps[key][b]
-                assert coded.decode_letters(row[i]) == image, (m, key, b)
-                assert coded.decode_letters(row[-i]) == invert_letters(image), (m, key, b)
-            assert coded.decode_letters(tail) == table.kappa[key], (m, key)
+                image = table.maps[(x, sign)][b]
+                assert table.decode_letters(row[i]) == image, (m, x, sign, b)
+                assert table.decode_letters(row[-i]) == invert_letters(image), (m, x, sign, b)
+            assert table.decode_letters(tail) == _kernel_part(table, x, sign), (m, x, sign)
+
+
+def test_round_trip_certifies_compiled_rows():
+    # the round trip reads the rows the comber runs on, not ``maps``
+    table = build_action_table(3)
+    fresh = ActionTable(table.m, table.maps)
+    row, _ = next(iter(fresh.steps.values()))
+    row[1] = row[2]
+    assert fresh.round_trip_failures()
+    assert table.round_trip_failures() == []
 
 
 # words over the kernel basis at m = 1..4, not necessarily reduced; the
@@ -105,11 +127,10 @@ kernel_words = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.list
 def test_int_step_matches_substitute(case):
     m, letters = case
     table = build_action_table(m)
-    coded = table.coded
-    for key, (row, tail) in coded.steps.items():
-        for codes_tail, letters_tail in (((), ()), (tail, table.kappa[key])):
+    for key, (row, tail) in table.steps.items():
+        for codes_tail, letters_tail in (((), ()), (tail, _kernel_part(table, *key))):
             expected = concat_letters(substitute(letters, table.maps[key]), letters_tail)
-            got = coded.decode_letters(combing._act(coded.encode(letters), row, codes_tail))
+            got = table.decode_letters(combing._act(table.encode(letters), row, codes_tail))
             assert got == expected, (m, key, codes_tail)
 
 
@@ -228,12 +249,19 @@ def test_comb_conjugated_relator():
 
 
 @lru_cache(maxsize=None)
+def _kernel_parts(m):
+    """The kernel parts of the oracle, per letter and sign."""
+    table = build_action_table(m)
+    return {key: _kernel_part(table, *key) for key in table.maps}
+
+
+@lru_cache(maxsize=None)
 def _psi_maps(m):
     """Conjugation by the section image s(g) = kappa_g^-1 * g, per letter."""
     table = build_action_table(m)
     psi = {}
     for key, row_map in table.maps.items():
-        k = table.kappa[key]
+        k = _kernel_parts(m)[key]
         ik = invert_letters(k)
         psi[key] = {
             b: reduce_letters(concat_letters(ik, image, k))
@@ -247,7 +275,7 @@ def _split_top_accumulate(m, letters):
     kappa * s(H); per letter g, kappa *= psi(H)(kappa_g) and H *= r(g)."""
     top = m + 2
     psi = _psi_maps(m)
-    kappa_table = build_action_table(m).kappa
+    kappa_table = _kernel_parts(m)
     kappa = ()
     quotient = []
 

@@ -53,10 +53,10 @@ def _digest(lines):
 
 def _table_lines(m):
     table = build_action_table(m)
-    lines = [f"{format_gen(x)} {sign} {format_gen(b)}: {Word(image)}"
-             for (x, sign), row_map in table.maps.items() for b, image in row_map.items()]
-    lines += [f"kappa {format_gen(x)} {sign}: {Word(part)}"
-              for (x, sign), part in table.kappa.items()]
+    lines = [f"{format_gen(x)} {sign} {format_gen(b)}: {Word(table.row(x, sign, b))}"
+             for x, sign in table.maps for b in table.basis]
+    lines += [f"kappa {format_gen(x)} {sign}: {Word(table.decode_letters(tail))}"
+              for (x, sign), (_, tail) in table.steps.items()]
     return sorted(lines)
 
 

@@ -182,6 +182,24 @@ def test_verify_all_report_matches_pinned_digest(capsys, monkeypatch):
     assert (rc, hashlib.sha256(out.encode()).hexdigest()[:16]) == pinned
 
 
+def test_cli_catalogue_matches_pinned_digests(capsys, monkeypatch):
+    # every command of the benchmark's cli catalogue, run in-process: exit
+    # code and stdout digest as pinned; this test only reads that file
+    expected = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    entries = json.loads(expected.read_text())["cli"]
+    monkeypatch.delenv("SBK_SEED", raising=False)
+    mismatches = []
+    for argv, rc, sha in entries:
+        capsys.readouterr()
+        got_rc = main(list(argv))
+        out = capsys.readouterr().out
+        got = (got_rc, hashlib.sha256(out.encode()).hexdigest()[:16])
+        if got != (rc, sha):
+            mismatches.append((argv, (rc, sha), got))
+    assert len(entries) > 250
+    assert mismatches == []
+
+
 def _corrupted_table_factory(m: int) -> ActionTable:
     table = build_action_table(m)
     maps = {key: dict(row_map) for key, row_map in table.maps.items()}
@@ -194,7 +212,7 @@ def _corrupted_table_factory(m: int) -> ActionTable:
     if target is not None:
         key, b = target
         maps[key][b] = (maps[key][b][-1],)
-    return ActionTable(table.m, table.level, table.top, table.basis, maps)
+    return ActionTable(table.m, maps)
 
 
 def test_combing_suite_negative_control():
