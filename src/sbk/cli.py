@@ -2,8 +2,8 @@
 
 All results are printed as JSON on stdout; human-readable notes go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
-input error.  The environment variable ``SBK_SEED`` seeds the
-randomized verification cases.
+input error, or an input that ran out of memory.  The environment
+variable ``SBK_SEED`` seeds the randomized verification cases.
 """
 
 from __future__ import annotations
@@ -197,9 +197,10 @@ def main(argv=None) -> int:
         return stop.code
     try:
         return args.func(args)
-    except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        _emit({"error": str(err)})
+    except (ValueError, KeyError, MemoryError) as err:
+        message = "out of memory" if isinstance(err, MemoryError) else str(err)
+        print(f"error: {message}", file=sys.stderr)
+        _emit({"error": message})
         return 2
 
 

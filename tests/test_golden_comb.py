@@ -7,6 +7,7 @@ from sbk.presentations import build_gamma_rp2, build_gamma_s2
 from sbk.words import Word, format_gen, parse_word
 
 GOLDEN = Path(__file__).resolve().parent / "golden_comb.json"
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 
 # sha256(...)[:16] of the sorted action-table rows and kernel parts per m,
 # and of the gamma-rp2 relator text per (m, p), recorded while both were
@@ -73,3 +74,21 @@ def test_sphere_relators_pinned():
     got = {(n, m): _digest([str(r) for r in build_gamma_s2(n, m).relators])
            for n, m in S2_RELATOR_DIGESTS}
     assert got == S2_RELATOR_DIGESTS
+
+
+def test_powers_match_pinned_digests():
+    # the benchmark's digests of comb(m, g^N) for its seven (m, g), at every
+    # fifth N from 160 down; the longer powers run the chunked steps of the
+    # split many times over (this test only reads that file)
+    pinned = json.loads(EXPECTED.read_text())["powers"]
+    keys = {tuple(key.split()[:2]) for key in pinned}
+    assert len(keys) == 7 and len(pinned) == 7 * 160
+    mismatches = []
+    for m, name in sorted(keys):
+        gen = parse_word(name)
+        for n in range(160, 0, -5):
+            key = f"{m} {name} {n}"
+            got = comb(int(m), gen ** n).to_json()
+            if _digest([json.dumps(got)]) != pinned[key]:
+                mismatches.append(key)
+    assert mismatches == []

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbk import verify
+from sbk import combing, verify
 from sbk.cli import main
 from sbk.combing import ActionTable, build_action_table
 from sbk.words import gen_a
@@ -95,6 +95,20 @@ def test_usage_error_exit_code_2():
     rc, out, _ = run_cli("verify", "--suite", "counts", "--max-n", "99")
     assert rc == 2
     assert "error" in json.loads(out)
+
+
+def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # an input too large for memory exits 2 with one JSON document and no
+    # traceback; comb is made to raise, so nothing large is allocated
+    def exhausted(m, w):
+        raise MemoryError
+
+    monkeypatch.setattr(combing, "comb", exhausted)
+    capsys.readouterr()
+    assert main(["nf", "--m", "2", "--word", "A[1,3]^100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out) == {"error": "out of memory"}
+    assert err == "error: out of memory\n"
 
 
 def test_verify_counts_passes():
