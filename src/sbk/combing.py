@@ -33,34 +33,32 @@ letterwise rewrites here (rows, eliminated letters, the section) are
 
 :func:`comb` peels one kernel level at a time with a single right-to-left
 pass per level, :func:`_split_top`.  The pass is the hot loop: it runs on
-lists of coded letters, one step :func:`_act` per unit of exponent of each
-lower-level letter, and decodes to letters once per level.  It is the
-only loop over :func:`_act` (compiling ``steps`` and the round trip apply
-it once per row): without the kernel parts it also gives the action of a
+lists of coded letters, one step F(a) = phi_g(a) * t_g, :func:`_act`, per
+unit of exponent of each lower-level letter g, and decodes to letters once
+per level.  It is the only loop over :func:`_act` (compiling ``steps`` and
+the round trip apply it once per row, :mod:`sbk.iterates` a few times per
+closed form): without the kernel parts it also gives the action of a
 lower-level word on a kernel word, which is how
 :func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
 complement.  A power of a basis letter stays one coded letter, mapped
-through that power of its image, so large exponents on top-level letters
-cost what they cost in the letterwise rewrite.  The step maps the
-accumulated word in chunks of ``_CHUNK`` letters and the pass
-keeps, for the length of one call, the image of every chunk per row: a
-power g^N applies the same row N times to a nearly periodic word, so the
-same chunks come back step after step and are mapped once.  Reduced words
-are unique, so the combed forms are those the letterwise rewrite gives.
-The private :func:`_comb_letters` takes the table factory as a plain
-argument, so the verification suite can comb against a deliberately
-corrupted table.  Combed-form equality is the canonical
-equality of this library; it depends on the chosen section, which is
-fixed once and for all here.
+through that power of its image.  A large power g^N of a lower-level
+letter, or of the x-image of an eliminated letter, kept as one run through
+every level, is written out from a certified closed form
+(:mod:`sbk.iterates`).  Reduced words are unique, so the combed forms are
+those the letterwise rewrite gives.  The private :func:`_comb_letters`
+takes the table factory as a plain argument, so the verification suite can
+comb against a deliberately corrupted table.  Combed-form equality is the
+canonical equality of this library; it depends on the chosen section,
+which is fixed once and for all here.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
@@ -195,11 +193,6 @@ def _reduce(pieces: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
-# letters per memoized chunk in :func:`_act`: of 8, 16, 32 and 64, 32 made
-# the powers benchmark fastest (8 and 64 took about 1.4x as long)
-_CHUNK = 32
-
-
 class _Row(dict):
     """The images of the letters b_i^e for e = +-1, +-2, keyed by code; the
     image of a longer power is computed on lookup and not stored."""
@@ -220,33 +213,20 @@ class _Row(dict):
 
 
 def _act(codes: Sequence[int], row: Mapping[int, Sequence[int]],
-         tail: Sequence[int] = (),
-         memo: dict[tuple[int, ...], list[int]] | None = None) -> list[int]:
-    """The reduced coded word row(codes) * tail: the one step of the
-    comber's hot loop, which also compiles the kernel parts and checks the
-    round trip of :attr:`ActionTable.steps`.
+         tail: Sequence[int] = ()) -> list[int]:
+    """The reduced coded word row(codes) * tail: the one step F(a) = phi(a)
+    * tail of the comber's hot loop, which also compiles the kernel parts and
+    checks the round trip of :attr:`ActionTable.steps`."""
+    return _reduce(chain(map(row.__getitem__, codes), (tail,)))
 
-    ``codes`` is cut from the left into chunks of ``_CHUNK`` letters.  The
-    image of a chunk is the reduced product of its letters' images (the
-    row is a homomorphism), kept in ``memo`` under the chunk: the caller
-    passes one dict per row and keeps it across the steps of one split,
-    where the same chunks come back step after step.  The chunk images,
-    the images of the leftover letters and the tail are then reduced
-    together, so the result is the reduced word the letterwise map gives."""
-    if memo is None:
-        memo = {}
-    image = row.__getitem__
-    cut = len(codes) - len(codes) % _CHUNK
-    pieces: list[Sequence[int]] = []
-    for k in range(0, cut, _CHUNK):
-        chunk = tuple(codes[k:k + _CHUNK])
-        mapped = memo.get(chunk)
-        if mapped is None:
-            mapped = memo[chunk] = _reduce(map(image, chunk))
-        pieces.append(mapped)
-    pieces.extend(map(image, codes[cut:]))
-    pieces.append(tail)
-    return _reduce(pieces)
+
+def _inverse(codes: Sequence[int]) -> list[int]:
+    return [-code for code in reversed(codes)]
+
+
+# below this exponent a letter takes the plain loop: on short starts a kept form
+# beats it from g^3 on, building the forms costs about g^14 by the plain loop
+_POWER_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -272,6 +252,8 @@ class ActionTable:
 
     m: int
     maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
+    # the forms and run steps of :mod:`sbk.iterates`, keyed by row keys and runs
+    powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top(self) -> int:
@@ -372,10 +354,7 @@ def _x_images(m: int) -> dict[Gen, tuple[Letter, ...]]:
 def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Rewrite a word over the full two-puncture alphabet into the combing
     alphabet (eliminated band generators A[j-1,j] are expanded)."""
-    letters = tuple(letters)
-    for gen, _ in letters:
-        check_gamma_letter(gen, m, 2)
-    return substitute(letters, _x_images(m))
+    return _flatten(_x_items(m, letters))
 
 
 def _section_parts(gen: Gen, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
@@ -440,53 +419,122 @@ class CombedForm:
         return "(" + ", ".join(repr(str(c)) for c in self.components) + ")"
 
 
-def _split_top(table: ActionTable, letters: Sequence[Letter],
-               tails: bool = True) -> tuple[Letter, ...]:
-    """Kernel component of the word at the table's top level, by one
-    right-to-left pass: kernel(g . q) = conj_g(kernel(q)) . kernel_g.
+class _Run(NamedTuple):
+    """``letters`` repeated ``count`` >= :data:`_POWER_MIN` times, the x-image of an
+    input letter or its lower part; its ends differ and it touches no neighbour."""
+    letters: tuple[Letter, ...]
+    count: int
 
-    With ``tails=False`` the kernel parts kernel_g are left out, so the
-    word u . v, with u below the top level and v at it, gives the action
-    phi_u(v) of u on the kernel word v.
 
-    The pass runs on coded letters (:attr:`ActionTable.steps`), one step
-    :func:`_act` per unit of exponent of each lower-level letter, and
-    decodes once at the end; it is the only loop over :func:`_act`.  It
-    keeps one chunk memo per row for the length of the call and hands it
-    to every step through that row, so the chunks a power or a repeated
-    letter maps again are looked up; the memos go when the call returns."""
+def _flatten(items: Iterable) -> tuple[Letter, ...]:
+    return tuple(chain.from_iterable(
+        item.letters * item.count if type(item) is _Run else (item,) for item in items))
+
+
+def _push(items: list, gen: Gen, exp: int) -> None:
+    """:func:`~sbk.words.push_letter`, writing out first a run the letter touches."""
+    if items and type(items[-1]) is _Run and items[-1].letters[-1][0] == gen:
+        items.extend(_flatten((items.pop(),)))
+    push_letter(items, gen, exp)
+
+
+def _push_run(items: list, letters: tuple[Letter, ...], count: int) -> None:
+    """Push the reduced power letters^count, as a :class:`_Run` where it may be one."""
+    last = (items[-1].letters if type(items[-1]) is _Run else items)[-1] if items else None
+    if count >= _POWER_MIN and len(letters) > 1 and letters[0][0] != letters[-1][0] \
+            and not (last and last[0] == letters[0][0]):
+        items.append(_Run(letters, count))
+    else:
+        for gen, exp in (Word(letters) ** count).letters:
+            _push(items, gen, exp)
+
+
+def _x_items(m: int, letters: Iterable[Letter]) -> list:
+    """:func:`to_x_letters` with the x-image of an eliminated letter g^e as one run."""
+    images = _x_images(m)
+    letters = tuple(letters)
+    for gen, _ in letters:
+        check_gamma_letter(gen, m, 2)
+    if all(-_POWER_MIN < exp < _POWER_MIN or gen not in images for gen, exp in letters):
+        return list(substitute(letters, images))  # no run: the plain rewrite, faster
+    items: list = []
+    for gen, exp in letters:
+        if gen in images:
+            _push_run(items, images[gen] if exp > 0 else invert_letters(images[gen]), abs(exp))
+        else:
+            _push(items, gen, exp)
+    return items
+
+
+def _lower_items(items: Iterable, top: int) -> list:
+    """The items below strand level ``top``; a run passes down its word's lower part."""
+    if not any(type(item) is _Run for item in items):
+        return list(reduce_letters(l for l in items if gen_level(l[0]) < top))
+    lower: list = []
+    for item in items:
+        if type(item) is _Run:
+            part = reduce_letters(l for l in item.letters if gen_level(l[0]) < top)
+            if part:
+                _push_run(lower, part, item.count)
+        elif gen_level(item[0]) < top:
+            _push(lower, *item)
+    return lower
+
+
+def _walk(table: ActionTable, items: Sequence, codes: list[int], tails: bool) -> list[int]:
+    """The coded kernel component of ``items . codes``: the pass of :func:`_split_top`."""
     top = table.top
     index = table.index
     steps = table.steps
-    memos: dict[tuple[Gen, int], dict[tuple[int, ...], list[int]]] = {}
-    codes: list[int] = []
-    for gen, exp in reversed(letters):
+    forms = table.powers if tails else {}
+    for item in reversed(items):
+        if type(item) is _Run:
+            from .iterates import _run  # compiled on first use: few combs need it
+            codes = _run(table, item, codes, tails)
+            continue
+        gen, exp = item
         if gen_level(gen) == top:
             # r(g) is trivial, so the letter just multiplies in on the left
             codes.insert(0, _code(index[gen], exp))
-        else:
-            key = (gen, 1 if exp > 0 else -1)
-            row, tail = steps[key]
-            if not tails:
-                tail = ()
-            memo = memos.setdefault(key, {})
+            continue
+        key = (gen, 1 if exp > 0 else -1)
+        row, tail = steps[key]
+        if not tails:
+            tail = ()
+        if -_POWER_MIN < exp < _POWER_MIN:
             for _ in range(abs(exp)):
-                codes = _act(codes, row, tail, memo)
-    return table.decode_letters(codes)
+                codes = _act(codes, row, tail)
+        else:
+            from .iterates import _power
+            codes = _power(row, tail, codes, abs(exp), forms, key)
+    return codes
+
+
+def _split_top(table: ActionTable, letters: Sequence,
+               tails: bool = True) -> tuple[Letter, ...]:
+    """Kernel component of the word at the table's top level, by one
+    right-to-left pass (:func:`_walk`) on coded letters, decoded once at the
+    end: kernel(g . q) = conj_g(kernel(q)) . kernel_g.  A letter g^e takes
+    one step :func:`_act` per unit of exponent below :data:`_POWER_MIN`, a
+    larger power or a :class:`_Run` the closed form of :func:`~sbk.iterates._power`.
+
+    With ``tails=False`` the kernel parts kernel_g are left out, so the
+    word u . v, with u below the top level and v at it, gives the action
+    phi_u(v) of u on the kernel word v."""
+    return table.decode_letters(_walk(table, letters, [], tails))
 
 
 def _comb_letters(m: int, letters: Sequence[Letter],
                   table_factory: Callable[[int], ActionTable]) -> CombedForm:
     """Comb a letter sequence with the action tables ``table_factory(k)``
-    for k = m, ..., 2 (one per kernel level above the base)."""
-    current = to_x_letters(m, letters)
+    for k = m, ..., 2 (one per kernel level above the base); runs pass down
+    every level (:func:`_x_items`) and the base level writes them out."""
+    current = _x_items(m, letters)
     components: list[Word] = []
     for top in range(m + 2, 3, -1):
         components.append(Word(_split_top(table_factory(top - 2), current)))
-        current = reduce_letters(
-            (gen, exp) for gen, exp in current if gen_level(gen) < top
-        )
-    components.append(Word(current))
+        current = _lower_items(current, top)
+    components.append(Word(_flatten(current)))
     return CombedForm(m, tuple(components))
 
 

@@ -18,9 +18,9 @@ alphabet checks its own letters.
 
 :func:`push_letter` is the one free-reduction step and :func:`substitute`
 the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
-comber's hot loop (:func:`sbk.combing._split_top`, which also computes the
-tower actions of :mod:`sbk.abelian`) reduces on its own, over letters
-coded as signed ints, and decodes back through :func:`push_letter`.
+comber's hot loop (:func:`sbk.combing._split_top`, its closed-form powers
+and the tower actions of :mod:`sbk.abelian`) reduces on its own, over
+letters coded as signed ints, and decodes back through :func:`push_letter`.
 Inverse and product of words are ``~w`` and ``u * v``.
 
 The text grammar (exact) is::

@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sbk import combing, verify
+from sbk import combing, iterates, verify
 from sbk.combing import (
     ActionTable,
     CombedForm,
@@ -115,9 +115,9 @@ def test_round_trip_certifies_compiled_rows():
     assert table.round_trip_failures() == []
 
 
-# words over the kernel basis at m = 1..4, not necessarily reduced; the
-# larger exponents map a power through the power of its image, and words
-# longer than a chunk of the step are mapped chunk by chunk
+# words over the kernel basis at m = 1..4, not necessarily reduced, of up
+# to 80 letters; the larger exponents map a power through the power of its
+# image
 kernel_words = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.lists(
     st.tuples(st.sampled_from(build_action_table(m).basis),
               st.sampled_from([-40, -7, -3, -2, -1, 1, 2, 3, 7, 40])),
@@ -160,14 +160,14 @@ def test_split_top_without_tails_is_the_action():
 
 def _plain_step(codes, row, tail=()):
     """row(codes) * tail with every letter of the whole word mapped through
-    the row and reduced, nothing kept: the oracle for the chunked step."""
+    the row and reduced: the oracle for the closed forms."""
     return combing._reduce(chain(map(row.__getitem__, codes), (tail,)))
 
 
 def _plain_split(table, lower, codes, tails):
     """The split of ``lower`` times the coded kernel word ``codes`` by the
-    plain per-unit loop over :func:`_plain_step`; the oracle for the chunk
-    memo of ``_split_top``."""
+    plain per-unit loop over :func:`_plain_step`; the oracle for the closed
+    powers of ``_split_top``."""
     for gen, exp in reversed(lower):
         row, tail = table.steps[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
@@ -186,28 +186,114 @@ def _random_accumulator(rng, table, length):
     return codes
 
 
-def test_chunk_memo_split_matches_plain_loop():
+def test_power_split_matches_plain_loop():
     # every row at m = 1..4 (none at m = 1), both tails values, on random
-    # accumulators of length 0..300.  The row x^s runs before, after and
-    # between other rows: x^s, then x^-s, which gives back the accumulator,
-    # then another row y^t on those same chunks, then x^s twice on a grown
-    # word; a memo that forgot its row would hand y the images of x
+    # accumulators of length 0..12.  Each lower letter has an exponent of at
+    # least _POWER_MIN, so the split takes the closed form of every power:
+    # x^s from the accumulator, then y^t, x^-s and x^s again from the words
+    # those leave, with forms of x kept between them
     rng = random.Random(RNG_SEED)
+    assert combing._POWER_MIN <= 8
     for m in range(1, 5):
         table = build_action_table(m)
         keys = list(table.steps)
         for n, (x, sign) in enumerate(keys):
             y, other = keys[(n + 1) % len(keys)]
             for tails in (True, False):
-                length = rng.choice((0, 31, 32, 33, 65, rng.randint(0, 300)))
+                length = rng.choice((0, 1, 2, rng.randint(0, 12)))
                 codes = _random_accumulator(rng, table, length)
-                row, tail = table.steps[(x, sign)]
-                assert combing._act(codes, row, tail) == _plain_step(codes, row, tail)
-                lower = ((x, 2 * sign), (y, other), (x, -sign), (x, sign))
+                lower = ((x, 8 * sign), (y, 8 * other), (x, -8 * sign), (x, 9 * sign))
                 letters = lower + table.decode_letters(codes)
                 expected = _plain_split(table, lower, codes, tails)
                 got = combing._split_top(table, letters, tails=tails)
                 assert got == expected, (m, x, sign, y, other, tails, length)
+
+
+def _runs(m):
+    """Every eliminated-letter run the comber at m can pass to the table
+    of level ``top``: the x-image of A[j-1,j]^+-1 below ``top``, reduced."""
+    for image in combing._x_images(m).values():
+        for word in (image, invert_letters(image)):
+            for top in range(m + 2, 3, -1):
+                part = reduce_letters(l for l in word if combing.gen_level(l[0]) <= top)
+                if len(part) > 1:
+                    yield top, part
+
+
+def test_closed_form_matches_plain_steps():
+    # F^n(start) by _power against n plain steps, n = 0..60, for every row
+    # and sign at m = 1..5 and the composite step of every eliminated-letter
+    # run: from the empty word with the kernel parts (without, F^n(1) = 1),
+    # and from a random accumulator with and without them (at m = 5 for
+    # every fifth row only); the forms are kept across n in one dict
+    rng = random.Random(RNG_SEED)
+    cases = []
+    for m in range(1, 6):
+        table = build_action_table(m)
+        for k, (key, (row, tail)) in enumerate(table.steps.items()):
+            starts = (0, rng.randint(1, 2)) if m < 5 or k % 5 == 0 else (0,)
+            cases.append((table, key, row, tail, starts))
+            cases.append((table, key, row, (), starts[1:]))
+    for m in (2, 3):
+        for top, part in _runs(m):
+            # the comber builds composite steps with the kernel parts only
+            table = build_action_table(top - 2)
+            iterates._run(table, combing._Run(part, combing._POWER_MIN), [], True)
+            row, tail = table.powers[part]
+            # its row is reduced, as _reduce needs of every piece
+            assert all(all((abs(a) ^ abs(b)) & combing._MASK for a, b in zip(w, w[1:]))
+                       for w in list(row.values()) + [tail]), part
+            for i in range(-len(table.basis), len(table.basis) + 1):
+                walked = combing._walk(table, part, [i] if i else [], True)
+                stepped = _plain_step([i] if i else [], row, tail)
+                assert table.decode_letters(walked) == table.decode_letters(stepped), (part, i)
+            cases.append((table, part, row, tail, (0, rng.randint(1, 2))))
+    for table, key, row, tail, starts in cases:
+        forms = {}
+        for length in starts:
+            start = _random_accumulator(rng, table, length)
+            codes = start
+            for n in range(61):
+                assert iterates._power(row, tail, start, n, forms, key) == codes, (key, n)
+                codes = _plain_step(codes, row, tail)
+
+
+def test_broken_form_is_rejected_and_falls_back(monkeypatch):
+    # a certified form with one block changed, so that E(0) stays and E(1)
+    # does not, fails the certificate; where no form certifies, the plain
+    # steps give the same output
+    table = build_action_table(2)
+    row, tail = table.steps[(gen_a(1, 3), 1)]
+    base, q, W, D = iterates._closed_form(row, tail, (), 0)
+    psi = lambda w: combing._act(w, row)  # noqa: E731
+    assert q == 1 and len(D) == 2 and iterates._certify(W, D, psi, tail)
+    for t, block in enumerate(D):
+        for changed in (block + [2], [2] + block, block[:-1], block[1:] + block[:1], block * 2):
+            broken = D[:t] + [combing._reduce([c] for c in changed)] + D[t + 1:]
+            assert not iterates._certify(W, broken, psi, tail), (t, changed)
+    # D_1 z and W_1^-1 z^-1 W_1 D_2 give the same E(0) and E(1) but another
+    # E(2): only the commuting check X psi(D) = D X can reject them
+    for z in (1, -2, 3):
+        moved = [combing._reduce((D[0], [z])),
+                 combing._reduce((combing._inverse(W[1]), [-z], W[1], D[1]))]
+        assert combing._reduce((W[0], moved[0], W[1], moved[1], W[2])) == \
+            combing._reduce((W[0], D[0], W[1], D[1], W[2]))
+        assert not iterates._certify(W, moved, psi, tail), z
+    expected = _plain_split(table, ((gen_a(1, 3), 40),), [], True)
+    assert combing._split_top(table, ((gen_a(1, 3), 40),)) == expected
+    # a row that is no homomorphism is stepped plainly, from any start
+    broken = ActionTable(table.m, table.maps)
+    broken_row = broken.steps[(gen_a(1, 3), 1)][0]
+    broken_row[1] = broken_row[2]
+    assert not iterates._is_hom(broken_row)
+    for codes in ([], [1, -3]):
+        letters = ((gen_a(1, 3), 9),) + broken.decode_letters(codes)
+        plain = _plain_split(broken, ((gen_a(1, 3), 9),), codes, True)
+        assert combing._split_top(broken, letters) == plain
+    monkeypatch.setattr(iterates, "_closed_form", lambda *args: None)
+    fresh = ActionTable(table.m, table.maps)
+    assert combing._split_top(fresh, ((gen_a(1, 3), 40),)) == expected
+    assert set(fresh.powers.values()) == {None}
 
 
 def test_section_examples():
@@ -397,29 +483,51 @@ def test_comb_top_level_powers_stay_compact():
         "A[1,5]^1000000000 rho[5]^2 A[1,5] A[2,5] A[3,5]", "A[2,4]", ""]
 
 
-def test_chunk_memo_split_matches_reference_comb():
-    # powers long enough that the chunked steps reuse images many times
+def test_power_split_matches_reference_comb():
+    # powers long enough for the closed forms, of single letters and of the
+    # eliminated A[2,3], from the empty word and from words around them
     for m, text in ((2, "A[2,3]^12"), (2, "A[2,3]^-7"), (2, "rho[3]^-40"),
-                    (2, "rho[3]^33"), (3, "A[1,4]^33"), (3, "A[1,4]^-40")):
+                    (2, "rho[3]^33"), (3, "A[1,4]^33"), (3, "A[1,4]^-40"),
+                    (2, "rho[4]^3 A[1,3]^41 A[2,4] rho[4]^-1"),
+                    (2, "A[1,4] rho[3]^-61 A[2,4]^2"), (2, "A[1,4]^2 rho[3]^58 rho[4]^-1"),
+                    (2, "A[1,3] A[2,3]^9 rho[4]^-1"),
+                    (3, "A[2,5] rho[4]^-60 A[1,5]^-1"), (3, "A[3,5] A[2,4]^60 A[1,5]")):
         w = parse_word(text)
         assert comb(m, w) == reference_comb(m, w), text
 
 
-def test_chunk_memo_lives_only_for_the_call():
-    # the chunk images are kept per split call: afterwards the rows hold
-    # only their compiled entries, the tables only their fields and cached
-    # views, and no dict of the module has grown
-    def module_dicts():
-        return {name: len(v) for name, v in vars(combing).items() if isinstance(v, dict)}
+# the seven (m, g) of the powers benchmark
+BENCHMARK_POWERS = ((2, "A[1,3]"), (2, "rho[3]"), (2, "A[2,3]"), (3, "A[1,4]"),
+                    (3, "rho[4]"), (3, "A[2,4]"), (3, "A[1,3]"))
 
-    before = module_dicts()
-    comb(2, parse_word("A[1,3]^500"))
-    assert module_dicts() == before
-    for m in range(1, 5):
-        table = build_action_table(m)
-        assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps"}, m
-        compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
-        assert all(set(row) == compiled for row, _ in table.steps.values()), m
+
+def test_power_steps_do_not_grow_with_the_exponent(monkeypatch):
+    # with fresh tables, g^1000 and g^8000 take the same number of steps:
+    # compiling the rows, reading off and certifying the forms, one step
+    # through the n-th power; nothing is stepped once per unit of exponent
+    count = 0
+    act = combing._act
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return act(*args)
+
+    monkeypatch.setattr(combing, "_act", counted)
+    monkeypatch.setattr(iterates, "_act", counted)
+    for m, name in BENCHMARK_POWERS:
+        counts = []
+        for n in (1000, 8000):
+            count = 0
+            letters = (parse_word(name) ** n).letters
+            combing._comb_letters(m, letters, lambda k: ActionTable(k, build_action_table(k).maps))
+            counts.append(count)
+        assert counts[0] == counts[1], (m, name, counts)
+
+
+def test_power_traced_peak_stays_small():
+    # builds the tables, and imports what the forms use, outside the trace
+    comb(2, parse_word("rho[3]^8"))
     w = parse_word("A[1,3]^2000")
     tracemalloc.start()
     try:
@@ -427,9 +535,47 @@ def test_chunk_memo_lives_only_for_the_call():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # measured: a traced peak of 1.19-1.28 MB with the chunk memo (its nine
-    # chunks hold about 7 kB) and 1.34 MB with the plain per-unit loop
+    # measured: 1.26 MB with the closed form (its 16,000 output letters),
+    # 1.34 MB with the plain loop
     assert peak < 3 * 2**19, peak
+
+
+def test_power_cache_stays_bounded():
+    # the closed forms are kept on the table under a row key or a run's
+    # word, a start letter and a parity only, so however many and however
+    # large the powers, the cache stays under a bound set by the table; the
+    # rows keep only their compiled entries and no dict of the module grows
+    def module_dicts():
+        return {name: len(v) for name, v in vars(combing).items() if isinstance(v, dict)}
+
+    before = module_dicts()
+    rng = random.Random(RNG_SEED)
+    for m in (2, 3):
+        for _ in range(40):
+            w = random_x_word(rng, m, 3) * Word.of(gen_a(m + 1, m + 2), rng.choice((9, -8)))
+            comb(m, w * Word.of(rng.choice(combing.x_alphabet(m - 1)), rng.randint(8, 900))
+                 * random_x_word(rng, m, 3))
+    assert module_dicts() == before
+    for k in range(1, 4):
+        table = build_action_table(k)
+        runs = {part for m in (2, 3) for top, part in _runs(m) if top == k + 2}
+        keys = set(table.steps) | runs
+        assert all(key in runs or key[0] in keys and key[1] in range(len(table.basis) + 1)
+                   and key[2] in (0, 1) for key in table.powers), k
+        assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(runs), k
+        assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps", "powers"}, k
+        compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
+        assert all(set(row) == compiled for row, _ in table.steps.values()), k
+
+
+def test_small_powers_take_the_plain_loop(monkeypatch):
+    # below _POWER_MIN no closed form is read off: the insertion-sized
+    # words comb as before
+    monkeypatch.setattr(iterates, "_closed_form", None)
+    rng = random.Random(RNG_SEED)
+    for m in (2, 3):
+        for _ in range(20):
+            comb(m, random_x_word(rng, m, 8) * parse_word(f"A[1,3]^{combing._POWER_MIN - 1}"))
 
 
 def test_comb_known_value():

@@ -77,16 +77,16 @@ def test_sphere_relators_pinned():
 
 
 def test_powers_match_pinned_digests():
-    # the benchmark's digests of comb(m, g^N) for its seven (m, g), at every
-    # fifth N from 160 down; the longer powers run the chunked steps of the
-    # split many times over (this test only reads that file)
+    # the benchmark's digests of comb(m, g^N) for its seven (m, g), every N
+    # from 1 to 160: the powers from N = 8 on are written out from their
+    # closed forms (this test only reads that file)
     pinned = json.loads(EXPECTED.read_text())["powers"]
     keys = {tuple(key.split()[:2]) for key in pinned}
     assert len(keys) == 7 and len(pinned) == 7 * 160
     mismatches = []
     for m, name in sorted(keys):
         gen = parse_word(name)
-        for n in range(160, 0, -5):
+        for n in range(1, 161):
             key = f"{m} {name} {n}"
             got = comb(int(m), gen ** n).to_json()
             if _digest([json.dumps(got)]) != pinned[key]:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,21 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out.count("\n") == 1 and json.loads(out) == {"error": "out of memory"}
     assert err == "error: out of memory\n"
+
+
+def test_oversized_power_exits_2_under_a_memory_cap():
+    # A[1,3]^1000000000 has a closed form of 8e9 letters: under a capped
+    # address space writing it out fails at once, and the child exits 2 with
+    # one JSON document instead of stepping the power for hours
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "sbk.cli", "nf", "--m", "2", "--word", "A[1,3]^1000000000"],
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=10,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": "out of memory"}
 
 
 def test_verify_counts_passes():
