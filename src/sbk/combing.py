@@ -31,25 +31,29 @@ are expanded by solving the surface relation
 letterwise rewrites here (rows, eliminated letters, the section) are
 :func:`sbk.words.substitute`.
 
-:func:`comb` peels one kernel level at a time with a single right-to-left
-pass per level, :func:`_split_top`.  The pass is the hot loop: it runs on
-lists of coded letters, one step F(a) = phi_g(a) * t_g, :func:`_act`, per
-unit of exponent of each lower-level letter g, and decodes to letters once
-per level.  It is the only loop over :func:`_act` (compiling ``steps`` and
-the round trip apply it once per row, :mod:`sbk.iterates` a few times per
-closed form): without the kernel parts it also gives the action of a
-lower-level word on a kernel word, which is how
-:func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
-complement.  A power of a basis letter stays one coded letter, mapped
-through that power of its image.  A large power g^N of a lower-level
-letter, or of the x-image of an eliminated letter, kept as one run through
-every level, is written out from a certified closed form
+:func:`comb` peels one kernel level at a time, down to the base level, with
+a single right-to-left pass per level, :func:`_split_top`.  The pass is the
+hot loop: it runs on lists of coded letters, one step F(a) = phi_g(a) *
+t_g, :func:`_act`, per unit of exponent of each lower-level letter g, and
+decodes to letters once per level.  It is the only loop over :func:`_act`
+(compiling ``steps`` and the round trip apply it once per row,
+:mod:`sbk.iterates` a few times per closed form): without the kernel parts
+it also gives the action of a lower-level word on a kernel word, which is
+how :func:`sbk.abelian.keromega_action` builds the tower of the
+torsion-free complement.  An eliminated letter A[j-1,j] is a combing letter
+like any other (:func:`_eliminated`): below its level it takes one step,
+walked once per table along its x-image through the table's compiled rows;
+at its level it multiplies in its top word, the solved surface relation;
+below that it is gone.  A power of a basis letter stays one coded letter,
+mapped through that power of its image, and a large power g^N of a
+lower-level letter is written out from a certified closed form
 (:mod:`sbk.iterates`).  Reduced words are unique, so the combed forms are
-those the letterwise rewrite gives.  The private :func:`_comb_letters`
-takes the table factory as a plain argument, so the verification suite can
-comb against a deliberately corrupted table.  Combed-form equality is the
-canonical equality of this library; it depends on the chosen section,
-which is fixed once and for all here.
+those the letterwise rewrite into the combing alphabet (:func:`to_x_letters`)
+gives.  The private :func:`_comb_letters` takes the table factory as a
+plain argument, so the verification suite can comb against a deliberately
+corrupted table.  Combed-form equality is the canonical equality of this
+library; it depends on the chosen section, which is fixed once and for all
+here.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
@@ -248,11 +252,15 @@ class ActionTable:
     the image of b_i^-1 (stored, not inverted on use), ``row[code]`` of any
     power b_i^e that power of the image, and ``tail`` the kernel part
     x^sign * s(x^sign)^-1.
+
+    ``powers`` holds what the comber compiles on demand: the eliminated
+    letters' steps, in the shape of ``steps``, and top words under ``(gen,
+    sign)`` (:func:`_eliminated`), and the closed forms of
+    :mod:`sbk.iterates` under ``((gen, sign), start letter, parity)``.
     """
 
     m: int
     maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
-    # the forms and run steps of :mod:`sbk.iterates`, keyed by row keys and runs
     powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -351,10 +359,20 @@ def _x_images(m: int) -> dict[Gen, tuple[Letter, ...]]:
     return images
 
 
+def _checked_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """The letters, each checked to be in the m-strand, two-puncture alphabet."""
+    letters = tuple(letters)
+    for gen, _ in letters:
+        check_gamma_letter(gen, m, 2)
+    return letters
+
+
 def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Rewrite a word over the full two-puncture alphabet into the combing
-    alphabet (eliminated band generators A[j-1,j] are expanded)."""
-    return _flatten(_x_items(m, letters))
+    alphabet (eliminated band generators A[j-1,j] are expanded).  The comber
+    does not go through it: it combs an eliminated letter as it is
+    (:func:`_eliminated`)."""
+    return substitute(_checked_letters(m, letters), _x_images(m))
 
 
 def _section_parts(gen: Gen, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
@@ -419,104 +437,73 @@ class CombedForm:
         return "(" + ", ".join(repr(str(c)) for c in self.components) + ")"
 
 
-class _Run(NamedTuple):
-    """``letters`` repeated ``count`` >= :data:`_POWER_MIN` times, the x-image of an
-    input letter or its lower part; its ends differ and it touches no neighbour."""
-    letters: tuple[Letter, ...]
-    count: int
-
-
-def _flatten(items: Iterable) -> tuple[Letter, ...]:
-    return tuple(chain.from_iterable(
-        item.letters * item.count if type(item) is _Run else (item,) for item in items))
-
-
-def _push(items: list, gen: Gen, exp: int) -> None:
-    """:func:`~sbk.words.push_letter`, writing out first a run the letter touches."""
-    if items and type(items[-1]) is _Run and items[-1].letters[-1][0] == gen:
-        items.extend(_flatten((items.pop(),)))
-    push_letter(items, gen, exp)
-
-
-def _push_run(items: list, letters: tuple[Letter, ...], count: int) -> None:
-    """Push the reduced power letters^count, as a :class:`_Run` where it may be one."""
-    last = (items[-1].letters if type(items[-1]) is _Run else items)[-1] if items else None
-    if count >= _POWER_MIN and len(letters) > 1 and letters[0][0] != letters[-1][0] \
-            and not (last and last[0] == letters[0][0]):
-        items.append(_Run(letters, count))
-    else:
-        for gen, exp in (Word(letters) ** count).letters:
-            _push(items, gen, exp)
-
-
-def _x_items(m: int, letters: Iterable[Letter]) -> list:
-    """:func:`to_x_letters` with the x-image of an eliminated letter g^e as one run."""
-    images = _x_images(m)
-    letters = tuple(letters)
-    for gen, _ in letters:
-        check_gamma_letter(gen, m, 2)
-    if all(-_POWER_MIN < exp < _POWER_MIN or gen not in images for gen, exp in letters):
-        return list(substitute(letters, images))  # no run: the plain rewrite, faster
-    items: list = []
-    for gen, exp in letters:
-        if gen in images:
-            _push_run(items, images[gen] if exp > 0 else invert_letters(images[gen]), abs(exp))
+def _eliminated(table: ActionTable, key: tuple[Gen, int]):
+    """What the eliminated letter A[j-1,j]^sign does in the pass at the
+    table's level, compiled on first use and kept on ``table.powers`` under
+    ``key``: at its own level j = top it multiplies in its coded top word,
+    the solved surface relation; below it, it takes one step ``(row, tail)``,
+    F(a) = kernel(A[j-1,j]^sign . a) = row(a) * tail, walked (:func:`_walk`)
+    along its x-image through the table's own compiled rows."""
+    if key not in table.powers:
+        gen, sign = key
+        image = _x_images(table.m)[gen]
+        letters = image if sign > 0 else invert_letters(image)
+        if gen_level(gen) == table.top:
+            table.powers[key] = table.encode(letters)
         else:
-            _push(items, gen, exp)
-    return items
+            def walk(start):  # the pass leaves top-level letters unmerged
+                return _reduce([c] for c in _walk(table, letters, start, True))
+
+            tail = walk([])
+            row = _Row()
+            for i in table.index.values():
+                phi_i = _reduce((walk([i]), _inverse(tail)))
+                for code, word in ((i, phi_i), (_code(i, 2), _reduce((phi_i, phi_i)))):
+                    row[code], row[-code] = tuple(word), tuple(_inverse(word))
+            table.powers[key] = row, tuple(tail)
+    return table.powers[key]
 
 
-def _lower_items(items: Iterable, top: int) -> list:
-    """The items below strand level ``top``; a run passes down its word's lower part."""
-    if not any(type(item) is _Run for item in items):
-        return list(reduce_letters(l for l in items if gen_level(l[0]) < top))
-    lower: list = []
-    for item in items:
-        if type(item) is _Run:
-            part = reduce_letters(l for l in item.letters if gen_level(l[0]) < top)
-            if part:
-                _push_run(lower, part, item.count)
-        elif gen_level(item[0]) < top:
-            _push(lower, *item)
-    return lower
-
-
-def _walk(table: ActionTable, items: Sequence, codes: list[int], tails: bool) -> list[int]:
-    """The coded kernel component of ``items . codes``: the pass of :func:`_split_top`."""
+def _walk(table: ActionTable, letters: Sequence[Letter], codes: list[int],
+          tails: bool) -> list[int]:
+    """The coded kernel component of ``letters . codes``: the pass of
+    :func:`_split_top`.  A lower-level letter g^e takes one step per unit of
+    exponent below :data:`_POWER_MIN` and a larger power the closed form of
+    :func:`~sbk.iterates._power`, both the same for an eliminated letter
+    below its level; at its level it multiplies in (:func:`_eliminated`)."""
     top = table.top
     index = table.index
     steps = table.steps
     forms = table.powers if tails else {}
-    for item in reversed(items):
-        if type(item) is _Run:
-            from .iterates import _run  # compiled on first use: few combs need it
-            codes = _run(table, item, codes, tails)
-            continue
-        gen, exp = item
+    for gen, exp in reversed(letters):
+        key = (gen, 1 if exp > 0 else -1)
         if gen_level(gen) == top:
             # r(g) is trivial, so the letter just multiplies in on the left
-            codes.insert(0, _code(index[gen], exp))
+            if gen in index:
+                codes.insert(0, _code(index[gen], exp))
+            else:  # its top word's ends differ, so its copies need no reducing
+                codes[:0] = _eliminated(table, key) * abs(exp)
             continue
-        key = (gen, 1 if exp > 0 else -1)
-        row, tail = steps[key]
+        try:
+            row, tail = steps[key]
+        except KeyError:
+            row, tail = _eliminated(table, key)
         if not tails:
             tail = ()
         if -_POWER_MIN < exp < _POWER_MIN:
             for _ in range(abs(exp)):
                 codes = _act(codes, row, tail)
         else:
-            from .iterates import _power
+            from .iterates import _power  # compiled on first use: few combs need it
             codes = _power(row, tail, codes, abs(exp), forms, key)
     return codes
 
 
-def _split_top(table: ActionTable, letters: Sequence,
+def _split_top(table: ActionTable, letters: Sequence[Letter],
                tails: bool = True) -> tuple[Letter, ...]:
     """Kernel component of the word at the table's top level, by one
     right-to-left pass (:func:`_walk`) on coded letters, decoded once at the
-    end: kernel(g . q) = conj_g(kernel(q)) . kernel_g.  A letter g^e takes
-    one step :func:`_act` per unit of exponent below :data:`_POWER_MIN`, a
-    larger power or a :class:`_Run` the closed form of :func:`~sbk.iterates._power`.
+    end: kernel(g . q) = conj_g(kernel(q)) . kernel_g.
 
     With ``tails=False`` the kernel parts kernel_g are left out, so the
     word u . v, with u below the top level and v at it, gives the action
@@ -527,14 +514,13 @@ def _split_top(table: ActionTable, letters: Sequence,
 def _comb_letters(m: int, letters: Sequence[Letter],
                   table_factory: Callable[[int], ActionTable]) -> CombedForm:
     """Comb a letter sequence with the action tables ``table_factory(k)``
-    for k = m, ..., 2 (one per kernel level above the base); runs pass down
-    every level (:func:`_x_items`) and the base level writes them out."""
-    current = _x_items(m, letters)
+    for k = m, ..., 1, one per kernel level: each level splits the letters
+    at and below it."""
+    current = _checked_letters(m, letters)
     components: list[Word] = []
-    for top in range(m + 2, 3, -1):
+    for top in range(m + 2, 2, -1):
+        current = reduce_letters(l for l in current if gen_level(l[0]) <= top)
         components.append(Word(_split_top(table_factory(top - 2), current)))
-        current = _lower_items(current, top)
-    components.append(Word(_flatten(current)))
     return CombedForm(m, tuple(components))
 
 

@@ -1,5 +1,6 @@
-"""Closed forms for the powers of a comb step F(a) = phi(a) * t: phi acts like
-a Dehn twist, so the iterates are block periodic, W_0 D_1^i W_1 ... D_k^i W_k
+"""Closed forms for the powers of a comb step F(a) = phi(a) * t, of a
+lower-level letter or of an eliminated letter below its level: phi acts like a
+Dehn twist, so the iterates are block periodic, W_0 D_1^i W_1 ... D_k^i W_k
 (Cohen and Lustig, Comment. Math. Helv. 74, 1999), read off a few plain steps,
 proved by a finite check and written out in linear time.  :mod:`sbk.combing`
 imports this on first use, so combing no large power never compiles it."""
@@ -10,8 +11,7 @@ from difflib import SequenceMatcher
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .combing import (_MASK, _POWER_MIN, _SHIFT, ActionTable, _Row, _Run, _act, _code,
-                      _inverse, _reduce, _split_code, _walk, gen_level)
+from .combing import _MASK, _POWER_MIN, _SHIFT, _Row, _act, _code, _inverse, _reduce, _split_code
 
 
 def _halves(block: list[int]) -> list[list[int]] | None:
@@ -128,25 +128,3 @@ def _power(row: Mapping[int, Sequence[int]], tail: Sequence[int],
         codes = _act(codes, row, tail)
     return codes
 
-
-def _run(table: ActionTable, run: _Run, codes: list[int], tails: bool) -> list[int]:
-    """``codes`` after the run, by the closed form of its step a -> split(letters
-    . a) = psi(a) * tau; by the walk where a row it reads is no homomorphism."""
-    forms = table.powers if tails else {}
-    if run.letters not in forms:
-        forms[run.letters] = None
-        if all(_is_hom(table.steps[(gen, 1 if exp > 0 else -1)][0])
-               for gen, exp in run.letters if gen_level(gen) < table.top):
-            def walk(start):  # the pass leaves top-level letters unmerged
-                return _reduce([c] for c in _walk(table, run.letters, start, tails))
-            tau = walk([])
-            row = _Row()
-            for i in table.index.values():
-                row[i] = _reduce((walk([i]), _inverse(tau)))
-                row[-i] = _inverse(row[i])
-            forms[run.letters] = row, tau
-    if forms[run.letters] is None:
-        for _ in range(run.count):
-            codes = _walk(table, run.letters, codes, tails)
-        return codes
-    return _power(*forms[run.letters], codes, run.count, forms, run.letters)

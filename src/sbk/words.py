@@ -18,9 +18,10 @@ alphabet checks its own letters.
 
 :func:`push_letter` is the one free-reduction step and :func:`substitute`
 the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
-comber's hot loop (:func:`sbk.combing._split_top`, its closed-form powers
-and the tower actions of :mod:`sbk.abelian`) reduces on its own, over
-letters coded as signed ints, and decodes back through :func:`push_letter`.
+comber's hot loop (:func:`sbk.combing._split_top`, the steps of the
+eliminated letters it compiles, its closed-form powers and the tower
+actions of :mod:`sbk.abelian`) reduces on its own, over letters coded as
+signed ints, and decodes back through :func:`push_letter`.
 Inverse and product of words are ``~w`` and ``u * v``.
 
 The text grammar (exact) is::

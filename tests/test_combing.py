@@ -74,13 +74,15 @@ def test_action_table_disjoint_band_row():
     assert table.row(gen_a(2, 4), 1, gen_a(1, 5)) == ((gen_a(1, 5), 1),)
 
 
-def _kernel_part(table, x, sign):
+def _kernel_part(table, x, sign, row_map=None):
     """The kernel part x^sign * s(x^sign)^-1 in letters, from the section
     s(x) = left * x * right: phi_x(right^-1) * left^-1 for x and
-    phi_{x^-1}(left) * right for x^-1; the oracle for the compiled tails."""
+    phi_{x^-1}(left) * right for x^-1, phi_{x^sign} the row map (by default
+    the table's); the oracle for the compiled tails."""
     left, right = (combing._expand_top_band(part, table.top)
                    for part in combing._section_parts(x, table.top))
-    row_map = table.maps[(x, sign)]
+    if row_map is None:
+        row_map = table.maps[(x, sign)]
     if sign > 0:
         return concat_letters(substitute(invert_letters(right), row_map), invert_letters(left))
     return concat_letters(substitute(left, row_map), right)
@@ -209,23 +211,51 @@ def test_power_split_matches_plain_loop():
                 assert got == expected, (m, x, sign, y, other, tails, length)
 
 
-def _runs(m):
-    """Every eliminated-letter run the comber at m can pass to the table
-    of level ``top``: the x-image of A[j-1,j]^+-1 below ``top``, reduced."""
-    for image in combing._x_images(m).values():
-        for word in (image, invert_letters(image)):
-            for top in range(m + 2, 3, -1):
-                part = reduce_letters(l for l in word if combing.gen_level(l[0]) <= top)
-                if len(part) > 1:
-                    yield top, part
+def _eliminated_keys(table):
+    """``(A[j-1,j], sign)`` for every eliminated letter below the table's level."""
+    return [(gen_a(j - 1, j), sign) for j in range(3, table.top) for sign in (1, -1)]
+
+
+def test_eliminated_steps_match_the_defining_relations():
+    # below its level, the step of A[j-1,j]^sign walked along its x-image
+    # is the conjugation row of the defining relation, stated for A[j-1,j]
+    # itself, and the kernel part of the section formula
+    rows = tails = 0
+    for m in range(2, 7):
+        table = build_action_table(m)
+        for x, sign in _eliminated_keys(table):
+            row, tail = combing._eliminated(table, (x, sign))
+            row_map = {b: combing.conjugation_row(x, sign, b, table.top) for b in table.basis}
+            for i, b in enumerate(table.basis, 1):
+                assert row[i] == table.encode(row_map[b]), (m, x, sign, b)
+                assert row[-i] == table.encode(invert_letters(row_map[b])), (m, x, sign, b)
+                rows += 1
+            assert tail == table.encode(_kernel_part(table, x, sign, row_map)), (m, x, sign)
+            tails += 1
+    assert (rows, tails) == (170, 30)
+
+
+def test_eliminated_steps_walk_the_compiled_rows():
+    # an eliminated letter's step is walked through the rows the comber runs
+    # on, so a corrupted row changes it; a step read off the defining
+    # relations would not see the corruption, and relators with eliminated
+    # letters would still comb to the identity against a corrupted table
+    table = build_action_table(2)
+    fresh = ActionTable(table.m, table.maps)
+    for sign in (1, -1):
+        row, _ = fresh.steps[(gen_rho(3), sign)]
+        row[1] = row[2]
+    for key in _eliminated_keys(table):
+        assert combing._eliminated(fresh, key) != combing._eliminated(table, key), key
 
 
 def test_closed_form_matches_plain_steps():
     # F^n(start) by _power against n plain steps, n = 0..60, for every row
-    # and sign at m = 1..5 and the composite step of every eliminated-letter
-    # run: from the empty word with the kernel parts (without, F^n(1) = 1),
-    # and from a random accumulator with and without them (at m = 5 for
-    # every fifth row only); the forms are kept across n in one dict
+    # and sign at m = 1..5 and the step of every eliminated letter below its
+    # level at m = 2..5, both signs: from the empty word with the kernel
+    # parts (without, F^n(1) = 1), and from a random accumulator with and
+    # without them (at m = 5 for every fifth row only); the forms are kept
+    # across n in one dict
     rng = random.Random(RNG_SEED)
     cases = []
     for m in range(1, 6):
@@ -234,20 +264,21 @@ def test_closed_form_matches_plain_steps():
             starts = (0, rng.randint(1, 2)) if m < 5 or k % 5 == 0 else (0,)
             cases.append((table, key, row, tail, starts))
             cases.append((table, key, row, (), starts[1:]))
-    for m in (2, 3):
-        for top, part in _runs(m):
-            # the comber builds composite steps with the kernel parts only
-            table = build_action_table(top - 2)
-            iterates._run(table, combing._Run(part, combing._POWER_MIN), [], True)
-            row, tail = table.powers[part]
+    for m in range(2, 6):
+        table = build_action_table(m)
+        for key in _eliminated_keys(table):
+            # the step of an eliminated letter, compiled with the kernel parts
+            row, tail = combing._eliminated(table, key)
+            image = combing._x_images(m)[key[0]]
+            x_word = image if key[1] > 0 else invert_letters(image)
             # its row is reduced, as _reduce needs of every piece
             assert all(all((abs(a) ^ abs(b)) & combing._MASK for a, b in zip(w, w[1:]))
-                       for w in list(row.values()) + [tail]), part
+                       for w in list(row.values()) + [tail]), (m, key)
             for i in range(-len(table.basis), len(table.basis) + 1):
-                walked = combing._walk(table, part, [i] if i else [], True)
+                walked = combing._walk(table, x_word, [i] if i else [], True)
                 stepped = _plain_step([i] if i else [], row, tail)
-                assert table.decode_letters(walked) == table.decode_letters(stepped), (part, i)
-            cases.append((table, part, row, tail, (0, rng.randint(1, 2))))
+                assert table.decode_letters(walked) == table.decode_letters(stepped), (key, i)
+            cases.append((table, key, row, tail, (0, rng.randint(1, 2))))
     for table, key, row, tail, starts in cases:
         forms = {}
         for length in starts:
@@ -412,30 +443,23 @@ def _psi_maps(m):
 
 
 def _split_top_accumulate(m, letters):
-    """Left-to-right accumulation: maintain (kappa, H) with prefix =
-    kappa * s(H); per letter g, kappa *= psi(H)(kappa_g) and H *= r(g)."""
+    """Left-to-right accumulation: maintain kappa and the conjugation by
+    s(H), on the basis, with prefix = kappa * s(H); per letter g, kappa *=
+    s(H) kappa_g s(H)^-1 and the conjugation is composed with psi(g)."""
     top = m + 2
     psi = _psi_maps(m)
     kappa_table = _kernel_parts(m)
     kappa = ()
-    quotient = []
-
-    def conjugate_by_quotient(pieces):
-        for g2, e2 in reversed(quotient):
-            row_map = psi[(g2, 1 if e2 > 0 else -1)]
-            for _ in range(abs(e2)):
-                pieces = substitute(pieces, row_map)
-        return pieces
-
+    by_quotient = {}  # conjugation by s(H); a letter without an entry is fixed
     for gen, exp in letters:
         if combing.gen_level(gen) == top:
-            kappa = concat_letters(kappa, conjugate_by_quotient(((gen, exp),)))
+            kappa = concat_letters(kappa, substitute(((gen, exp),), by_quotient))
         else:
             sign = 1 if exp > 0 else -1
             for _ in range(abs(exp)):
-                pieces = conjugate_by_quotient(kappa_table[(gen, sign)])
-                kappa = concat_letters(kappa, pieces)
-                push_letter(quotient, gen, sign)
+                kappa = concat_letters(kappa, substitute(kappa_table[(gen, sign)], by_quotient))
+                by_quotient = {b: substitute(image, by_quotient)
+                               for b, image in psi[(gen, sign)].items()}
     return kappa
 
 
@@ -485,13 +509,15 @@ def test_comb_top_level_powers_stay_compact():
 
 def test_power_split_matches_reference_comb():
     # powers long enough for the closed forms, of single letters and of the
-    # eliminated A[2,3], from the empty word and from words around them
+    # eliminated letters below, at and on the base level, from the empty
+    # word and from words around them
     for m, text in ((2, "A[2,3]^12"), (2, "A[2,3]^-7"), (2, "rho[3]^-40"),
                     (2, "rho[3]^33"), (3, "A[1,4]^33"), (3, "A[1,4]^-40"),
                     (2, "rho[4]^3 A[1,3]^41 A[2,4] rho[4]^-1"),
                     (2, "A[1,4] rho[3]^-61 A[2,4]^2"), (2, "A[1,4]^2 rho[3]^58 rho[4]^-1"),
                     (2, "A[1,3] A[2,3]^9 rho[4]^-1"),
-                    (3, "A[2,5] rho[4]^-60 A[1,5]^-1"), (3, "A[3,5] A[2,4]^60 A[1,5]")):
+                    (3, "A[2,5] rho[4]^-60 A[1,5]^-1"), (3, "A[3,5] A[2,4]^60 A[1,5]"),
+                    (2, "A[3,4]^12"), (1, "A[2,3]^40"), (3, "A[2,3]^-9 A[3,4]^9 A[1,5]")):
         w = parse_word(text)
         assert comb(m, w) == reference_comb(m, w), text
 
@@ -541,10 +567,11 @@ def test_power_traced_peak_stays_small():
 
 
 def test_power_cache_stays_bounded():
-    # the closed forms are kept on the table under a row key or a run's
-    # word, a start letter and a parity only, so however many and however
-    # large the powers, the cache stays under a bound set by the table; the
-    # rows keep only their compiled entries and no dict of the module grows
+    # the closed forms are kept on the table under a step key, a start letter
+    # and a parity only, and the eliminated letters' steps and top words under
+    # their (gen, sign), so however many and however large the powers, the
+    # cache stays under a bound set by the table; the rows keep only their
+    # compiled entries and no dict of the module grows
     def module_dicts():
         return {name: len(v) for name, v in vars(combing).items() if isinstance(v, dict)}
 
@@ -552,20 +579,26 @@ def test_power_cache_stays_bounded():
     rng = random.Random(RNG_SEED)
     for m in (2, 3):
         for _ in range(40):
-            w = random_x_word(rng, m, 3) * Word.of(gen_a(m + 1, m + 2), rng.choice((9, -8)))
+            j = rng.randint(3, m + 2)
+            w = random_x_word(rng, m, 3) * Word.of(gen_a(j - 1, j), rng.choice((9, -8, 1)))
             comb(m, w * Word.of(rng.choice(combing.x_alphabet(m - 1)), rng.randint(8, 900))
                  * random_x_word(rng, m, 3))
     assert module_dicts() == before
     for k in range(1, 4):
         table = build_action_table(k)
-        runs = {part for m in (2, 3) for top, part in _runs(m) if top == k + 2}
-        keys = set(table.steps) | runs
-        assert all(key in runs or key[0] in keys and key[1] in range(len(table.basis) + 1)
-                   and key[2] in (0, 1) for key in table.powers), k
-        assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(runs), k
+        eliminated = set(_eliminated_keys(table))
+        top_words = {(gen_a(k + 1, k + 2), sign) for sign in (1, -1)}
+        keys = set(table.steps) | eliminated
+        assert all(key in eliminated | top_words or key[0] in keys
+                   and key[1] in range(len(table.basis) + 1) and key[2] in (0, 1)
+                   for key in table.powers), k
+        assert eliminated | top_words <= set(table.powers), k
+        assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(eliminated) + 2, k
         assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps", "powers"}, k
+        rows = [row for row, _ in table.steps.values()] + \
+            [table.powers[key][0] for key in eliminated]
         compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
-        assert all(set(row) == compiled for row, _ in table.steps.values()), k
+        assert all(set(row) == compiled for row in rows), k
 
 
 def test_small_powers_take_the_plain_loop(monkeypatch):

@@ -112,18 +112,32 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def _nf_under_memory_cap(word):
+    """``sbk nf --m 2`` on the word in a child whose address space alone is capped."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sbk.cli", "nf", "--m", "2", "--word", word],
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=10,
+    )
+
+
 def test_oversized_power_exits_2_under_a_memory_cap():
     # A[1,3]^1000000000 has a closed form of 8e9 letters: under a capped
     # address space writing it out fails at once, and the child exits 2 with
     # one JSON document instead of stepping the power for hours
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "sbk.cli", "nf", "--m", "2", "--word", "A[1,3]^1000000000"],
-        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=10,
-    )
+    proc = _nf_under_memory_cap("A[1,3]^1000000000")
     assert proc.returncode == 2
+    assert json.loads(proc.stdout) == {"error": "out of memory"}
+
+
+def test_oversized_eliminated_power_exits_2_under_a_memory_cap():
+    # at its own level A[3,4] multiplies in 10^9 copies of its top word, the
+    # solved surface relation; they fail to fit at once in the same way
+    proc = _nf_under_memory_cap("A[3,4]^1000000000")
+    assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": "out of memory"}
 
 
