@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import abelian, combing, homs, presentations, verify
@@ -37,7 +38,7 @@ def _parse_group_spec(spec: str):
     if tail:
         for item in tail.split(","):
             key, eq, value = item.partition("=")
-            if not eq or not value.lstrip("-").isdigit():
+            if not eq or not re.fullmatch(r"-?[0-9]+", value):
                 raise ValueError(f"bad group parameter {item!r} in {spec!r}")
             items.append((key.strip(), int(value)))
     if family not in _FAMILY_PARAMS:

@@ -19,28 +19,29 @@ basis is the defining conjugation relations read as automorphisms: one
 image``, whose rows are :func:`sbk.presentations.conjugate` with the
 eliminated letter expanded.  ``maps`` is the one constructed shape; the
 table compiles one view from it on first use, ``steps``: the rows and the
-kernel part of every lower-level letter over the basis interned as
-``1 .. r``, with every letter b_i^e coded as one signed int
-(:func:`_code`).  The kernel parts come from the section
-(:func:`_section_parts`) through the comber's own step :func:`_act`, and
-:meth:`ActionTable.round_trip_failures` certifies the compiled rows.  The
-table is the only store of per-level combing data, and
-:func:`build_action_table` caches one table per m.  The eliminated letters
-are expanded by solving the surface relation
-(:func:`sbk.presentations.surface_relation`) for them.  The cold
-letterwise rewrites here (rows, eliminated letters, the section) are
+kernel part of every lower-level letter over the basis interned as ``1 ..
+r``, with every letter b_i^e coded as one signed int (:func:`_code`) and
+every row built by :meth:`_Row.of` from the images of the b_i.  The kernel
+parts come from the section (:func:`_section_parts`) through the comber's
+own step :func:`_act`, and :meth:`ActionTable.round_trip_failures`
+certifies the compiled rows.  The table is the only store of per-level
+combing data, and :func:`build_action_table` caches one table per m.  The
+eliminated letters are expanded by solving the surface relation
+(:func:`sbk.presentations.surface_relation`) for them.  The cold letterwise
+rewrites here (rows, eliminated letters, the section) are
 :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time, down to the base level, with
 a single right-to-left pass per level, :func:`_split_top`.  The pass is the
-hot loop: it runs on lists of coded letters, one step F(a) = phi_g(a) *
-t_g, :func:`_act`, per unit of exponent of each lower-level letter g, and
-decodes to letters once per level.  It is the only loop over :func:`_act`
-(compiling ``steps`` and the round trip apply it once per row,
-:mod:`sbk.iterates` a few times per closed form): without the kernel parts
-it also gives the action of a lower-level word on a kernel word, which is
-how :func:`sbk.abelian.keromega_action` builds the tower of the
-torsion-free complement.  An eliminated letter A[j-1,j] is a combing letter
+hot loop: it runs on coded words, one step F(a) = phi_g(a) * t_g,
+:func:`_act`, per unit of exponent of each lower-level letter g.  Every
+coded word it holds is reduced, so it decodes to letters one per coded
+letter, once per level.  It is the only loop over :func:`_act` (compiling
+``steps`` and the round trip apply it once per row, :mod:`sbk.iterates` a
+few times per closed form): without the kernel parts it also gives the
+action of a lower-level word on a kernel word, which is how
+:func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
+complement.  An eliminated letter A[j-1,j] is a combing letter
 like any other (:func:`_eliminated`): below its level it takes one step,
 walked once per table along its x-image through the table's compiled rows;
 at its level it multiplies in its top word, the solved surface relation;
@@ -201,6 +202,16 @@ class _Row(dict):
     """The images of the letters b_i^e for e = +-1, +-2, keyed by code; the
     image of a longer power is computed on lookup and not stored."""
 
+    @classmethod
+    def of(cls, images: Mapping[int, Sequence[int]]) -> _Row:
+        """The row of b_i -> images[i], reduced coded words; squares are kept,
+        as rows and kernel parts contain rho[j]^2."""
+        row = cls()
+        for i, image in images.items():
+            for code, word in ((i, image), (_code(i, 2), _reduce((image, image)))):
+                row[code], row[-code] = tuple(word), tuple(_inverse(word))
+        return row
+
     def __missing__(self, code: int) -> list[int]:
         i, exp = _split_code(code)
         base = self[i if exp > 0 else -i]
@@ -286,13 +297,9 @@ class ActionTable:
         return tuple(_code(index[gen], exp) for gen, exp in letters)
 
     def decode_letters(self, codes: Iterable[int]) -> tuple[Letter, ...]:
-        """The letters of a coded word, run-length merged."""
-        out: list[Letter] = []
+        """The letters of a reduced coded word, one per coded letter."""
         basis = self.basis
-        for code in codes:
-            i, exp = _split_code(code)
-            push_letter(out, basis[i - 1], exp)
-        return tuple(out)
+        return tuple([(basis[i - 1], exp) for i, exp in map(_split_code, codes)])
 
     @cached_property
     def steps(self) -> dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]]:
@@ -304,10 +311,7 @@ class ActionTable:
         index = self.index
         steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
         for (x, sign), row_map in self.maps.items():
-            # squares are stored too: the rows and kernel parts contain
-            # rho[j]^2, so nearly every longer power looked up is a square
-            row = _Row((_code(i, exp), self.encode(substitute(((b, exp),), row_map)))
-                       for b, i in index.items() for exp in (1, -1, 2, -2))
+            row = _Row.of({i: self.encode(row_map[b]) for b, i in index.items()})
             left, right = (_expand_top_band(part, self.top)
                            for part in _section_parts(x, self.top))
             if sign > 0:
@@ -440,10 +444,11 @@ class CombedForm:
 def _eliminated(table: ActionTable, key: tuple[Gen, int]):
     """What the eliminated letter A[j-1,j]^sign does in the pass at the
     table's level, compiled on first use and kept on ``table.powers`` under
-    ``key``: at its own level j = top it multiplies in its coded top word,
-    the solved surface relation; below it, it takes one step ``(row, tail)``,
-    F(a) = kernel(A[j-1,j]^sign . a) = row(a) * tail, walked (:func:`_walk`)
-    along its x-image through the table's own compiled rows."""
+    ``key``: at its own level j = top it multiplies in its coded top word, the
+    solved surface relation, whose ends lie on different generators; below
+    it, it takes one step ``(row, tail)``, F(a) = kernel(A[j-1,j]^sign . a) =
+    row(a) * tail, walked (:func:`_walk`) along its x-image through the
+    table's own compiled rows."""
     if key not in table.powers:
         gen, sign = key
         image = _x_images(table.m)[gen]
@@ -451,43 +456,38 @@ def _eliminated(table: ActionTable, key: tuple[Gen, int]):
         if gen_level(gen) == table.top:
             table.powers[key] = table.encode(letters)
         else:
-            def walk(start):  # the pass leaves top-level letters unmerged
-                return _reduce([c] for c in _walk(table, letters, start, True))
-
-            tail = walk([])
-            row = _Row()
-            for i in table.index.values():
-                phi_i = _reduce((walk([i]), _inverse(tail)))
-                for code, word in ((i, phi_i), (_code(i, 2), _reduce((phi_i, phi_i)))):
-                    row[code], row[-code] = tuple(word), tuple(_inverse(word))
-            table.powers[key] = row, tuple(tail)
+            tail = _walk(table, letters, [], True)
+            untail = _inverse(tail)
+            table.powers[key] = _Row.of({i: _reduce((_walk(table, letters, [i], True), untail))
+                                         for i in table.index.values()}), tuple(tail)
     return table.powers[key]
 
 
 def _walk(table: ActionTable, letters: Sequence[Letter], codes: list[int],
           tails: bool) -> list[int]:
-    """The coded kernel component of ``letters . codes``: the pass of
-    :func:`_split_top`.  A lower-level letter g^e takes one step per unit of
-    exponent below :data:`_POWER_MIN` and a larger power the closed form of
-    :func:`~sbk.iterates._power`, both the same for an eliminated letter
-    below its level; at its level it multiplies in (:func:`_eliminated`)."""
+    """The reduced coded kernel component of ``letters . codes``, ``codes``
+    reduced and not modified: the pass of :func:`_split_top`.  A lower-level
+    letter g^e takes one step per unit of exponent below :data:`_POWER_MIN`,
+    a larger power the closed form of :func:`~sbk.iterates._power`.  A
+    top-level letter is a reduced piece, its code or |e| copies of an
+    eliminated letter's top word (:func:`_eliminated`); the pieces met since
+    the last step multiply in as one product, before the next step and last."""
     top = table.top
     index = table.index
     steps = table.steps
     forms = table.powers if tails else {}
+    heads: list[Sequence[int]] = []  # top-level pieces, right to left
     for gen, exp in reversed(letters):
         key = (gen, 1 if exp > 0 else -1)
         if gen_level(gen) == top:
             # r(g) is trivial, so the letter just multiplies in on the left
-            if gen in index:
-                codes.insert(0, _code(index[gen], exp))
-            else:  # its top word's ends differ, so its copies need no reducing
-                codes[:0] = _eliminated(table, key) * abs(exp)
+            heads.append((_code(index[gen], exp),) if gen in index
+                         else _eliminated(table, key) * abs(exp))
             continue
-        try:
-            row, tail = steps[key]
-        except KeyError:
-            row, tail = _eliminated(table, key)
+        if heads:
+            codes = _reduce(chain(reversed(heads), (codes,)))
+            heads = []
+        row, tail = steps.get(key) or _eliminated(table, key)
         if not tails:
             tail = ()
         if -_POWER_MIN < exp < _POWER_MIN:
@@ -496,7 +496,7 @@ def _walk(table: ActionTable, letters: Sequence[Letter], codes: list[int],
         else:
             from .iterates import _power  # compiled on first use: few combs need it
             codes = _power(row, tail, codes, abs(exp), forms, key)
-    return codes
+    return _reduce(chain(reversed(heads), (codes,))) if heads else codes
 
 
 def _split_top(table: ActionTable, letters: Sequence[Letter],

@@ -118,11 +118,10 @@ def _power(row: Mapping[int, Sequence[int]], tail: Sequence[int],
     F^n(1), forms kept under ``(key, i, parity)``, i = 0 for F^n(1); else plain."""
     if n >= _POWER_MIN and _is_hom(row):
         power = _iterate(row, tail, (), n, forms, (key, 0))
-        image = _Row((i, _iterate(row, (), (i,), n, forms, (key, i)))
-                     for i in {abs(code) & _MASK for code in start})
-        if power is not None and None not in image.values():
-            image.update([(-i, _inverse(word)) for i, word in image.items()])
-            return _act(start, image, power)
+        images = {i: _iterate(row, (), (i,), n, forms, (key, i))
+                  for i in {abs(code) & _MASK for code in start}}
+        if power is not None and None not in images.values():
+            return _act(start, _Row.of(images), power)
     codes = list(start)
     for _ in range(n):
         codes = _act(codes, row, tail)

@@ -21,7 +21,7 @@ the one letterwise map ``gen -> images[gen]`` of letter tuples; only the
 comber's hot loop (:func:`sbk.combing._split_top`, the steps of the
 eliminated letters it compiles, its closed-form powers and the tower
 actions of :mod:`sbk.abelian`) reduces on its own, over letters coded as
-signed ints, and decodes back through :func:`push_letter`.
+signed ints, and decodes its reduced words one letter per coded letter.
 Inverse and product of words are ``~w`` and ``u * v``.
 
 The text grammar (exact) is::
@@ -30,8 +30,8 @@ The text grammar (exact) is::
     term := gen ("^" int)?
     gen  := "A[" int "," int "]" | "rho[" int "]" | "tau[" int "]" | "s[" int "]"
 
-where the exponent must be a nonzero decimal integer.  Printing uses
-single spaces and omits ``^1``.
+where ``int`` is a run of the ASCII digits 0-9; an exponent may take a
+leading ``-`` and must be nonzero.  Printing uses single spaces and omits ``^1``.
 """
 
 from __future__ import annotations
@@ -174,11 +174,11 @@ def substitute(letters: Iterable[Letter],
 
 
 _TERM_RE = re.compile(
-    r"""(?:A\[(?P<ai>\d+),(?P<aj>\d+)\]
-        |rho\[(?P<rk>\d+)\]
-        |tau\[(?P<tk>\d+)\]
-        |s\[(?P<si>\d+)\])
-        (?:\^(?P<exp>-?\d+))?""",
+    r"""(?:A\[(?P<ai>[0-9]+),(?P<aj>[0-9]+)\]
+        |rho\[(?P<rk>[0-9]+)\]
+        |tau\[(?P<tk>[0-9]+)\]
+        |s\[(?P<si>[0-9]+)\])
+        (?:\^(?P<exp>-?[0-9]+))?""",
     re.VERBOSE,
 )
 

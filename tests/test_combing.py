@@ -101,10 +101,15 @@ def test_action_table_round_trip():
             assert table.index[b] == i, (m, b)
         for (x, sign), (row, tail) in table.steps.items():
             for i, b in enumerate(table.basis, 1):
-                image = table.maps[(x, sign)][b]
-                assert table.decode_letters(row[i]) == image, (m, x, sign, b)
-                assert table.decode_letters(row[-i]) == invert_letters(image), (m, x, sign, b)
+                for exp in (1, -1, 2, -2):
+                    image = substitute(((b, exp),), table.maps[(x, sign)])
+                    assert table.decode_letters(row[combing._code(i, exp)]) == image, \
+                        (m, x, sign, b, exp)
+            assert iterates._is_hom(row), (m, x, sign)
             assert table.decode_letters(tail) == _kernel_part(table, x, sign), (m, x, sign)
+        # the rows _Row.of fills in for the eliminated letters are homomorphisms too
+        for key in _eliminated_keys(table):
+            assert iterates._is_hom(combing._eliminated(table, key)[0]), (m, key)
 
 
 def test_round_trip_certifies_compiled_rows():
@@ -216,6 +221,43 @@ def _eliminated_keys(table):
     return [(gen_a(j - 1, j), sign) for j in range(3, table.top) for sign in (1, -1)]
 
 
+def _is_reduced(codes):
+    """No zero code and no two neighbours on one generator."""
+    return 0 not in codes and all((abs(a) ^ abs(b)) & combing._MASK
+                                  for a, b in zip(codes, codes[1:]))
+
+
+def test_top_words_have_distinct_ends():
+    # |e| copies of an eliminated letter's top word multiply in as one
+    # reduced piece: the word is reduced and its ends lie on different generators
+    for m in range(1, 9):
+        table = build_action_table(m)
+        for sign in (1, -1):
+            word = combing._eliminated(table, (gen_a(table.top - 1, table.top), sign))
+            assert _is_reduced(word) and _is_reduced(word * 2), (m, sign)
+
+
+def test_walk_keeps_the_coded_word_reduced():
+    # seeded random words at m = 1..4 mixing lower letters (eliminated ones
+    # included, some with closed-form powers) with basis letters and the
+    # eliminated letter of the top level, from random reduced starts: the
+    # pass returns a reduced coded word and leaves the start as it was
+    rng = random.Random(RNG_SEED)
+    for m in range(1, 5):
+        table = build_action_table(m)
+        lower = [x for x, sign in table.maps if sign > 0] + [x for x, _ in _eliminated_keys(table)]
+        top = list(table.basis) + [gen_a(table.top - 1, table.top)]
+        for _ in range(150):
+            letters = tuple((rng.choice(lower if lower and rng.random() < 0.4 else top),
+                             rng.choice((-9, -2, -1, -1, 1, 1, 2, 3)))
+                            for _ in range(rng.randint(1, 8)))
+            start = _random_accumulator(rng, table, rng.randint(0, 6))
+            kept = list(start)
+            codes = combing._walk(table, letters, start, True)
+            assert _is_reduced(codes), (m, letters, kept)
+            assert start == kept, (m, letters)
+
+
 def test_eliminated_steps_match_the_defining_relations():
     # below its level, the step of A[j-1,j]^sign walked along its x-image
     # is the conjugation row of the defining relation, stated for A[j-1,j]
@@ -272,8 +314,7 @@ def test_closed_form_matches_plain_steps():
             image = combing._x_images(m)[key[0]]
             x_word = image if key[1] > 0 else invert_letters(image)
             # its row is reduced, as _reduce needs of every piece
-            assert all(all((abs(a) ^ abs(b)) & combing._MASK for a, b in zip(w, w[1:]))
-                       for w in list(row.values()) + [tail]), (m, key)
+            assert all(map(_is_reduced, list(row.values()) + [tail])), (m, key)
             for i in range(-len(table.basis), len(table.basis) + 1):
                 walked = combing._walk(table, x_word, [i] if i else [], True)
                 stepped = _plain_step([i] if i else [], row, tail)

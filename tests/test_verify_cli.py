@@ -295,6 +295,15 @@ def test_group_spec_rejects_unknown_and_repeated_parameters():
     assert json.loads(out) == {"error": "unknown group family 'xx'"}
 
 
+@pytest.mark.parametrize("value", ["--3", "\u00b2"])
+def test_group_spec_accepts_ascii_integers_only(value):
+    # both pass str.isdigit() once a leading "-" is stripped, but int() rejects them
+    spec = f"pn-rp2:n={value}"
+    rc, out, _ = run_cli("abelianize", "--group", spec)
+    assert rc == 2
+    assert json.loads(out) == {"error": f"bad group parameter {'n=' + value!r} in {spec!r}"}
+
+
 def test_core_imports_only_stdlib():
     # importing the library, the CLI and the verify suites pulls in no
     # third-party module

@@ -56,6 +56,14 @@ def test_parse_zero_exponent_rejected():
         parse_word("rho[1]^0")
 
 
+@pytest.mark.parametrize("text", ["A[\uff11,3]", "A[\u0661,\u0663]"])
+def test_parse_accepts_ascii_digits_only(text):
+    # fullwidth and Arabic-Indic digits are decimal to int(), not to the grammar
+    with pytest.raises(WordSyntaxError) as info:
+        parse_word(text)
+    assert info.value.offset == 0
+
+
 def test_invert_examples():
     assert str(~parse_word("A[1,2] rho[3]")) == "rho[3]^-1 A[1,2]^-1"
     assert (~Word()).is_identity
