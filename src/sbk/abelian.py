@@ -4,11 +4,13 @@ Everything runs over Python's arbitrary-precision integers; there is no
 floating point anywhere.  The one convention, fixed here once: relation
 matrices have generators indexing rows and relators indexing columns,
 and :func:`snf` reports the invariants of the cokernel Z^rows / colspace.
-The column space does not change when a column is negated, when a copy
-of another column is dropped or when a zero column is dropped, so
-:func:`smith_diagonal` eliminates on the distinct nonzero columns up to
-sign only: the exponent matrix of pn-rp2 has n^2 of them, 484 among
-the 30,129 relators at n = 22.
+:func:`snf`, :func:`smith_diagonal` and :func:`delta_coinvariants` feed
+one elimination an iterable of columns.  The column space does not
+change when a column is negated, when a copy of another column is
+dropped or when a zero column is dropped, so it eliminates on the
+distinct nonzero columns up to sign only: the exponent matrix of pn-rp2
+has n^2 of them, 484 among the 30,129 relators at n = 22.  Each pivot
+takes one round of row operations, and one more while a remainder is left.
 
 On top of Smith normal form this module computes presentation
 abelianizations, the coinvariant quotient Delta(K) of a free group K
@@ -103,84 +105,75 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "0"
 
 
-def _distinct_columns(matrix: IntMatrix) -> list[tuple[int, ...]]:
-    """The distinct nonzero columns of ``matrix`` up to sign, each with its
+def _distinct_columns(columns: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct nonzero ``columns`` (tuples) up to sign, each with its
     first nonzero entry positive, in first-seen order."""
     seen: dict[tuple[int, ...], None] = {}
-    for col in zip(*matrix.entries):
+    for col in columns:
         if any(col):
             # of col and -col, the larger one is positive where they first differ
             seen[max(col, tuple(map(operator.neg, col)))] = None
     return list(seen)
 
 
-def smith_diagonal(matrix: IntMatrix) -> list[int]:
-    """Nonnegative diagonal of the Smith normal form, as a divisor chain.
-
-    Elimination runs on the distinct nonzero columns up to sign
-    (:func:`_distinct_columns`).  Negating a column is a unimodular column
-    operation, and so is subtracting a column from a copy of it, which
-    leaves a zero column; a zero column adds nothing to the column space.
-    So the cokernel, and with it the diagonal, is that of ``matrix``.
-    Classical elimination with minimal-absolute-value pivoting keeps entry
-    growth in check; unimodular row and column operations only.
-    """
-    columns = _distinct_columns(matrix)
+def _diagonal(rows: int, columns: Iterable[tuple[int, ...]]) -> list[int]:
+    """:func:`smith_diagonal` of the ``rows``-row matrix with ``columns``."""
+    columns = _distinct_columns(columns)
     a = [list(row) for row in zip(*columns)]
-    rows, cols = matrix.rows, len(columns)
+    cols = len(columns)
     diag: list[int] = []
     t = 0
     while t < min(rows, cols):
-        # locate the nonzero entry of least absolute value in the submatrix
-        pr = pc = -1
-        best = 0
+        best = pr = pc = 0
         for r in range(t, rows):
             row = a[r]
             for c in range(t, cols):
                 v = row[c]
                 if v and (best == 0 or abs(v) < best):
-                    best = abs(v)
-                    pr, pc = r, c
+                    best, pr, pc = abs(v), r, c
                     if best == 1:
                         break
             if best == 1:
                 break
-        if pr < 0:
+        if not best:
             break
         a[t], a[pr] = a[pr], a[t]
         if pc != t:
             for row in a:
                 row[t], row[pc] = row[pc], row[t]
-        while True:
-            pivot = a[t][t]
-            done = True
-            for r in range(t + 1, rows):
-                q = a[r][t] // pivot
-                if q:
-                    ar, at = a[r], a[t]
-                    for c in range(t, cols):
-                        ar[c] -= q * at[c]
-                if a[r][t]:
-                    a[t], a[r] = a[r], a[t]
-                    done = False
-                    break
-            if not done:
-                continue
-            for c in range(t + 1, cols):
-                q = a[t][c] // pivot
-                if q:
-                    for r in range(t, rows):
-                        a[r][c] -= q * a[r][t]
-                if a[t][c]:
-                    for row in a:
-                        row[t], row[c] = row[c], row[t]
-                    done = False
-                    break
-            if done:
-                break
-        diag.append(abs(a[t][t]))
-        t += 1
+        at = a[t]
+        pivot = at[t]
+        for r in range(t + 1, rows):
+            ar = a[r]
+            q = ar[t] // pivot
+            if q:
+                for c in range(t, cols):
+                    ar[c] -= q * at[c]
+        if any(a[r][t] for r in range(t + 1, rows)):
+            continue
+        for c in range(t + 1, cols):
+            at[c] %= pivot
+        if not any(at[t + 1:]):
+            diag.append(abs(pivot))
+            t += 1
     return _divisor_chain(diag)
+
+
+def smith_diagonal(matrix: IntMatrix) -> list[int]:
+    """Nonzero diagonal of the Smith normal form, as a divisor chain.
+
+    Elimination runs on the distinct nonzero columns up to sign
+    (:func:`_distinct_columns`), generators indexing rows: negating a
+    column or subtracting it from a copy of it is a unimodular column
+    operation, and a zero column adds nothing to the column space.  Each
+    round moves a nonzero entry of least absolute value to (t, t) and
+    clears column t below it with row operations.  If a remainder is left,
+    the next round starts.  Otherwise column operations change only row t,
+    so ``row[c] %= pivot`` clears it, and the pivot is kept once it is
+    clear.  A round that keeps no pivot leaves a remainder smaller than the
+    pivot, so the least nonzero |entry| falls and the rounds end.
+    """
+    return _diagonal(matrix.rows, zip(*matrix.entries))
 
 
 def _divisor_chain(diag: list[int]) -> list[int]:
@@ -195,13 +188,15 @@ def _divisor_chain(diag: list[int]) -> list[int]:
     return diag
 
 
+def _cokernel(rows: int, columns: Iterable[tuple[int, ...]]) -> AbelianInvariants:
+    """Invariants of Z^rows modulo the span of ``columns``."""
+    diag = _diagonal(rows, columns)
+    return AbelianInvariants(rows - len(diag), tuple(d for d in diag if d >= 2))
+
+
 def snf(matrix: IntMatrix) -> AbelianInvariants:
     """Invariants of the cokernel Z^rows / column-space(matrix)."""
-    diag = [d for d in smith_diagonal(matrix) if d]
-    return AbelianInvariants(
-        free_rank=matrix.rows - len(diag),
-        torsion=tuple(d for d in diag if d >= 2),
-    )
+    return _cokernel(matrix.rows, zip(*matrix.entries))
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:
@@ -228,7 +223,7 @@ def delta_coinvariants(rank: int,
     cokernel of the matrix with one column ab(phi(h)(b)) - e_b per acting
     generator h and basis element b.
     """
-    columns: list[list[int]] = []
+    columns: list[tuple[int, ...]] = []
     for actor_images in images:
         if len(actor_images) != rank:
             raise ValueError("each actor must provide one image per basis element")
@@ -239,8 +234,8 @@ def delta_coinvariants(rank: int,
                     raise ValueError(f"image letter index {idx} outside basis")
                 col[idx] += exp
             col[b] -= 1
-            columns.append(col)
-    return snf(IntMatrix.from_columns(rank, columns))
+            columns.append(tuple(col))
+    return _cokernel(rank, columns)
 
 
 def direct_sum(parts: Iterable[AbelianInvariants]) -> AbelianInvariants:
@@ -378,13 +373,17 @@ def subgroup_count_exponent(n: int) -> int:
 
 def vcd_report(surface: str, n: int) -> int:
     """Virtual cohomological dimension of the n-strand braid groups of the
-    surface, reported as the length of the corresponding free tower."""
+    surface: the number of levels of the corresponding free tower whose
+    basis is nonempty.  A nontrivial free group has cohomological dimension
+    1, and dimensions add along the tower."""
     if surface == SURFACE_RP2:
         if n < 3:
             raise ValueError("the projective plane report needs n >= 3")
-        return len(combing.gamma_tower_ranks(n))
-    if surface == SURFACE_S2:
+        ranks = combing.gamma_tower_ranks(n)
+    elif surface == SURFACE_S2:
         if n < 4:
             raise ValueError("the sphere report needs n >= 4")
-        return len(combing.sphere_tower_ranks(n))
-    raise ValueError("surface must be 'rp2' or 's2'")
+        ranks = combing.sphere_tower_ranks(n)
+    else:
+        raise ValueError("surface must be 'rp2' or 's2'")
+    return sum(1 for rank in ranks if rank)

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from sbk import abelian
+from sbk import abelian, combing, verify
 from sbk.abelian import (
     AbelianInvariants,
     IntMatrix,
@@ -57,6 +57,9 @@ def determinant_divisor_invariants(rows, cols, entries):
 def test_snf_trivial_examples():
     assert snf(IntMatrix(2, 2, [[2, 0], [0, 0]])) == AbelianInvariants(1, (2,))
     assert snf(IntMatrix(3, 0, [[], [], []])) == AbelianInvariants(3, ())
+    assert snf(IntMatrix(0, 4, [])) == AbelianInvariants(0, ())
+    assert smith_diagonal(IntMatrix(3, 0, [[], [], []])) == []
+    assert smith_diagonal(IntMatrix(0, 4, [])) == []
 
 
 def test_snf_derived_example():
@@ -108,6 +111,27 @@ def test_snf_ignores_repeated_negated_and_zero_columns():
             sorted(smith_diagonal(IntMatrix(rows, cols, entries)))
 
 
+# matrices that take several rounds at one pivot, with their cokernels
+MULTI_ROUND_CASES = [
+    ([[832040, 1346269]], AbelianInvariants(0, ())),  # consecutive Fibonacci
+    ([[832040], [1346269]], AbelianInvariants(1, ())),
+    ([[4, 6], [6, 9]], AbelianInvariants(1, ())),
+    ([[6, 10, 15]], AbelianInvariants(0, ())),
+    ([[-4, 6], [0, 0]], AbelianInvariants(1, (2,))),  # negative first pivot
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], AbelianInvariants(0, (2, 6, 12))),
+]
+
+
+@pytest.mark.parametrize("entries, expected", MULTI_ROUND_CASES)
+def test_snf_multi_round_pivots(entries, expected):
+    rows, cols = len(entries), len(entries[0])
+    diag = smith_normal_form(sympy.Matrix(entries))
+    sym = sorted(abs(int(diag[i, i])) for i in range(min(rows, cols)) if diag[i, i])
+    assert sorted(smith_diagonal(IntMatrix(rows, cols, entries))) == sym
+    assert determinant_divisor_invariants(rows, cols, entries) == expected
+    assert snf(IntMatrix(rows, cols, entries)) == expected
+
+
 def test_snf_keeps_multiples_of_a_column():
     # (2) and (4) span 2Z, (2) and (3) span Z: no column is a copy of the other
     assert snf(IntMatrix(1, 2, [[2, 4]])) == AbelianInvariants(0, (2,))
@@ -116,8 +140,8 @@ def test_snf_keeps_multiples_of_a_column():
 
 def test_distinct_columns_up_to_sign():
     matrix = IntMatrix(2, 5, [[0, 1, -1, 0, 2], [0, -2, 2, 0, -4]])
-    assert abelian._distinct_columns(matrix) == [(1, -2), (2, -4)]
-    assert abelian._distinct_columns(IntMatrix(2, 0, [[], []])) == []
+    assert abelian._distinct_columns(zip(*matrix.entries)) == [(1, -2), (2, -4)]
+    assert abelian._distinct_columns([]) == []
 
 
 def test_distinct_exponent_columns_counts():
@@ -125,10 +149,10 @@ def test_distinct_exponent_columns_counts():
     # pn-rp2 and m^2 for gamma-rp2 with two punctures
     for n in range(1, 11):
         matrix = exponent_matrix(build_pn_rp2(n))
-        assert len(abelian._distinct_columns(matrix)) == n * n
+        assert len(abelian._distinct_columns(zip(*matrix.entries))) == n * n
     for m in range(1, 7):
         matrix = exponent_matrix(build_gamma_rp2(m, 2))
-        assert len(abelian._distinct_columns(matrix)) == m * m
+        assert len(abelian._distinct_columns(zip(*matrix.entries))) == m * m
 
 
 def test_int_matrix_checks_shape():
@@ -335,6 +359,32 @@ def test_vcd_report():
         assert vcd_report("s2", n) == n - 3
     with pytest.raises(ValueError):
         vcd_report("s2", 3)
+
+
+@pytest.mark.parametrize("surface, n, patched, level", [
+    ("rp2", 6, "omega_basis", 3),
+    ("s2", 6, "kernel_basis", 5),
+])
+def test_vcd_counts_only_nonempty_levels(monkeypatch, surface, n, patched, level):
+    # emptying one level's free basis drops the dimension by one
+    before = vcd_report(surface, n)
+    assert verify.holds(verify.vcd(surface, n))
+    basis = getattr(combing, patched)
+
+    def emptied(key, *args):
+        return () if key == level else basis(key, *args)
+
+    monkeypatch.setattr(combing, patched, emptied)
+    assert vcd_report(surface, n) == before - 1
+    assert not verify.holds(verify.vcd(surface, n))
+
+
+def test_largest_abelianizations():
+    # the benchmark's largest exponent matrix (pn-rp2 n = 22) and the
+    # deepest two-route case, otherwise run only by the benchmark
+    for n in (12, 16, 22):
+        assert verify.holds(verify.pn_abelianization(n))
+    assert verify.holds(verify.gamma_abelianization_two_routes(8))
 
 
 def test_mod2_rank():
