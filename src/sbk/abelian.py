@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import combing
@@ -40,23 +39,25 @@ from .combing import (
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Gen, Letter, gen_a, gen_rho
+from .words import Frozen, Gen, Letter, gen_a, gen_rho
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 
 
-@dataclass
 class IntMatrix:
     """Dense integer matrix; rows x cols, exact entries."""
 
-    rows: int
-    cols: int
-    entries: list[list[int]]
+    def __init__(self, rows: int, cols: int, entries: list[list[int]]):
+        if len(entries) != rows or any(len(row) != cols for row in entries):
+            raise ValueError(f"entries are not a {rows} x {cols} matrix")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(row) != self.cols
-                                                 for row in self.entries):
-            raise ValueError(f"entries are not a {self.rows} x {self.cols} matrix")
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return NotImplemented
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
@@ -71,22 +72,31 @@ class IntMatrix:
         return IntMatrix(rows, len(columns), [list(row) for row in zip(*columns)])
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Frozen):
     """A finitely generated abelian group: free rank (>= 0) plus the
     invariant factors d1 | d2 | ... (each >= 2, no units kept)."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("the free rank must be >= 0")
-        if any(d < 2 for d in self.torsion):
+        if any(d < 2 for d in torsion):
             raise ValueError("torsion coefficients must be >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion coefficients must form a divisor chain")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self) -> str:
+        return f"AbelianInvariants(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     def mod2_rank(self) -> int:
         """Rank of the tensor product with Z/2."""

@@ -4,6 +4,9 @@ All results are printed as JSON on stdout; human-readable notes go to
 stderr.  Exit codes: 0 success, 1 verification failure, 2 usage or
 input error, or an input that ran out of memory.  The environment
 variable ``SBK_SEED`` seeds the randomized verification cases.
+
+Each command imports the modules it runs, and only once its input has
+been read, so that a call loads and compiles no more of sbk than it uses.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import os
 import re
 import sys
 
-from . import abelian, combing, homs, presentations, verify
-from .words import parse_word
-
+# the largest strand count `sbk nf` accepts: every level's action table is
+# built whatever the word, O(m^3) words in all; `sbk nf --word "rho[3]"`
+# takes about 0.5 s at m = 16 and 17 s at m = 40 (Python 3.11, 2-core Xeon)
+NF_MAX_M = 16
 
 # the parameters each group family accepts
 _FAMILY_PARAMS = {
@@ -53,7 +57,9 @@ def _parse_group_spec(spec: str):
     return family, params
 
 
-def _build_from_spec(family: str, params: dict[str, int]) -> presentations.Presentation:
+def _build_from_spec(family: str, params: dict[str, int]):
+    from . import presentations
+
     if family == "pn-rp2":
         return presentations.build_pn_rp2(params["n"])
     if family == "gamma-rp2":
@@ -67,12 +73,22 @@ def _emit(payload) -> None:
 
 
 def _cmd_nf(args) -> int:
-    form = combing.comb(args.m, parse_word(args.word))
+    from .words import parse_word
+
+    word = parse_word(args.word)
+    if args.m > NF_MAX_M:
+        raise ValueError(f"m must be between 1 and {NF_MAX_M}")
+    from . import combing  # comb rejects m < 1
+
+    form = combing.comb(args.m, word)
     _emit(form.to_json())
     return 0
 
 
 def _cmd_eval(args) -> int:
+    from . import homs
+    from .words import parse_word
+
     word = parse_word(args.word)
     if args.hom in ("iota", "abelianize"):
         # the mod-2 exponent map is the abelianization of the n-strand group
@@ -94,6 +110,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_abelianize(args) -> int:
     family, params = _parse_group_spec(args.group)
+    from . import abelian
+
     if family == "ln":
         inv = abelian.ln_tower_abelianization(params["n"])
     else:
@@ -105,6 +123,8 @@ def _cmd_abelianize(args) -> int:
 def _cmd_info(args) -> int:
     family, params = _parse_group_spec(args.group)
     if family == "ln":
+        from . import combing
+
         n = params["n"]
         _emit({
             "family": "ln",
@@ -122,6 +142,8 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     seed = int(os.environ.get("SBK_SEED", verify.DEFAULT_SEED))
     reports = verify.run_suite(args.suite, args.max_n, seed)
     passed = all(r.passed for r in reports)
@@ -142,7 +164,20 @@ def _cmd_verify(args) -> int:
 class _JsonErrorParser(argparse.ArgumentParser):
     """An argument parser whose usage errors also print the JSON error
     document on stdout; the usage text still goes to stderr and the exit
-    code is still 2.  Subparsers are built from the same class."""
+    code is still 2.  Subparsers are built from the same class.
+
+    ``add_arguments(parser)``, when given, adds the parser's arguments the
+    first time it parses, that is once its subcommand has been chosen."""
+
+    def __init__(self, *args, add_arguments=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_arguments = add_arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._add_arguments is not None:
+            self._add_arguments(self)
+            self._add_arguments = None
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         _emit({"error": message})
@@ -179,15 +214,23 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--group", required=True)
     info.set_defaults(func=_cmd_info)
 
-    ver = sub.add_parser("verify", help="run a bundled verification suite")
+    ver = sub.add_parser("verify", help="run a bundled verification suite",
+                         add_arguments=_add_verify_arguments)
+    ver.set_defaults(func=_cmd_verify)
+    return parser
+
+
+def _add_verify_arguments(ver: argparse.ArgumentParser) -> None:
+    """The verify subcommand's arguments, read from sbk.verify: added only
+    once that subcommand is parsed, so no other command imports it."""
+    from . import verify
+
     ver.add_argument("--suite", required=True,
                      choices=sorted(verify.SUITES) + ["all"])
     ver.add_argument("--max-n", type=int, default=verify.DEFAULT_MAX_N,
                      dest="max_n",
                      help=f"strand bound, at most {verify.DESK_SCALE_BOUND} "
                           f"(default {verify.DEFAULT_MAX_N})")
-    ver.set_defaults(func=_cmd_verify)
-    return parser
 
 
 def main(argv=None) -> int:

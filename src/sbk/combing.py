@@ -60,7 +60,6 @@ here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
@@ -73,6 +72,7 @@ from .words import (
     KIND_A,
     KIND_RHO,
     AlphabetError,
+    Frozen,
     Gen,
     Letter,
     Word,
@@ -244,8 +244,7 @@ def _inverse(codes: Sequence[int]) -> list[int]:
 _POWER_MIN = 8
 
 
-@dataclass(frozen=True)
-class ActionTable:
+class ActionTable(Frozen):
     """Conjugation rows of the lower-level generating letters on the rank
     m+1 kernel basis at strand level ``top`` = m+2.
 
@@ -270,9 +269,15 @@ class ActionTable:
     :mod:`sbk.iterates` under ``((gen, sign), start letter, parity)``.
     """
 
-    m: int
-    maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]
-    powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, m: int, maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "maps", maps)
+        object.__setattr__(self, "powers", {})
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.maps) == (other.m, other.maps)
+        return NotImplemented
 
     @property
     def top(self) -> int:
@@ -422,13 +427,24 @@ def strip_last(m: int, w: Word) -> Word:
     )
 
 
-@dataclass(frozen=True)
-class CombedForm:
+class CombedForm(Frozen):
     """The combed normal form: components (omega_{m+1}, ..., omega_2),
     top kernel level first.  All components empty means the identity."""
 
-    m: int
-    components: tuple[Word, ...]
+    def __init__(self, m: int, components: tuple[Word, ...]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "components", components)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.components) == (other.m, other.components)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.components))
+
+    def __repr__(self) -> str:
+        return f"CombedForm(m={self.m!r}, components={self.components!r})"
 
     @property
     def is_identity(self) -> bool:

@@ -23,13 +23,12 @@ tables, and every combing case combs with them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
 from . import abelian, combing, homs, presentations
 from .abelian import AbelianInvariants
 from .combing import ActionTable, build_action_table
-from .words import Word, gen_rho, invert_letters
+from .words import Frozen, Word, gen_rho, invert_letters
 
 DEFAULT_MAX_N = 6
 DESK_SCALE_BOUND = 8
@@ -46,12 +45,21 @@ def holds(check: Check) -> bool:
     return str(expected) == str(got)
 
 
-@dataclass(frozen=True)
-class Case:
-    case_id: str
-    description: str
-    expected: str
-    got: str
+class Case(Frozen):
+    def __init__(self, case_id: str, description: str, expected: str, got: str):
+        object.__setattr__(self, "case_id", case_id)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "got", got)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.case_id, self.description, self.expected, self.got)
+                    == (other.case_id, other.description, other.expected, other.got))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.case_id, self.description, self.expected, self.got))
 
     @property
     def passed(self) -> bool:
@@ -67,11 +75,17 @@ class Case:
         }
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    max_n: int
-    cases: list[Case] = field(default_factory=list)
+    def __init__(self, suite: str, max_n: int, cases: list[Case] | None = None):
+        self.suite = suite
+        self.max_n = max_n
+        self.cases = [] if cases is None else cases
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.suite, self.max_n, self.cases)
+                    == (other.suite, other.max_n, other.cases))
+        return NotImplemented
 
     def add(self, case_id: str, description: str, expected, got) -> None:
         self.cases.append(Case(case_id, description, str(expected), str(got)))

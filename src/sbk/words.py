@@ -37,7 +37,6 @@ leading ``-`` and must be nonzero.  Printing uses single spaces and omits ``^1``
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 KIND_A = "A"
@@ -49,6 +48,20 @@ KIND_SIGMA = "s"
 # ("s", i).  A letter is a pair (gen, exponent) with nonzero exponent.
 Gen = tuple
 Letter = tuple
+
+
+class Frozen:
+    """Base of the value classes with read-only fields: ``__init__`` sets
+    each field once through ``object.__setattr__``, and assigning or
+    deleting a field afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class WordSyntaxError(ValueError):
@@ -183,11 +196,25 @@ _TERM_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Frozen):
     """An immutable, canonically reduced word over the generator alphabet."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.letters,))
+
+    def __reduce__(self):
+        # copy and pickle rebuild a word through __init__: its slot is read-only
+        return Word, (self.letters,)
 
     @staticmethod
     def from_letters(letters: Iterable[Letter]) -> "Word":

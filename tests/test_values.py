@@ -1,0 +1,145 @@
+"""The value classes of sbk: field equality, hashing of the read-only ones,
+read-only fields, and the reprs that are relied on."""
+
+import copy
+import pickle
+
+import pytest
+
+from sbk import homs
+from sbk.abelian import AbelianInvariants, IntMatrix
+from sbk.combing import ActionTable, CombedForm, build_action_table, comb
+from sbk.homs import QuatElement
+from sbk.presentations import HomSpec, Presentation, build_pn_rp2, verify_relators
+from sbk.verify import Case, VerificationReport
+from sbk.words import Word, parse_word
+
+
+def _iota(w):
+    return homs.iota_sharp(3, w)
+
+
+def _zero(bits):
+    return not any(bits)
+
+
+def _table_copy(m):
+    table = build_action_table(m)
+    return ActionTable(table.m, {key: dict(row) for key, row in table.maps.items()})
+
+
+# per class: two builders of equal values, built apart, and one of a value
+# that differs from them in one field
+VALUES = {
+    "Word": (lambda: parse_word("A[1,3]^2 rho[3]"),
+             lambda: Word(((("A", 1, 3), 2), (("rho", 3), 1))),
+             lambda: parse_word("A[1,3]^2 rho[3]^-1")),
+    "QuatElement": (lambda: QuatElement(-1, 2), lambda: homs.Q_J ** 3,
+                    lambda: QuatElement(1, 2)),
+    "Presentation": (lambda: build_pn_rp2(3), lambda: build_pn_rp2(3),
+                     lambda: Presentation("pn-rp2", (("n", 3),), build_pn_rp2(3).generators,
+                                          build_pn_rp2(3).relators[1:])),
+    "HomSpec": (lambda: HomSpec("iota", _iota, _zero), lambda: HomSpec("iota", _iota, _zero, str),
+                lambda: HomSpec("iota", _iota, _zero, homs.format_z2)),
+    "RelatorReport": (lambda: verify_relators(build_pn_rp2(3), HomSpec("iota", _iota, _zero)),
+                      lambda: verify_relators(build_pn_rp2(3), HomSpec("iota", _iota, _zero)),
+                      lambda: verify_relators(build_pn_rp2(3), HomSpec("iota2", _iota, _zero))),
+    "ActionTable": (lambda: build_action_table(2), lambda: _table_copy(2),
+                    lambda: ActionTable(2, {})),
+    "CombedForm": (lambda: comb(2, parse_word("rho[4] A[1,3]^2")),
+                   lambda: CombedForm(2, comb(2, parse_word("rho[4] A[1,3]^2")).components),
+                   lambda: comb(2, parse_word("rho[4] A[1,3]"))),
+    "IntMatrix": (lambda: IntMatrix(2, 2, [[1, 2], [3, 4]]),
+                  lambda: IntMatrix(2, 2, [[1, 2], [3, 4]]),
+                  lambda: IntMatrix(2, 2, [[1, 2], [3, 5]])),
+    "AbelianInvariants": (lambda: AbelianInvariants(1, (2, 4)),
+                          lambda: AbelianInvariants(free_rank=1, torsion=(2, 4)),
+                          lambda: AbelianInvariants(1, (2,))),
+    "Case": (lambda: Case("c", "d", "1", "1"), lambda: Case("c", "d", "1", "1"),
+             lambda: Case("c", "d", "1", "2")),
+    "VerificationReport": (lambda: VerificationReport("counts", 3),
+                           lambda: VerificationReport("counts", 3, []),
+                           lambda: VerificationReport("counts", 4)),
+}
+
+HASHED = ("Word", "QuatElement", "AbelianInvariants", "CombedForm")
+
+# per read-only class: one built value and the name of one of its fields
+READ_ONLY = {
+    "Word": (lambda: Word(), "letters"),
+    "QuatElement": (lambda: QuatElement(), "sign"),
+    "Presentation": (lambda: build_pn_rp2(2), "relators"),
+    "HomSpec": (lambda: HomSpec("iota", _iota, _zero), "render"),
+    "RelatorReport": (lambda: verify_relators(build_pn_rp2(2), HomSpec("iota", _iota, _zero)),
+                      "cases"),
+    "ActionTable": (lambda: build_action_table(1), "maps"),
+    "CombedForm": (lambda: comb(1, Word()), "components"),
+    "AbelianInvariants": (lambda: AbelianInvariants(0), "torsion"),
+    "Case": (lambda: Case("c", "d", "1", "1"), "got"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_field_equality(name):
+    make, make_equal, make_other = VALUES[name]
+    a, b, c = make(), make_equal(), make_other()
+    assert type(a).__name__ == name
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != object() and a != ()
+
+
+@pytest.mark.parametrize("name", HASHED)
+def test_equal_values_hash_equal(name):
+    make, make_equal, make_other = VALUES[name]
+    assert hash(make()) == hash(make_equal())
+    assert len({make(), make_equal(), make_other()}) == 2
+
+
+@pytest.mark.parametrize("name", ["IntMatrix", "VerificationReport", "ActionTable"])
+def test_unhashable_values(name):
+    with pytest.raises(TypeError):
+        hash(VALUES[name][0]())
+
+
+@pytest.mark.parametrize("name", sorted(READ_ONLY))
+def test_fields_are_read_only(name):
+    make, field = READ_ONLY[name]
+    value = make()
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
+
+
+def test_action_table_powers_left_out_of_equality():
+    # the comber fills a table's powers as it goes; two tables with equal
+    # rows stay equal
+    warm = build_action_table(2)
+    comb(2, parse_word("A[1,3]^20 A[3,4]"))
+    assert warm.powers and not _table_copy(2).powers
+    assert warm == _table_copy(2)
+
+
+def test_report_cases_default_is_a_new_list():
+    a, b = VerificationReport("counts", 3), VerificationReport("counts", 3)
+    a.add("c", "d", 1, 1)
+    assert b.cases == [] and a != b
+
+
+def test_word_is_slotted_and_survives_copy_and_pickle():
+    w = parse_word("A[1,3]^2 rho[3]")
+    assert not hasattr(w, "__dict__")
+    assert repr(w) == "Word('A[1,3]^2 rho[3]')"
+    assert repr(Word()) == "Word('')"
+    for clone in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert clone == w and clone.letters == w.letters
+
+
+def test_value_reprs():
+    assert repr(QuatElement(-1, 3)) == "QuatElement(sign=-1, axis=3)"
+    assert repr(AbelianInvariants(1, (2,))) == "AbelianInvariants(free_rank=1, torsion=(2,))"
+    assert repr(comb(1, parse_word("A[1,3]"))) == \
+        "CombedForm(m=1, components=(Word('A[1,3]'),))"

@@ -7,13 +7,15 @@ import random
 import resource
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sbk
 from sbk import combing, verify
-from sbk.cli import main
+from sbk.cli import NF_MAX_M, main
 from sbk.combing import ActionTable, build_action_table
 from sbk.words import gen_a
 
@@ -96,6 +98,108 @@ def test_usage_error_exit_code_2():
     rc, out, _ = run_cli("verify", "--suite", "counts", "--max-n", "99")
     assert rc == 2
     assert "error" in json.loads(out)
+
+
+VERIFY_USAGE = (
+    "usage: sbk verify [-h] --suite\n"
+    "                  {abelianizations,combing,counts,presentations,towers,vcd,all}\n"
+    "                  [--max-n MAX_N]\n"
+)
+BOGUS_SUITE = ("argument --suite: invalid choice: 'bogus' (choose from 'abelianizations', "
+               "'combing', 'counts', 'presentations', 'towers', 'vcd', 'all')")
+
+
+def test_verify_help_and_bad_suite_are_pinned(capsys, monkeypatch):
+    # the verify arguments are added only once that subcommand is parsed;
+    # its help and usage errors keep their text byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    capsys.readouterr()
+    assert main(["verify", "--help"]) == 0
+    assert capsys.readouterr() == (
+        VERIFY_USAGE + "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --suite {abelianizations,combing,counts,presentations,towers,vcd,all}\n"
+        "  --max-n MAX_N         strand bound, at most 8 (default 6)\n",
+        "",
+    )
+    assert main(["verify", "--suite", "bogus"]) == 2
+    assert capsys.readouterr() == (
+        json.dumps({"error": BOGUS_SUITE}) + "\n",
+        VERIFY_USAGE + f"sbk verify: error: {BOGUS_SUITE}\n",
+    )
+
+
+def test_nf_strand_count_is_capped():
+    # every level's action table is built whatever the word, so m is capped
+    # before the comber is imported; m = 0 keeps its own message
+    rc, out, _ = run_cli("nf", "--m", str(NF_MAX_M), "--word", "rho[3]")
+    assert rc == 0
+    assert len(json.loads(out)) == NF_MAX_M
+    rc, out, err = run_cli("nf", "--m", str(NF_MAX_M + 1), "--word", "rho[3]")
+    assert rc == 2
+    assert json.loads(out) == {"error": f"m must be between 1 and {NF_MAX_M}"}
+    assert err == f"error: m must be between 1 and {NF_MAX_M}\n"
+    rc, out, _ = run_cli("nf", "--m", "0", "--word", "rho[3]")
+    assert rc == 2
+    assert json.loads(out) == {"error": "m must be >= 1"}
+
+
+def _modules_loaded_by(argv):
+    """The modules a fresh interpreter loads to import sbk.cli and run
+    ``main(argv)``, or only to import sbk when argv is None."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "sink = io.StringIO()\n"
+        "with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):\n"
+        "    if argv is None:\n"
+        "        import sbk\n"
+        "    else:\n"
+        "        import sbk.cli\n"
+        "        sbk.cli.main(argv)\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_each_command_loads_only_what_it_runs():
+    def sbk_modules(argv):
+        loaded = _modules_loaded_by(argv)
+        assert "dataclasses" not in loaded, argv
+        return {name for name in loaded if name.partition(".")[0] == "sbk"}
+
+    assert sbk_modules(None) == {"sbk"}
+    assert sbk_modules(["eval", "--hom", "q2", "--n", "3", "--word", "A[1,2] rho[3]"]) == \
+        {"sbk", "sbk.cli", "sbk.words", "sbk.homs"}
+    nf = sbk_modules(["nf", "--m", "2", "--word", "A[1,3]^3 rho[4]"])
+    assert "sbk.combing" in nf and not nf & {"sbk.abelian", "sbk.verify"}
+    for argv in (["nf", "--m", "2", "--word", "A[1,3]A[1,4]"],
+                 ["nf", "--m", "2", "--word", "rho[3]", "--bogus"],
+                 ["nf", "--m", str(NF_MAX_M + 1), "--word", "rho[3]"]):
+        assert "sbk.combing" not in sbk_modules(argv), argv
+    assert "sbk.combing" not in sbk_modules(["info", "--group", "pn-rp2:n=3"])
+    assert "sbk.verify" in sbk_modules(["verify", "--suite", "counts", "--max-n", "3"])
+
+
+def test_package_names_are_their_submodules_objects():
+    # sbk reads each public name from its submodule on first use
+    assert len(sbk.__all__) == 47
+    listed = dir(sbk)
+    for name in sbk.__all__:
+        value = getattr(sbk, name)
+        if isinstance(value, types.ModuleType):
+            assert value is sys.modules[f"sbk.{name}"]
+        else:
+            assert value is getattr(sys.modules[value.__module__], name)
+            assert value.__module__.startswith("sbk.")
+        assert name in listed
+    with pytest.raises(AttributeError):
+        sbk.no_such_name
 
 
 def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
@@ -305,12 +409,12 @@ def test_group_spec_accepts_ascii_integers_only(value):
 
 
 def test_core_imports_only_stdlib():
-    # importing the library, the CLI and the verify suites pulls in no
-    # third-party module
+    # importing the library, the CLI, the verify suites and the closed-form
+    # powers pulls in no third-party module
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import sbk, sbk.cli, sbk.verify\n"
+        "import sbk, sbk.cli, sbk.iterates, sbk.verify\n"
         "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'sbk'}))\n"
     )
