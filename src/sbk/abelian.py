@@ -4,13 +4,18 @@ Everything runs over Python's arbitrary-precision integers; there is no
 floating point anywhere.  The one convention, fixed here once: relation
 matrices have generators indexing rows and relators indexing columns,
 and :func:`snf` reports the invariants of the cokernel Z^rows / colspace.
-:func:`snf`, :func:`smith_diagonal` and :func:`delta_coinvariants` feed
-one elimination an iterable of columns.  The column space does not
-change when a column is negated, when a copy of another column is
-dropped or when a zero column is dropped, so it eliminates on the
-distinct nonzero columns up to sign only: the exponent matrix of pn-rp2
-has n^2 of them, 484 among the 30,129 relators at n = 22.  Each pivot
-takes one round of row operations, and one more while a remainder is left.
+An :class:`IntMatrix` stores only its columns, each as the tuple of its
+nonzero (row, value) pairs: :func:`exponent_matrix` builds one such column
+per relator straight from its letters, and the dense rows ``entries`` are
+derived on demand.  :func:`snf`, :func:`smith_diagonal` and
+:func:`delta_coinvariants` feed one elimination an iterable of dense
+columns.  The column space does not change when a column is negated,
+when a copy of another column is dropped or when a zero column is
+dropped, so :func:`snf` makes dense only the distinct sparse columns, and
+the elimination runs on the distinct nonzero columns up to sign only:
+the exponent matrix of pn-rp2 has n^2 of them, 484 among the 30,129
+relators at n = 22.  Each pivot takes one round of row operations, and
+one more while a remainder is left.
 
 On top of Smith normal form this module computes presentation
 abelianizations, the coinvariant quotient Delta(K) of a free group K
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import combing
 from .combing import (
@@ -39,37 +44,68 @@ from .combing import (
     x_alphabet,
 )
 from .presentations import Presentation
-from .words import Frozen, Gen, Letter, gen_a, gen_rho
+from .words import Frozen, Gen, gen_a, gen_rho
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
+SparseColumn = tuple  # ((row, nonzero value), ...) in row order
 
 
 class IntMatrix:
-    """Dense integer matrix; rows x cols, exact entries."""
+    """Integer matrix, rows x cols, stored as its columns: ``columns[c]`` is
+    the tuple of the nonzero ``(row, value)`` pairs of column c in row
+    order.  ``entries``, the dense rows, is derived on each read."""
 
-    def __init__(self, rows: int, cols: int, entries: list[list[int]]):
+    def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[int]]):
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError(f"entries are not a {rows} x {cols} matrix")
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.columns = [_sparse(row[c] for row in entries) for c in range(cols)]
+
+    @staticmethod
+    def _of_sparse(rows: int, columns: list[SparseColumn]) -> "IntMatrix":
+        """The matrix with these sparse ``columns``, taken as they are."""
+        matrix = IntMatrix.__new__(IntMatrix)
+        matrix.rows, matrix.cols, matrix.columns = rows, len(columns), columns
+        return matrix
+
+    @property
+    def entries(self) -> list[list[int]]:
+        dense = [[0] * self.cols for _ in range(self.rows)]
+        for c, col in enumerate(self.columns):
+            for r, v in col:
+                dense[r][c] = v
+        return dense
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+            return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
         return NotImplemented
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+        return IntMatrix._of_sparse(rows, [()] * cols)
 
     @staticmethod
     def from_columns(rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         if any(len(col) != rows for col in columns):
             raise ValueError("column length mismatch")
-        if not columns:
-            return IntMatrix.zeros(rows, 0)
-        return IntMatrix(rows, len(columns), [list(row) for row in zip(*columns)])
+        return IntMatrix._of_sparse(rows, [_sparse(col) for col in columns])
+
+
+def _sparse(column: Iterable[int]) -> SparseColumn:
+    """The nonzero ``(row, value)`` pairs of a dense column, in row order."""
+    return tuple((r, v) for r, v in enumerate(column) if v)
+
+
+def _distinct_dense(matrix: IntMatrix) -> Iterator[tuple[int, ...]]:
+    """Dense tuples of the distinct columns of ``matrix`` only: dropping an
+    exact copy of a column leaves the column space unchanged."""
+    for col in dict.fromkeys(matrix.columns):
+        dense = [0] * matrix.rows
+        for r, v in col:
+            dense[r] = v
+        yield tuple(dense)
 
 
 class AbelianInvariants(Frozen):
@@ -183,7 +219,7 @@ def smith_diagonal(matrix: IntMatrix) -> list[int]:
     clear.  A round that keeps no pivot leaves a remainder smaller than the
     pivot, so the least nonzero |entry| falls and the rounds end.
     """
-    return _diagonal(matrix.rows, zip(*matrix.entries))
+    return _diagonal(matrix.rows, _distinct_dense(matrix))
 
 
 def _divisor_chain(diag: list[int]) -> list[int]:
@@ -206,18 +242,21 @@ def _cokernel(rows: int, columns: Iterable[tuple[int, ...]]) -> AbelianInvariant
 
 def snf(matrix: IntMatrix) -> AbelianInvariants:
     """Invariants of the cokernel Z^rows / column-space(matrix)."""
-    return _cokernel(matrix.rows, zip(*matrix.entries))
+    return _cokernel(matrix.rows, _distinct_dense(matrix))
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:
     """Exponent sums of the relators: generators index rows, relators
-    index columns."""
+    index columns, one sparse column per relator."""
     index = {g: r for r, g in enumerate(pres.generators)}
-    m = IntMatrix.zeros(len(pres.generators), len(pres.relators))
-    for c, rel in enumerate(pres.relators):
+    columns: list[SparseColumn] = []
+    for rel in pres.relators:
+        sums: dict[int, int] = {}
         for gen, exp in rel.letters:
-            m.entries[index[gen]][c] += exp
-    return m
+            r = index[gen]
+            sums[r] = sums.get(r, 0) + exp
+        columns.append(tuple(sorted([item for item in sums.items() if item[1]])))
+    return IntMatrix._of_sparse(len(pres.generators), columns)
 
 
 def abelianize_presentation(pres: Presentation) -> AbelianInvariants:
@@ -233,16 +272,26 @@ def delta_coinvariants(rank: int,
     cokernel of the matrix with one column ab(phi(h)(b)) - e_b per acting
     generator h and basis element b.
     """
+    return _coinvariants({i: i for i in range(rank)}, images)
+
+
+def _coinvariants(index: dict, images: Iterable[Sequence[Iterable[tuple]]]
+                  ) -> AbelianInvariants:
+    """:func:`delta_coinvariants` of images whose letters are (key,
+    exponent) with ``index[key]`` the basis index: each letter's exponent
+    goes straight into its column."""
+    rank = len(index)
     columns: list[tuple[int, ...]] = []
     for actor_images in images:
         if len(actor_images) != rank:
             raise ValueError("each actor must provide one image per basis element")
         for b, image in enumerate(actor_images):
             col = [0] * rank
-            for idx, exp in image:
-                if not 0 <= idx < rank:
-                    raise ValueError(f"image letter index {idx} outside basis")
-                col[idx] += exp
+            try:
+                for key, exp in image:
+                    col[index[key]] += exp
+            except KeyError as err:
+                raise ValueError(f"image letter index {err.args[0]!r} outside basis") from None
             col[b] -= 1
             columns.append(tuple(col))
     return _cokernel(rank, columns)
@@ -266,19 +315,6 @@ def tower_abelianization(levels: Sequence[tuple[int, Sequence[Sequence[IndexedWo
     return direct_sum(delta_coinvariants(rank, images) for rank, images in levels)
 
 
-def _action_images(basis: Sequence[Gen], actors: Iterable,
-                   image: Callable[..., Iterable[Letter]]
-                   ) -> tuple[int, list[list[IndexedWord]]]:
-    """``(rank, images)`` of an action on the free basis ``basis``:
-    ``image(x, b)`` is the word of the image of b under the actor x, and
-    ``images[k][i]`` is that of the i-th basis element under the k-th
-    actor, as an indexed basis-image word."""
-    index = {g: i for i, g in enumerate(basis)}
-    return len(basis), [
-        [tuple([(index[gen], exp) for gen, exp in image(x, b)]) for b in basis]
-        for x in actors]
-
-
 def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     """The conjugation action of the combing letters of levels 3..l on the
     level-l kernel basis, as indexed basis-image words."""
@@ -287,8 +323,10 @@ def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     if l == 2:
         return 2, []
     table = build_action_table(l - 1)
-    return _action_images(table.basis, x_alphabet(l - 2),
-                          lambda x, b: table.row(x, 1, b))
+    index = {g: i for i, g in enumerate(table.basis)}
+    return len(table.basis), [
+        [tuple([(index[gen], exp) for gen, exp in table.row(x, 1, b)]) for b in table.basis]
+        for x in x_alphabet(l - 2)]
 
 
 def omega_delta(l: int) -> AbelianInvariants:
@@ -367,9 +405,10 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
         actors += [gen_a(r, s) for r in range(1, s)]
         if surface == SURFACE_RP2:
             actors.append(gen_rho(s))
-    return delta_coinvariants(*_action_images(
-        kernel_basis(top, surface), actors,
-        lambda x, b: conjugation_row(x, 1, b, top, l, surface)))
+    basis = kernel_basis(top, surface)
+    return _coinvariants({g: i for i, g in enumerate(basis)},
+                         [[conjugation_row(x, 1, b, top, l, surface) for b in basis]
+                          for x in actors])
 
 
 def subgroup_count_exponent(n: int) -> int:

@@ -155,6 +155,35 @@ def test_distinct_exponent_columns_counts():
         assert len(abelian._distinct_columns(zip(*matrix.entries))) == m * m
 
 
+def test_int_matrix_round_trip():
+    # columns store the nonzero (row, value) pairs; entries derives the rows
+    rng = random.Random(RNG_SEED + 3)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        entries = [[rng.choice((0, 0, 0, 1, -1, 3, -7, 10**20)) for _ in range(cols)]
+                   for _ in range(rows)]
+        if rows:
+            entries[rng.randrange(rows)] = [0] * cols
+        if cols:
+            c = rng.randrange(cols)
+            for row in entries:
+                row[c] = 0
+        dense_columns = [[row[c] for row in entries] for c in range(cols)]
+        matrix = IntMatrix(rows, cols, entries)
+        assert matrix.columns == [tuple((r, v) for r, v in enumerate(col) if v)
+                                  for col in dense_columns]
+        assert matrix.entries == entries
+        assert IntMatrix(rows, cols, matrix.entries) == matrix
+        from_columns = IntMatrix.from_columns(rows, dense_columns)
+        assert (from_columns.rows, from_columns.cols) == (rows, cols)
+        assert from_columns == matrix and from_columns.entries == entries
+        if rows and cols:
+            matrix.entries[0][0] += 1  # a derived copy: writing to it changes nothing
+            assert matrix.entries == entries
+    with pytest.raises(AttributeError):
+        IntMatrix(1, 1, [[1]]).entries = [[2]]
+
+
 def test_int_matrix_checks_shape():
     with pytest.raises(ValueError):
         IntMatrix(2, 2, [[2], [0, 3]])
@@ -238,6 +267,38 @@ def test_exponent_matrix_convention():
     assert [row[0] for row in m.entries] == [1, 1, 2]
 
 
+def _exponent_counts(pres):
+    """Dense exponent sums counted letter by letter, generators by rows."""
+    counts = [[0] * len(pres.relators) for _ in pres.generators]
+    for c, rel in enumerate(pres.relators):
+        for gen, exp in rel.letters:
+            counts[pres.generators.index(gen)][c] += exp
+    return counts
+
+
+def test_exponent_matrix_matches_letter_counts():
+    presentations = [build_pn_rp2(n) for n in range(1, 9)]
+    presentations += [build_gamma_rp2(m, 2) for m in range(1, 6)]
+    presentations += [build_gamma_s2(n, m) for n in range(1, 4) for m in (3, 4)]
+    for pres in presentations:
+        counts = _exponent_counts(pres)
+        matrix = exponent_matrix(pres)
+        assert matrix.entries == counts, (pres.family, pres.params)
+        assert matrix == IntMatrix(len(pres.generators), len(pres.relators), counts)
+
+
+def test_snf_of_pn_exponent_matrix_matches_sympy():
+    for n in range(1, 7):
+        matrix = exponent_matrix(build_pn_rp2(n))
+        diag = smith_normal_form(sympy.Matrix(matrix.entries))
+        sym = sorted(abs(int(diag[i, i])) for i in range(min(matrix.rows, matrix.cols))
+                     if diag[i, i])
+        assert sorted(smith_diagonal(matrix)) == sym
+        torsion = tuple(d for d in sym if d >= 2)
+        assert snf(matrix) == AbelianInvariants(matrix.rows - len(sym), torsion)
+        assert torsion == (2,) * n
+
+
 def test_delta_trivial_action():
     assert delta_coinvariants(3, []) == AbelianInvariants(3, ())
     identity_images = [[((b, 1),) for b in range(3)]]
@@ -303,9 +364,9 @@ def test_direct_sum_matches_snf_of_the_diagonal():
     for _ in range(200):
         parts = [_random_invariants(rng) for _ in range(rng.randint(0, 4))]
         torsion = [d for part in parts for d in part.torsion]
-        diag = IntMatrix.zeros(len(torsion), len(torsion))
-        for i, d in enumerate(torsion):
-            diag.entries[i][i] = d
+        k = len(torsion)
+        diag = IntMatrix(k, k, [[d if j == i else 0 for j in range(k)]
+                                for i, d in enumerate(torsion)])
         recombined = snf(diag)
         expected = AbelianInvariants(sum(part.free_rank for part in parts)
                                      + recombined.free_rank, recombined.torsion)

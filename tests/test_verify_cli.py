@@ -216,15 +216,21 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
-def _nf_under_memory_cap(word):
-    """``sbk nf --m 2`` on the word in a child whose address space alone is capped."""
+def _cli_under_memory_cap(limit, *argv, timeout=10):
+    """``sbk`` on argv in a child whose address space alone is capped at
+    ``limit`` bytes."""
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
-        [sys.executable, "-m", "sbk.cli", "nf", "--m", "2", "--word", word],
-        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=10,
+        [sys.executable, "-m", "sbk.cli", *argv],
+        capture_output=True, text=True, env=CHILD_ENV, preexec_fn=cap, timeout=timeout,
     )
+
+
+def _nf_under_memory_cap(word):
+    """``sbk nf --m 2`` on the word in a child capped at 1 GiB."""
+    return _cli_under_memory_cap(2**30, "nf", "--m", "2", "--word", word)
 
 
 def test_oversized_power_exits_2_under_a_memory_cap():
@@ -243,6 +249,17 @@ def test_oversized_eliminated_power_exits_2_under_a_memory_cap():
     assert proc.returncode == 2
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": "out of memory"}
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_abelianize_large_pn_fits_in_256_mb():
+    # pn-rp2 at n = 30 has 103,415 relators: its exponent matrix is kept as
+    # sparse columns, where dense rows and their transpose did not fit in 400 MB
+    proc = _cli_under_memory_cap(256 * 2**20, "abelianize", "--group", "pn-rp2:n=30",
+                                 timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)
+    assert (out["free_rank"], out["torsion"]) == (0, [2] * 30)
 
 
 def test_verify_counts_passes():
