@@ -251,11 +251,13 @@ def exponent_matrix(pres: Presentation) -> IntMatrix:
     index = {g: r for r, g in enumerate(pres.generators)}
     columns: list[SparseColumn] = []
     for rel in pres.relators:
-        sums: dict[int, int] = {}
+        # sum per generator; most relators are commutators, all of whose
+        # sums vanish, so only a nonzero sum looks up its row
+        sums: dict[Gen, int] = {}
         for gen, exp in rel.letters:
-            r = index[gen]
-            sums[r] = sums.get(r, 0) + exp
-        columns.append(tuple(sorted([item for item in sums.items() if item[1]])))
+            sums[gen] = sums.get(gen, 0) + exp
+        column = [(index[gen], e) for gen, e in sums.items() if e]
+        columns.append(tuple(sorted(column)) if column else ())
     return IntMatrix._of_sparse(len(pres.generators), columns)
 
 

@@ -22,20 +22,32 @@ import sys
 # takes about 0.5 s at m = 16 and 17 s at m = 40 (Python 3.11, 2-core Xeon)
 NF_MAX_M = 16
 
-# the parameters each group family accepts
+# the largest strand count, punctures included, that `info` and `abelianize`
+# accept for each group family.  pn-rp2 at n = 40 has 325,170 relators:
+# `abelianize` takes 1.8-3.4 s and 255 MB, `info` 2.7-4.9 s and 275 MB, and
+# the gamma families at 40 strands are of the same size; the ln tower at
+# n = 16 takes about 2 s and 80 MB (Python 3.11, 2-core Xeon)
+PN_RP2_MAX_N = 40
+GAMMA_RP2_MAX_STRANDS = 40
+GAMMA_S2_MAX_STRANDS = 40
+LN_MAX_N = 16
+
+# the parameters each group family accepts, and its cap on their sum
 _FAMILY_PARAMS = {
-    "pn-rp2": ("n",),
-    "gamma-rp2": ("m", "p"),
-    "gamma-s2": ("n", "m"),
-    "ln": ("n",),
+    "pn-rp2": (("n",), PN_RP2_MAX_N),
+    "gamma-rp2": (("m", "p"), GAMMA_RP2_MAX_STRANDS),
+    "gamma-s2": (("n", "m"), GAMMA_S2_MAX_STRANDS),
+    "ln": (("n",), LN_MAX_N),
 }
 
 
 def _parse_group_spec(spec: str):
     """Parse group specs like ``pn-rp2:n=4`` or ``gamma-rp2:m=2,p=2``.
 
-    Unknown families and unknown or repeated parameters are rejected;
-    a missing parameter surfaces as a ``KeyError`` when it is read."""
+    Unknown families, unknown or repeated parameters and strand counts above
+    the family's cap are rejected; a missing parameter surfaces as a
+    ``KeyError`` when it is read, and a parameter below 1 is left to the
+    group's own check."""
     family, _, tail = spec.partition(":")
     family = family.strip()
     items: list[tuple[str, int]] = []
@@ -47,13 +59,17 @@ def _parse_group_spec(spec: str):
             items.append((key.strip(), int(value)))
     if family not in _FAMILY_PARAMS:
         raise ValueError(f"unknown group family {family!r}")
+    names, cap = _FAMILY_PARAMS[family]
     params: dict[str, int] = {}
     for key, value in items:
-        if key not in _FAMILY_PARAMS[family]:
+        if key not in names:
             raise ValueError(f"unknown parameter {key!r} for group family {family!r}")
         if key in params:
             raise ValueError(f"repeated group parameter {key!r} in {spec!r}")
         params[key] = value
+    values = [params[key] for key in names]
+    if min(values) >= 1 and sum(values) > cap:
+        raise ValueError(f"{' + '.join(names)} must be at most {cap}")
     return family, params
 
 
@@ -239,13 +255,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:  # usage errors (code 2) and --help (code 0)
         return stop.code
+    # MemoryError is matched first and on its own: building the tuple of
+    # the other clause allocates, and so can fail while memory is exhausted
     try:
         return args.func(args)
-    except (ValueError, KeyError, MemoryError) as err:
-        message = "out of memory" if isinstance(err, MemoryError) else str(err)
-        print(f"error: {message}", file=sys.stderr)
-        _emit({"error": message})
-        return 2
+    except MemoryError:
+        message = "out of memory"
+    except (ValueError, KeyError) as err:
+        message = str(err)
+    # reported only once the except block has dropped the error: its
+    # traceback holds the failed command's frames, and with them its memory
+    print(f"error: {message}", file=sys.stderr)
+    _emit({"error": message})
+    return 2
 
 
 if __name__ == "__main__":

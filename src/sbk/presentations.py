@@ -31,7 +31,6 @@ from .words import (
     Gen,
     Letter,
     Word,
-    concat_letters,
     format_gen,
     gen_a,
     gen_level,
@@ -93,11 +92,13 @@ def artin_case(r: int, s: int, i: int, j: int) -> str:
 def artin_conjugate(r: int, s: int, i: int, j: int) -> tuple[Letter, ...]:
     """The word equal to ``A[r,s] A[i,j] A[r,s]^-1`` over band generators."""
     case = artin_case(r, s, i, j)
-    b = gen_a(i, j)
+    # artin_case has validated the indices, so the generators are built as
+    # plain tuples
+    b = (KIND_A, i, j)
     if case == "disjoint":
         return ((b, 1),)
-    u = gen_a(r, j)
-    v = gen_a(s, j)
+    u = (KIND_A, r, j)
+    v = (KIND_A, s, j)
     if case == "lower":
         return ((v, -1), (b, 1), (v, 1))
     if case == "upper":
@@ -116,11 +117,11 @@ def artin_conjugate_inv(r: int, s: int, i: int, j: int) -> tuple[Letter, ...]:
     pairing is certified by the action-table round-trip checks.
     """
     case = artin_case(r, s, i, j)
-    b = gen_a(i, j)
+    b = (KIND_A, i, j)
     if case == "disjoint":
         return ((b, 1),)
-    u = gen_a(r, j)
-    v = gen_a(s, j)
+    u = (KIND_A, r, j)
+    v = (KIND_A, s, j)
     if case == "lower":
         return ((u, 1), (v, 1), (u, 1), (v, -1), (u, -1))
     if case == "upper":
@@ -142,12 +143,13 @@ def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
 
 
 def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
-    """A word equal to ``x^sign b x^-sign`` by the defining relations, for a
-    band or surface letter ``x`` below the level of the letter ``b``.
+    """A reduced word equal to ``x^sign b x^-sign`` by the defining
+    relations, for a band or surface letter ``x`` below the level of the
+    letter ``b``.  Every letter of the result lives at the level of ``b``.
 
     The ``sign == -1`` forms are the ``sign == 1`` relations solved for
     the inverse conjugation; the pairing is certified by the action-table
-    round-trip checks.  The result is an unreduced concatenation.
+    round-trip checks.
     """
     j = gen_level(b)
     if x[0] not in (KIND_A, KIND_RHO) or gen_level(x) >= j:
@@ -158,13 +160,14 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
         if sign > 0:
             return artin_conjugate(x[1], x[2], b[1], j)
         return artin_conjugate_inv(x[1], x[2], b[1], j)
+    # x = rho[k] with k < j, so rho[j] and A[k,j] are built as plain tuples
     k = x[1]
-    rj = gen_rho(j)
+    rj = (KIND_RHO, j)
     if b[0] == KIND_RHO:
         # rho_k rho_j rho_k^-1 = C[k,j] rho_j
         if sign > 0:
             return cln_letters(k, j) + ((rj, 1),)
-        return ((rj, 1), (gen_a(k, j), 1))
+        return ((rj, 1), ((KIND_A, k, j), 1))
     i = b[1]
     if sign > 0:
         if k < i:
@@ -174,10 +177,10 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
         c = cln_letters(k, j)
         return ((rj, -1),) + invert_letters(c) + ((rj, 1), (b, 1), (rj, -1)) + c + ((rj, 1),)
     if i < k:
-        a = gen_a(k, j)
+        a = (KIND_A, k, j)
         return ((a, -1), (b, 1), (a, 1))
     if i == k:
-        w = tuple((gen_a(t, j), 1) for t in range(k + 1, j))
+        w = tuple(((KIND_A, t, j), 1) for t in range(k + 1, j))
         return w + ((rj, 1), (b, -1), (rj, -1)) + invert_letters(w)
     return ((b, 1),)
 
@@ -195,18 +198,23 @@ def surface_relation(j: int, top: int, surface: str = SURFACE_RP2
     return ((rj, 1),) + lhs + ((rj, 1),), rhs
 
 
-def _relator(*parts: Sequence[Letter]) -> Word:
-    return Word(concat_letters(*parts))
+def _relator(lhs: tuple[Letter, ...], rhs: tuple[Letter, ...]) -> Word:
+    """The relator ``lhs rhs^-1`` of the relation ``lhs = rhs``, joined as it
+    stands: every caller passes reduced sides whose letters do not merge at
+    the join, since the last letter of ``lhs`` and the last letter of ``rhs``
+    are different generators."""
+    return Word(lhs + invert_letters(rhs))
 
 
 def _conjugation_relator(x: Gen, b: Gen) -> Word:
-    return _relator(((x, 1), (b, 1), (x, -1)), invert_letters(conjugate(x, 1, b)))
+    # x lies below the level of b and of every letter of the reduced image
+    return _relator(((x, 1), (b, 1), (x, -1)), conjugate(x, 1, b))
 
 
 def _artin_relators(bands: Sequence[tuple[int, int]]) -> list[Word]:
     """One band conjugation relator per ordered pair (r,s), (i,j) with s < j."""
-    return [_conjugation_relator(gen_a(r, s), gen_a(i, j))
-            for (i, j) in bands for (r, s) in bands if s < j]
+    gens = [gen_a(i, j) for (i, j) in bands]
+    return [_conjugation_relator(x, b) for b in gens for x in gens if x[2] < b[2]]
 
 
 def build_pn_rp2(n: int) -> Presentation:
@@ -225,13 +233,13 @@ def build_pn_rp2(n: int) -> Presentation:
             ti, tj, a = gen_tau(i), gen_tau(j), gen_a(i, j)
             relators.append(_relator(
                 ((ti, 1), (tj, 1), (ti, -1)),
-                ((tj, -2), (a, 1), (tj, 1)),
+                ((tj, -1), (a, -1), (tj, 2)),
             ))
     # tau_i^2 = A[1,i] ... A[i-1,i] A[i,i+1] ... A[i,n]
     for i in range(1, n + 1):
-        rhs = [(gen_a(k, i), 1) for k in range(1, i)]
-        rhs += [(gen_a(i, k), 1) for k in range(i + 1, n + 1)]
-        relators.append(_relator(((gen_tau(i), 2),), invert_letters(rhs)))
+        rhs = tuple([(gen_a(k, i), 1) for k in range(1, i)]
+                    + [(gen_a(i, k), 1) for k in range(i + 1, n + 1)])
+        relators.append(_relator(((gen_tau(i), 2),), rhs))
     # tau_k A[i,j] tau_k^-1, k != j
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -251,9 +259,7 @@ def build_pn_rp2(n: int) -> Presentation:
                         (akj, 1), (tj, -1), (akj, 1), (tj, 1),
                     )
                 relators.append(_relator(
-                    ((gen_tau(k), 1), (a, 1), (gen_tau(k), -1)),
-                    invert_letters(rhs),
-                ))
+                    ((gen_tau(k), 1), (a, 1), (gen_tau(k), -1)), rhs))
     return Presentation(
         family=FAMILY_PN_RP2,
         params=(("n", n),),
@@ -285,8 +291,7 @@ def build_gamma_rp2(m: int, p: int) -> Presentation:
     relators += [_conjugation_relator(gen_rho(k), gen_rho(j))
                  for j in range(p + 1, top + 1) for k in range(p + 1, j)]
     for j in range(p + 1, top + 1):
-        lhs, rhs = surface_relation(j, top)
-        relators.append(_relator(lhs, invert_letters(rhs)))
+        relators.append(_relator(*surface_relation(j, top)))
     return Presentation(
         family=FAMILY_GAMMA_RP2,
         params=(("m", m), ("p", p)),
@@ -306,8 +311,7 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
     relators: list[Word] = []
     relators += _artin_relators(bands)
     for j in range(m + 1, top + 1):
-        lhs, rhs = surface_relation(j, top, SURFACE_S2)
-        relators.append(_relator(lhs, invert_letters(rhs)))
+        relators.append(_relator(*surface_relation(j, top, SURFACE_S2)))
     return Presentation(
         family=FAMILY_GAMMA_S2,
         params=(("n", n), ("m", m)),

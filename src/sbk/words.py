@@ -135,7 +135,11 @@ def push_letter(out: list, gen: Gen, exp: int) -> None:
 
 
 def invert_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    return tuple((gen, -exp) for gen, exp in reversed(tuple(letters)))
+    out = []
+    for gen, exp in letters:
+        out.append((gen, -exp))
+    out.reverse()
+    return tuple(out)
 
 
 def concat_letters(*parts: Iterable[Letter]) -> tuple[Letter, ...]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -12,9 +13,20 @@ from sbk.presentations import (
     build_gamma_s2,
     build_pn_rp2,
     cln_letters,
+    conjugate,
     verify_relators,
 )
-from sbk.words import Word, format_gen, gen_a, gen_rho, gen_tau, parse_word, substitute
+from sbk.words import (
+    Word,
+    format_gen,
+    gen_a,
+    gen_level,
+    gen_rho,
+    gen_tau,
+    parse_word,
+    reduce_letters,
+    substitute,
+)
 
 
 def test_pn_generator_count():
@@ -124,6 +136,51 @@ def test_artin_conjugate_cases():
 def test_cln_letters():
     assert cln_letters(2, 3) == ((gen_a(2, 3), 1),)
     assert Word(cln_letters(1, 3)) == parse_word("A[2,3]^-1 A[1,3] A[2,3]")
+
+
+def test_conjugate_images_are_reduced_at_the_level_of_b():
+    # each relator is joined as x b x^-1 image^-1 without a reduction pass:
+    # that needs every image reduced and on b's level, where x is not
+    cases = 0
+    for j in range(2, 13):
+        targets = [gen_a(i, j) for i in range(1, j)] + [gen_rho(j)]
+        actors = [gen_a(r, s) for s in range(2, j) for r in range(1, s)]
+        actors += [gen_rho(k) for k in range(1, j)]
+        for b, x, sign in itertools.product(targets, actors, (1, -1)):
+            image = conjugate(x, sign, b)
+            assert image and reduce_letters(image) == image, (x, sign, b)
+            assert all(gen_level(g) == j for g, _ in image), (x, sign, b)
+            cases += 1
+    assert cases == 5434
+
+
+def _family_presentations(pn_ns, gamma_rp2_ms, gamma_rp2_ps, gamma_s2_ns, gamma_s2_ms):
+    for n in pn_ns:
+        yield build_pn_rp2(n)
+    for m, p in itertools.product(gamma_rp2_ms, gamma_rp2_ps):
+        yield build_gamma_rp2(m, p)
+    for n, m in itertools.product(gamma_s2_ns, gamma_s2_ms):
+        yield build_gamma_s2(n, m)
+
+
+def test_relators_are_stored_reduced():
+    # every relator is a tuple join; free reduction must leave it as it is
+    for pres in _family_presentations(range(1, 13), range(1, 7), range(1, 4),
+                                      range(1, 7), range(1, 5)):
+        for rel in pres.relators:
+            assert Word.from_letters(rel.letters) == rel, (pres.family, pres.params, str(rel))
+
+
+def test_relator_digest_is_pinned():
+    # SHA-256 of every relator's text, one per line, in order; pinned from
+    # the relators as built by a free-reduction pass over their parts
+    digest = hashlib.sha256()
+    for pres in _family_presentations(range(1, 23), range(1, 9), range(1, 4),
+                                      range(1, 8), range(1, 5)):
+        for rel in pres.relators:
+            digest.update(str(rel).encode() + b"\n")
+    assert digest.hexdigest() == \
+        "afa1ed772638a003551022e0b6d2b6b36e3a76d480f5de09396d4f42a60cc92c"
 
 
 def test_verify_relators_iota():

@@ -15,7 +15,15 @@ from hypothesis import given, settings, strategies as st
 
 import sbk
 from sbk import combing, verify
-from sbk.cli import NF_MAX_M, main
+from sbk.cli import (
+    GAMMA_RP2_MAX_STRANDS,
+    GAMMA_S2_MAX_STRANDS,
+    LN_MAX_N,
+    NF_MAX_M,
+    PN_RP2_MAX_N,
+    _parse_group_spec,
+    main,
+)
 from sbk.combing import ActionTable, build_action_table
 from sbk.words import gen_a
 
@@ -145,6 +153,34 @@ def test_nf_strand_count_is_capped():
     assert json.loads(out) == {"error": "m must be >= 1"}
 
 
+def test_group_strand_counts_are_capped(capsys):
+    # info and abelianize cap each family's strand count, punctures
+    # included, before the module that builds the group is imported
+    for family, names, cap in (("pn-rp2", ("n",), PN_RP2_MAX_N),
+                               ("gamma-rp2", ("m", "p"), GAMMA_RP2_MAX_STRANDS),
+                               ("gamma-s2", ("n", "m"), GAMMA_S2_MAX_STRANDS),
+                               ("ln", ("n",), LN_MAX_N)):
+        values = [cap - len(names) + 1] + [1] * (len(names) - 1)
+        at_cap = ",".join(f"{k}={v}" for k, v in zip(names, values))
+        _parse_group_spec(f"{family}:{at_cap}")
+        values[0] += 1
+        over = ",".join(f"{k}={v}" for k, v in zip(names, values))
+        with pytest.raises(ValueError, match=f"^{' [+] '.join(names)} must be at most {cap}$"):
+            _parse_group_spec(f"{family}:{over}")
+    for argv in (("info", "--group", "pn-rp2:n=200"), ("abelianize", "--group", "ln:n=40")):
+        rc, out, _ = run_cli(*argv)
+        assert rc == 2 and out.count("\n") == 1, argv
+        assert "must be at most" in json.loads(out)["error"], argv
+        loaded = _modules_loaded_by(list(argv))
+        assert not loaded & {"sbk.presentations", "sbk.abelian", "sbk.combing"}, argv
+    # inputs below 1 and missing parameters keep their own messages
+    capsys.readouterr()
+    assert main(["abelianize", "--group", "gamma-rp2:m=50,p=-1"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": "m and p must be >= 1"}
+    with pytest.raises(KeyError, match="'p'"):
+        _parse_group_spec("gamma-rp2:m=50")
+
+
 def _modules_loaded_by(argv):
     """The modules a fresh interpreter loads to import sbk.cli and run
     ``main(argv)``, or only to import sbk when argv is None."""
@@ -260,6 +296,35 @@ def test_abelianize_large_pn_fits_in_256_mb():
     assert proc.returncode == 0, proc.stdout
     out = json.loads(proc.stdout)
     assert (out["free_rank"], out["torsion"]) == (0, [2] * 30)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_memory_caps_near_the_edge_exit_0_or_2():
+    # Just below the smallest cap that fits, the job runs out of memory late.
+    # The error must still reach stdout as one JSON document with exit 2, so
+    # matching it must not allocate, and it is written only once its
+    # traceback, which holds the job's memory, is dropped; otherwise the
+    # child dies with exit 1, empty stdout and "lost sys.stderr".  The edge
+    # moves with the Python version, so it is found here first; it is not
+    # sharp, and a cap near it may fit in one run and not in the next.
+    mb = 2**20
+    argv = ("abelianize", "--group", "pn-rp2:n=22")
+
+    def one_document(limit):
+        proc = _cli_under_memory_cap(limit * mb, *argv)
+        assert proc.returncode in (0, 2), (limit, proc.returncode, proc.stderr[-300:])
+        assert proc.stdout.count("\n") == 1, (limit, proc.stdout)
+        json.loads(proc.stdout)
+
+    fails, fits = 24, 88
+    while fits - fails > 1:  # the smallest cap that fits, to 1 MB
+        mid = (fails + fits) // 2
+        if _cli_under_memory_cap(mid * mb, *argv).returncode == 0:
+            fits = mid
+        else:
+            fails = mid
+    for limit in range(fits - 7, fits + 1):
+        one_document(limit)
 
 
 def test_verify_counts_passes():
