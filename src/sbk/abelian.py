@@ -50,23 +50,29 @@ IndexedWord = tuple  # ((basis index, exponent), ...)
 SparseColumn = tuple  # ((row, nonzero value), ...) in row order
 
 
-class IntMatrix:
+class IntMatrix(Frozen):
     """Integer matrix, rows x cols, stored as its columns: ``columns[c]`` is
     the tuple of the nonzero ``(row, value)`` pairs of column c in row
     order.  ``entries``, the dense rows, is derived on each read."""
 
+    _fields = ("rows", "cols", "columns")
+    __hash__ = None
+
     def __init__(self, rows: int, cols: int, entries: Sequence[Sequence[int]]):
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError(f"entries are not a {rows} x {cols} matrix")
-        self.rows = rows
-        self.cols = cols
-        self.columns = [_sparse(row[c] for row in entries) for c in range(cols)]
+        self._set(rows, [_sparse(row[c] for row in entries) for c in range(cols)])
+
+    def _set(self, rows: int, columns: list[SparseColumn]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", len(columns))
+        object.__setattr__(self, "columns", columns)
 
     @staticmethod
     def _of_sparse(rows: int, columns: list[SparseColumn]) -> "IntMatrix":
         """The matrix with these sparse ``columns``, taken as they are."""
         matrix = IntMatrix.__new__(IntMatrix)
-        matrix.rows, matrix.cols, matrix.columns = rows, len(columns), columns
+        matrix._set(rows, columns)
         return matrix
 
     @property
@@ -76,15 +82,6 @@ class IntMatrix:
             for r, v in col:
                 dense[r][c] = v
         return dense
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
-        return NotImplemented
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix._of_sparse(rows, [()] * cols)
 
     @staticmethod
     def from_columns(rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -112,6 +109,8 @@ class AbelianInvariants(Frozen):
     """A finitely generated abelian group: free rank (>= 0) plus the
     invariant factors d1 | d2 | ... (each >= 2, no units kept)."""
 
+    _fields = ("free_rank", "torsion")
+
     def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise ValueError("the free rank must be >= 0")
@@ -122,17 +121,6 @@ class AbelianInvariants(Frozen):
                 raise ValueError("torsion coefficients must form a divisor chain")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.free_rank, self.torsion))
-
-    def __repr__(self) -> str:
-        return f"AbelianInvariants(free_rank={self.free_rank!r}, torsion={self.torsion!r})"
 
     def mod2_rank(self) -> int:
         """Rank of the tensor product with Z/2."""

@@ -26,7 +26,8 @@ NF_MAX_M = 16
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relators:
 # `abelianize` takes 1.8-3.4 s and 255 MB, `info` 2.7-4.9 s and 275 MB, and
 # the gamma families at 40 strands are of the same size; the ln tower at
-# n = 16 takes about 2 s and 80 MB (Python 3.11, 2-core Xeon)
+# n = 16 takes about 2 s and 80 MB (Python 3.11, 2-core Xeon).  `eval`
+# caps its --n and --to at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
 GAMMA_S2_MAX_STRANDS = 40
@@ -102,10 +103,14 @@ def _cmd_nf(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import homs
     from .words import parse_word
 
     word = parse_word(args.word)
+    # a value and the work to reach it grow with the strand count
+    if max(args.n, args.to or 0) > PN_RP2_MAX_N:
+        raise ValueError(f"n must be at most {PN_RP2_MAX_N}")
+    from . import homs
+
     if args.hom in ("iota", "abelianize"):
         # the mod-2 exponent map is the abelianization of the n-strand group
         bits = homs.iota_sharp(args.n, word)

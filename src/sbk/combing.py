@@ -267,17 +267,16 @@ class ActionTable(Frozen):
     letters' steps, in the shape of ``steps``, and top words under ``(gen,
     sign)`` (:func:`_eliminated`), and the closed forms of
     :mod:`sbk.iterates` under ``((gen, sign), start letter, parity)``.
+    ``powers`` is left out of equality: it fills as the comber goes.
     """
+
+    _fields = ("m", "maps")
+    __hash__ = None
 
     def __init__(self, m: int, maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "powers", {})
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.maps) == (other.m, other.maps)
-        return NotImplemented
 
     @property
     def top(self) -> int:
@@ -431,20 +430,11 @@ class CombedForm(Frozen):
     """The combed normal form: components (omega_{m+1}, ..., omega_2),
     top kernel level first.  All components empty means the identity."""
 
+    _fields = ("m", "components")
+
     def __init__(self, m: int, components: tuple[Word, ...]):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "components", components)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.components) == (other.m, other.components)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.components))
-
-    def __repr__(self) -> str:
-        return f"CombedForm(m={self.m!r}, components={self.components!r})"
 
     @property
     def is_identity(self) -> bool:

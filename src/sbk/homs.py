@@ -62,20 +62,11 @@ _AXIS_MUL = (
 class QuatElement(Frozen):
     """One of the eight elements {+-1, +-i, +-j, +-k} of the quaternion group."""
 
+    _fields = ("sign", "axis")
+
     def __init__(self, sign: int = 1, axis: int = 0):
         object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "axis", axis)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.sign, self.axis) == (other.sign, other.axis)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.sign, self.axis))
-
-    def __repr__(self) -> str:
-        return f"QuatElement(sign={self.sign!r}, axis={self.axis!r})"
 
     def __mul__(self, other: "QuatElement") -> "QuatElement":
         s, a = _AXIS_MUL[self.axis][other.axis]

@@ -47,21 +47,14 @@ SURFACE_S2 = "s2"
 
 
 class Presentation(Frozen):
+    _fields = ("family", "params", "generators", "relators")
+
     def __init__(self, family: str, params: tuple[tuple[str, int], ...],
                  generators: tuple[Gen, ...], relators: tuple[Word, ...]):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "relators", relators)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.family, self.params, self.generators, self.relators)
-                    == (other.family, other.params, other.generators, other.relators))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.params, self.generators, self.relators))
 
     def to_json(self) -> dict:
         return {
@@ -323,6 +316,8 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
 class HomSpec(Frozen):
     """A homomorphism out of a presented group, for relator checking."""
 
+    _fields = ("name", "apply", "is_identity", "render")
+
     def __init__(self, name: str, apply: Callable[[Word], Any],
                  is_identity: Callable[[Any], bool], render: Callable[[Any], str] = str):
         object.__setattr__(self, "name", name)
@@ -330,31 +325,15 @@ class HomSpec(Frozen):
         object.__setattr__(self, "is_identity", is_identity)
         object.__setattr__(self, "render", render)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.name, self.apply, self.is_identity, self.render)
-                    == (other.name, other.apply, other.is_identity, other.render))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.apply, self.is_identity, self.render))
-
 
 class RelatorReport(Frozen):
+    _fields = ("presentation", "hom_name", "cases")
+
     def __init__(self, presentation: Presentation, hom_name: str,
                  cases: tuple[tuple[str, str, bool], ...]):  # (relator, image, passed)
         object.__setattr__(self, "presentation", presentation)
         object.__setattr__(self, "hom_name", hom_name)
         object.__setattr__(self, "cases", cases)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.presentation, self.hom_name, self.cases)
-                    == (other.presentation, other.hom_name, other.cases))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.presentation, self.hom_name, self.cases))
 
     @property
     def passed(self) -> bool:

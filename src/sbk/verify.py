@@ -46,20 +46,13 @@ def holds(check: Check) -> bool:
 
 
 class Case(Frozen):
+    _fields = ("case_id", "description", "expected", "got")
+
     def __init__(self, case_id: str, description: str, expected: str, got: str):
         object.__setattr__(self, "case_id", case_id)
         object.__setattr__(self, "description", description)
         object.__setattr__(self, "expected", expected)
         object.__setattr__(self, "got", got)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.case_id, self.description, self.expected, self.got)
-                    == (other.case_id, other.description, other.expected, other.got))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.case_id, self.description, self.expected, self.got))
 
     @property
     def passed(self) -> bool:
@@ -75,17 +68,14 @@ class Case(Frozen):
         }
 
 
-class VerificationReport:
-    def __init__(self, suite: str, max_n: int, cases: list[Case] | None = None):
-        self.suite = suite
-        self.max_n = max_n
-        self.cases = [] if cases is None else cases
+class VerificationReport(Frozen):
+    _fields = ("suite", "max_n", "cases")
+    __hash__ = None
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.suite, self.max_n, self.cases)
-                    == (other.suite, other.max_n, other.cases))
-        return NotImplemented
+    def __init__(self, suite: str, max_n: int, cases: list[Case] | None = None):
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "cases", [] if cases is None else cases)
 
     def add(self, case_id: str, description: str, expected, got) -> None:
         self.cases.append(Case(case_id, description, str(expected), str(got)))

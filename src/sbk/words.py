@@ -53,9 +53,31 @@ Letter = tuple
 class Frozen:
     """Base of the value classes with read-only fields: ``__init__`` sets
     each field once through ``object.__setattr__``, and assigning or
-    deleting a field afterwards raises ``AttributeError``."""
+    deleting a field afterwards raises ``AttributeError``.
+
+    ``_fields`` names a value's fields in order, and is the one statement
+    of its identity: two values are equal when they are of the same class
+    with equal field tuples, a value hashes as its field tuple, and its
+    repr is ``Name(field=value, ...)``.  A class whose fields hold lists
+    or dicts sets ``__hash__ = None``."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -204,17 +226,10 @@ class Word(Frozen):
     """An immutable, canonically reduced word over the generator alphabet."""
 
     __slots__ = ("letters",)
+    _fields = ("letters",)
 
     def __init__(self, letters: tuple[Letter, ...] = ()):
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.letters,))
 
     def __reduce__(self):
         # copy and pickle rebuild a word through __init__: its slot is read-only

@@ -253,12 +253,6 @@ def test_abelianize_gamma():
     assert abelianize_presentation(build_gamma_rp2(2, 2)) == AbelianInvariants(4, ())
 
 
-def test_abelianize_no_relators():
-    pres = build_gamma_s2(1, 3)
-    free = abelian.IntMatrix.zeros(len(pres.generators), 0)
-    assert snf(free) == AbelianInvariants(3, ())
-
-
 def test_exponent_matrix_convention():
     pres = build_gamma_rp2(1, 2)
     m = exponent_matrix(pres)
@@ -285,6 +279,28 @@ def test_exponent_matrix_matches_letter_counts():
         matrix = exponent_matrix(pres)
         assert matrix.entries == counts, (pres.family, pres.params)
         assert matrix == IntMatrix(len(pres.generators), len(pres.relators), counts)
+
+
+def _sympy_invariants(pres):
+    """The abelianization of ``pres`` read off sympy's Smith normal form of
+    the exponent counts."""
+    rows = len(pres.generators)
+    diag = smith_normal_form(sympy.Matrix(rows, len(pres.relators),
+                                          sum(_exponent_counts(pres), [])))
+    factors = sorted(abs(int(diag[i, i])) for i in range(min(diag.shape)) if diag[i, i])
+    return AbelianInvariants(rows - len(factors), tuple(d for d in factors if d >= 2))
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 4) for m in (3, 4)])
+def test_abelianize_gamma_s2_matches_sympy(n, m):
+    pres = build_gamma_s2(n, m)
+    assert abelianize_presentation(pres) == _sympy_invariants(pres)
+
+
+@pytest.mark.parametrize("m, p", [(m, p) for p in (1, 3) for m in range(1, 5)])
+def test_abelianize_gamma_rp2_matches_sympy(m, p):
+    pres = build_gamma_rp2(m, p)
+    assert abelianize_presentation(pres) == _sympy_invariants(pres)
 
 
 def test_snf_of_pn_exponent_matrix_matches_sympy():

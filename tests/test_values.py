@@ -3,6 +3,7 @@ read-only fields, and the reprs that are relied on."""
 
 import copy
 import pickle
+from collections.abc import Hashable
 
 import pytest
 
@@ -62,7 +63,17 @@ VALUES = {
                            lambda: VerificationReport("counts", 4)),
 }
 
-HASHED = ("Word", "QuatElement", "AbelianInvariants", "CombedForm")
+# per hashed class: the names of its fields, in order
+HASHED = {
+    "Word": ("letters",),
+    "QuatElement": ("sign", "axis"),
+    "Presentation": ("family", "params", "generators", "relators"),
+    "HomSpec": ("name", "apply", "is_identity", "render"),
+    "RelatorReport": ("presentation", "hom_name", "cases"),
+    "CombedForm": ("m", "components"),
+    "AbelianInvariants": ("free_rank", "torsion"),
+    "Case": ("case_id", "description", "expected", "got"),
+}
 
 # per read-only class: one built value and the name of one of its fields
 READ_ONLY = {
@@ -76,6 +87,8 @@ READ_ONLY = {
     "CombedForm": (lambda: comb(1, Word()), "components"),
     "AbelianInvariants": (lambda: AbelianInvariants(0), "torsion"),
     "Case": (lambda: Case("c", "d", "1", "1"), "got"),
+    "IntMatrix": (lambda: IntMatrix(2, 2, [[1, 2], [3, 4]]), "columns"),
+    "VerificationReport": (lambda: VerificationReport("counts", 3), "cases"),
 }
 
 
@@ -89,17 +102,27 @@ def test_field_equality(name):
     assert a != object() and a != ()
 
 
-@pytest.mark.parametrize("name", HASHED)
+@pytest.mark.parametrize("name", sorted(HASHED))
 def test_equal_values_hash_equal(name):
     make, make_equal, make_other = VALUES[name]
     assert hash(make()) == hash(make_equal())
     assert len({make(), make_equal(), make_other()}) == 2
 
 
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_values_hash_as_their_field_tuple(name):
+    # set and dict orders of values stay those of their field tuples
+    for make in VALUES[name]:
+        value = make()
+        assert hash(value) == hash(tuple(getattr(value, f) for f in HASHED[name]))
+
+
 @pytest.mark.parametrize("name", ["IntMatrix", "VerificationReport", "ActionTable"])
 def test_unhashable_values(name):
+    value = VALUES[name][0]()
+    assert not isinstance(value, Hashable)
     with pytest.raises(TypeError):
-        hash(VALUES[name][0]())
+        hash(value)
 
 
 @pytest.mark.parametrize("name", sorted(READ_ONLY))
@@ -143,3 +166,5 @@ def test_value_reprs():
     assert repr(AbelianInvariants(1, (2,))) == "AbelianInvariants(free_rank=1, torsion=(2,))"
     assert repr(comb(1, parse_word("A[1,3]"))) == \
         "CombedForm(m=1, components=(Word('A[1,3]'),))"
+    assert repr(Case("c", "d", "1", "2")) == \
+        "Case(case_id='c', description='d', expected='1', got='2')"

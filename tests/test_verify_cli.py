@@ -181,6 +181,26 @@ def test_group_strand_counts_are_capped(capsys):
         _parse_group_spec("gamma-rp2:m=50")
 
 
+def test_eval_strand_counts_are_capped():
+    # eval caps --n and --to at the pn-rp2 cap before sbk.homs is imported
+    cap = PN_RP2_MAX_N
+    rc, out, _ = run_cli("eval", "--hom", "iota", "--n", str(cap), "--word", f"rho[{cap}]")
+    assert rc == 0
+    assert json.loads(out)["value"] == [0] * (cap - 1) + [1]
+    rc, out, _ = run_cli("eval", "--hom", "forget", "--n", str(cap), "--to", str(cap - 1),
+                         "--word", f"rho[{cap}] rho[1]")
+    assert rc == 0 and json.loads(out) == {"value": "rho[1]"}
+    for argv in (["eval", "--hom", "iota", "--n", "1000000", "--word", "rho[1]"],
+                 ["eval", "--hom", "iota-hat", "--n", str(cap + 1), "--word", "rho[3]"],
+                 ["eval", "--hom", "forget", "--n", "5", "--to", str(cap + 1),
+                  "--word", "rho[1]"]):
+        rc, out, err = run_cli(*argv)
+        assert rc == 2 and out.count("\n") == 1, argv
+        assert json.loads(out) == {"error": f"n must be at most {cap}"}, argv
+        assert err == f"error: n must be at most {cap}\n", argv
+        assert "sbk.homs" not in _modules_loaded_by(argv), argv
+
+
 def _modules_loaded_by(argv):
     """The modules a fresh interpreter loads to import sbk.cli and run
     ``main(argv)``, or only to import sbk when argv is None."""
