@@ -12,12 +12,12 @@ import importlib
 _EXPORTS = {
     **dict.fromkeys(("words", "Word", "parse_word", "format_word"), "words"),
     **dict.fromkeys(("presentations", "Presentation", "build_pn_rp2", "build_gamma_rp2",
-                     "build_gamma_s2", "verify_relators"), "presentations"),
+                     "build_gamma_s2"), "presentations"),
     **dict.fromkeys(("homs", "QuatElement", "iota_sharp", "iota_hat", "q2_sharp",
                      "forget_strands", "tau_from_rho", "aij_from_sigma", "full_twist_pure"),
                     "homs"),
     **dict.fromkeys(("combing", "ActionTable", "CombedForm", "build_action_table", "comb",
-                     "expand_C", "section_s", "strip_last", "is_trivial_gamma",
+                     "expand_C", "section_s", "is_trivial_gamma",
                      "ln_membership", "ln_word_problem", "kn_membership", "kn_decompose",
                      "pn_triviality", "ln_generators", "keromega_basis",
                      "gamma_tower_ranks", "ln_tower_ranks"), "combing"),

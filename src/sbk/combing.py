@@ -418,14 +418,6 @@ def section_s(m: int, w: Word) -> Word:
     return Word(substitute(w.letters, images))
 
 
-def strip_last(m: int, w: Word) -> Word:
-    """Forget the last strand: delete every letter at level m+2."""
-    top = m + 2
-    return Word.from_letters(
-        (gen, exp) for gen, exp in w.letters if gen_level(gen) < top
-    )
-
-
 class CombedForm(Frozen):
     """The combed normal form: components (omega_{m+1}, ..., omega_2),
     top kernel level first.  All components empty means the identity."""

@@ -220,9 +220,12 @@ def forget_strands(w: Word, frm: int, to: int) -> Word:
     """The strand-forgetting homomorphism from the ``frm``-strand group to
     the ``to``-strand group, applied letterwise.
 
-    tau letters are first converted to the rho/A alphabet of the source
-    group; every generator mentioning a forgotten strand maps to the
-    identity.  The result is a word over the rho/A alphabet.
+    Every generator mentioning a forgotten strand maps to the identity,
+    and tau[k] with k <= ``to`` maps to its rho/A image in the source group
+    with those letters already removed, which is the rho/A image of tau[k]
+    in the target group.  So one substitution pass forgets each image
+    before raising it to its exponent.  The result is a word over the
+    rho/A alphabet.
     """
     if not 1 <= to < frm:
         raise ValueError(f"need 1 <= to < from, got from={frm}, to={to}")
@@ -230,10 +233,11 @@ def forget_strands(w: Word, frm: int, to: int) -> Word:
     images: dict[Gen, tuple[Letter, ...]] = {}
     for gen, _ in w.letters:
         _check_pn_letter(gen, frm)
-        if gen[0] == KIND_TAU:
-            images[gen] = tau_from_rho(gen[1], frm).letters
-    return Word.from_letters(
-        (gen, exp) for gen, exp in substitute(w.letters, images) if gen_level(gen) <= to)
+        if gen_level(gen) > to:
+            images[gen] = ()
+        elif gen[0] == KIND_TAU:
+            images[gen] = tau_from_rho(gen[1], to).letters
+    return Word(substitute(w.letters, images))
 
 
 def aij_from_sigma(i: int, j: int) -> Word:

@@ -22,7 +22,7 @@ action tables and eliminated-letter expansions of :mod:`sbk.combing` share both.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Sequence
 
 from .words import (
     KIND_A,
@@ -312,49 +312,3 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
         relators=tuple(relators),
     )
 
-
-class HomSpec(Frozen):
-    """A homomorphism out of a presented group, for relator checking."""
-
-    _fields = ("name", "apply", "is_identity", "render")
-
-    def __init__(self, name: str, apply: Callable[[Word], Any],
-                 is_identity: Callable[[Any], bool], render: Callable[[Any], str] = str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "apply", apply)
-        object.__setattr__(self, "is_identity", is_identity)
-        object.__setattr__(self, "render", render)
-
-
-class RelatorReport(Frozen):
-    _fields = ("presentation", "hom_name", "cases")
-
-    def __init__(self, presentation: Presentation, hom_name: str,
-                 cases: tuple[tuple[str, str, bool], ...]):  # (relator, image, passed)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "hom_name", hom_name)
-        object.__setattr__(self, "cases", cases)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, _, ok in self.cases)
-
-
-def verify_relators(pres: Presentation, hom: HomSpec) -> RelatorReport:
-    """Evaluate the homomorphism on every relator; passes iff all images
-    are the identity of the target."""
-    gens = set(pres.generators)
-    cases = []
-    for rel in pres.relators:
-        for gen, _ in rel.letters:
-            if gen not in gens:
-                raise AlphabetMismatch(
-                    f"relator letter {format_gen(gen)} outside the generator list"
-                )
-        image = hom.apply(rel)
-        cases.append((str(rel), hom.render(image), hom.is_identity(image)))
-    return RelatorReport(pres, hom.name, tuple(cases))
-
-
-class AlphabetMismatch(ValueError):
-    pass

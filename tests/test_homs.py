@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,7 +22,19 @@ from sbk.homs import (
     tau_from_rho,
 )
 from sbk.presentations import build_pn_rp2, build_gamma_rp2
-from sbk.words import AlphabetError, Word, gen_rho, gen_tau, parse_word
+from sbk.words import (
+    KIND_SIGMA,
+    KIND_TAU,
+    AlphabetError,
+    Word,
+    gen_a,
+    gen_level,
+    gen_rho,
+    gen_sigma,
+    gen_tau,
+    parse_word,
+    substitute,
+)
 
 
 def test_iota_examples():
@@ -145,6 +159,42 @@ def test_forget_composes():
     for w in words:
         two_step = forget_strands(forget_strands(w, 4, 3), 3, 2)
         assert two_step == forget_strands(w, 4, 2)
+
+
+def test_forget_large_tau_power_is_one_letter():
+    # tau[2]'s image is forgotten before it is raised to the exponent, so
+    # the million-fold power is never written out
+    w = Word.of(gen_tau(2), 1000000)
+    assert forget_strands(w, 3, 2) == Word.of(gen_rho(2), -1000000)
+
+
+def _substitute_then_filter(w, frm, to):
+    # strand forgetting as it was first written: the full rho/A image of
+    # every tau letter, then the letters above ``to`` deleted
+    w = homs.expand_even_crossings(w)
+    images = {gen: tau_from_rho(gen[1], frm).letters
+              for gen, _ in w.letters if gen[0] == KIND_TAU}
+    return Word.from_letters((gen, exp) for gen, exp in substitute(w.letters, images)
+                             if gen_level(gen) <= to)
+
+
+def test_forget_matches_substitute_then_filter():
+    rng = random.Random(19)
+    for frm in range(2, 8):
+        alphabet = ([gen_a(i, j) for j in range(2, frm + 1) for i in range(1, j)]
+                    + [gen_rho(k) for k in range(1, frm + 1)]
+                    + [gen_tau(k) for k in range(1, frm + 1)]
+                    + [gen_sigma(i) for i in range(1, frm)])
+        for to in range(1, frm):
+            for _ in range(100):
+                letters = []
+                for _ in range(rng.randint(0, 12)):
+                    gen = rng.choice(alphabet)
+                    exp = rng.choice((1, -1, 2, -3))
+                    letters.append((gen, 2 * exp if gen[0] == KIND_SIGMA else exp))
+                w = Word.from_letters(letters)
+                assert forget_strands(w, frm, to) == _substitute_then_filter(w, frm, to), \
+                    (str(w), frm, to)
 
 
 def test_format_z2():

@@ -1,11 +1,12 @@
 import hashlib
 import itertools
+import random
 
 import pytest
 
-from sbk import homs
+from sbk import homs, verify
+from sbk.combing import comb
 from sbk.presentations import (
-    HomSpec,
     artin_case,
     artin_conjugate,
     artin_conjugate_inv,
@@ -14,7 +15,6 @@ from sbk.presentations import (
     build_pn_rp2,
     cln_letters,
     conjugate,
-    verify_relators,
 )
 from sbk.words import (
     Word,
@@ -183,51 +183,37 @@ def test_relator_digest_is_pinned():
         "afa1ed772638a003551022e0b6d2b6b36e3a76d480f5de09396d4f42a60cc92c"
 
 
-def test_verify_relators_iota():
-    pres = build_pn_rp2(3)
-    hom = HomSpec(
-        name="iota",
-        apply=lambda w: homs.iota_sharp(3, w),
-        is_identity=lambda bits: not any(bits),
-        render=homs.format_z2,
-    )
-    report = verify_relators(pres, hom)
-    assert report.passed
-    assert all(image == "(0,0,0)" for _, image, _ in report.cases)
+def test_relator_letters_lie_in_the_generator_list():
+    for pres in _family_presentations(range(1, 9), range(1, 6), range(1, 4),
+                                      range(1, 5), range(1, 5)):
+        gens = set(pres.generators)
+        for rel in pres.relators:
+            outside = [format_gen(g) for g, _ in rel.letters if g not in gens]
+            assert not outside, (pres.family, pres.params, str(rel), outside)
 
 
-def test_verify_relators_combed_form():
-    from sbk.combing import comb
-
-    pres = build_gamma_rp2(3, 2)
-    hom = HomSpec(
-        name="combed-form",
-        apply=lambda w: comb(3, w),
-        is_identity=lambda form: form.is_identity,
-    )
-    assert verify_relators(pres, hom).passed
+def test_forget_strands_then_comb_kills_relators():
+    # forgetting the last strand of a two-puncture relator leaves a word
+    # that combs to the identity one level down
+    for m in (2, 3):
+        for rel in build_gamma_rp2(m, 2).relators:
+            assert comb(m - 1, homs.forget_strands(rel, m + 2, m + 1)).is_identity, str(rel)
 
 
-def test_verify_relators_strand_forgetting():
-    from sbk.combing import comb, strip_last
-
-    pres = build_gamma_rp2(2, 2)
-    hom = HomSpec(
-        name="forget-then-comb",
-        apply=lambda w: comb(1, strip_last(2, w)),
-        is_identity=lambda form: form.is_identity,
-    )
-    assert verify_relators(pres, hom).passed
-
-
-def test_verify_relators_detects_failure():
-    pres = build_pn_rp2(2)
-    hom = HomSpec(
-        name="broken",
-        apply=lambda w: homs.iota_sharp(2, w * parse_word("rho[1]")),
-        is_identity=lambda bits: not any(bits),
-    )
-    assert not verify_relators(pres, hom).passed
+def test_presentations_suite_detects_non_killing_maps(monkeypatch):
+    # maps that multiply by a surface letter first kill no relator: exactly
+    # the relator-kill cases must fail, and every other case still passes
+    for name, extra in (("iota_sharp", "rho[1]"), ("q2_sharp", "rho[1]"),
+                        ("iota_hat", "rho[3]")):
+        monkeypatch.setattr(homs, name, lambda k, w, f=getattr(homs, name),
+                            x=parse_word(extra): f(k, w * x))
+    report = verify.presentations_suite(4, random.Random(verify.DEFAULT_SEED))
+    failed = {c.case_id for c in report.cases if not c.passed}
+    assert failed == {"pn-iota-kills-n1", "pn-iota-kills-n2", "pn-iota-kills-n3",
+                      "pn-iota-kills-n4", "pn-q2-kills-n2", "pn-q2-kills-n3",
+                      "pn-q2-kills-n4", "gamma-iota-hat-kills-m1",
+                      "gamma-iota-hat-kills-m2"}
+    assert len(report.cases) == 21
 
 
 def test_presentation_json_round_trip():

@@ -11,17 +11,9 @@ from sbk import homs
 from sbk.abelian import AbelianInvariants, IntMatrix
 from sbk.combing import ActionTable, CombedForm, build_action_table, comb
 from sbk.homs import QuatElement
-from sbk.presentations import HomSpec, Presentation, build_pn_rp2, verify_relators
+from sbk.presentations import Presentation, build_pn_rp2
 from sbk.verify import Case, VerificationReport
 from sbk.words import Word, parse_word
-
-
-def _iota(w):
-    return homs.iota_sharp(3, w)
-
-
-def _zero(bits):
-    return not any(bits)
 
 
 def _table_copy(m):
@@ -40,11 +32,6 @@ VALUES = {
     "Presentation": (lambda: build_pn_rp2(3), lambda: build_pn_rp2(3),
                      lambda: Presentation("pn-rp2", (("n", 3),), build_pn_rp2(3).generators,
                                           build_pn_rp2(3).relators[1:])),
-    "HomSpec": (lambda: HomSpec("iota", _iota, _zero), lambda: HomSpec("iota", _iota, _zero, str),
-                lambda: HomSpec("iota", _iota, _zero, homs.format_z2)),
-    "RelatorReport": (lambda: verify_relators(build_pn_rp2(3), HomSpec("iota", _iota, _zero)),
-                      lambda: verify_relators(build_pn_rp2(3), HomSpec("iota", _iota, _zero)),
-                      lambda: verify_relators(build_pn_rp2(3), HomSpec("iota2", _iota, _zero))),
     "ActionTable": (lambda: build_action_table(2), lambda: _table_copy(2),
                     lambda: ActionTable(2, {})),
     "CombedForm": (lambda: comb(2, parse_word("rho[4] A[1,3]^2")),
@@ -68,8 +55,6 @@ HASHED = {
     "Word": ("letters",),
     "QuatElement": ("sign", "axis"),
     "Presentation": ("family", "params", "generators", "relators"),
-    "HomSpec": ("name", "apply", "is_identity", "render"),
-    "RelatorReport": ("presentation", "hom_name", "cases"),
     "CombedForm": ("m", "components"),
     "AbelianInvariants": ("free_rank", "torsion"),
     "Case": ("case_id", "description", "expected", "got"),
@@ -80,9 +65,6 @@ READ_ONLY = {
     "Word": (lambda: Word(), "letters"),
     "QuatElement": (lambda: QuatElement(), "sign"),
     "Presentation": (lambda: build_pn_rp2(2), "relators"),
-    "HomSpec": (lambda: HomSpec("iota", _iota, _zero), "render"),
-    "RelatorReport": (lambda: verify_relators(build_pn_rp2(2), HomSpec("iota", _iota, _zero)),
-                      "cases"),
     "ActionTable": (lambda: build_action_table(1), "maps"),
     "CombedForm": (lambda: comb(1, Word()), "components"),
     "AbelianInvariants": (lambda: AbelianInvariants(0), "torsion"),

@@ -7,6 +7,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -244,7 +245,7 @@ def test_each_command_loads_only_what_it_runs():
 
 def test_package_names_are_their_submodules_objects():
     # sbk reads each public name from its submodule on first use
-    assert len(sbk.__all__) == 47
+    assert len(sbk.__all__) == 45
     listed = dir(sbk)
     for name in sbk.__all__:
         value = getattr(sbk, name)
@@ -305,6 +306,19 @@ def test_oversized_eliminated_power_exits_2_under_a_memory_cap():
     assert proc.returncode == 2
     assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": "out of memory"}
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_forget_large_tau_power_fits_in_300_mb():
+    # the forgotten letters leave tau[2]'s image before it is raised to the
+    # exponent, so the result is one letter and is never built long
+    start = time.perf_counter()
+    proc = _cli_under_memory_cap(300 * 2**20, "eval", "--hom", "forget", "--n", "3",
+                                 "--to", "2", "--word", "tau[2]^1000000")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout
+    assert json.loads(proc.stdout) == {"value": "rho[2]^-1000000"}
+    assert elapsed < 2, elapsed
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
