@@ -7,9 +7,8 @@ and :func:`snf` reports the invariants of the cokernel Z^rows / colspace.
 An :class:`IntMatrix` stores only its columns, each as the tuple of its
 nonzero (row, value) pairs: :func:`exponent_matrix` builds one such column
 per relator straight from its letters, and the dense rows ``entries`` are
-derived on demand.  :func:`snf`, :func:`smith_diagonal` and
-:func:`delta_coinvariants` feed one elimination an iterable of dense
-columns.  The column space does not change when a column is negated,
+derived on demand.  :func:`snf` and :func:`delta_coinvariants` feed one
+elimination, :func:`_diagonal`, an iterable of dense columns.  The column space does not change when a column is negated,
 when a copy of another column is dropped or when a zero column is
 dropped, so :func:`snf` makes dense only the distinct sparse columns, and
 the elimination runs on the distinct nonzero columns up to sign only:
@@ -83,12 +82,6 @@ class IntMatrix(Frozen):
                 dense[r][c] = v
         return dense
 
-    @staticmethod
-    def from_columns(rows: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
-        if any(len(col) != rows for col in columns):
-            raise ValueError("column length mismatch")
-        return IntMatrix._of_sparse(rows, [_sparse(col) for col in columns])
-
 
 def _sparse(column: Iterable[int]) -> SparseColumn:
     """The nonzero ``(row, value)`` pairs of a dense column, in row order."""
@@ -151,7 +144,20 @@ def _distinct_columns(columns: Iterable[tuple[int, ...]]) -> list[tuple[int, ...
 
 
 def _diagonal(rows: int, columns: Iterable[tuple[int, ...]]) -> list[int]:
-    """:func:`smith_diagonal` of the ``rows``-row matrix with ``columns``."""
+    """Nonzero diagonal of the Smith normal form of the ``rows``-row matrix
+    with ``columns``, as a divisor chain.
+
+    Elimination runs on the distinct nonzero columns up to sign
+    (:func:`_distinct_columns`), generators indexing rows: negating a
+    column or subtracting it from a copy of it is a unimodular column
+    operation, and a zero column adds nothing to the column space.  Each
+    round moves a nonzero entry of least absolute value to (t, t) and
+    clears column t below it with row operations.  If a remainder is left,
+    the next round starts.  Otherwise column operations change only row t,
+    so ``row[c] %= pivot`` clears it, and the pivot is kept once it is
+    clear.  A round that keeps no pivot leaves a remainder smaller than the
+    pivot, so the least nonzero |entry| falls and the rounds end.
+    """
     columns = _distinct_columns(columns)
     a = [list(row) for row in zip(*columns)]
     cols = len(columns)
@@ -191,23 +197,6 @@ def _diagonal(rows: int, columns: Iterable[tuple[int, ...]]) -> list[int]:
             diag.append(abs(pivot))
             t += 1
     return _divisor_chain(diag)
-
-
-def smith_diagonal(matrix: IntMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith normal form, as a divisor chain.
-
-    Elimination runs on the distinct nonzero columns up to sign
-    (:func:`_distinct_columns`), generators indexing rows: negating a
-    column or subtracting it from a copy of it is a unimodular column
-    operation, and a zero column adds nothing to the column space.  Each
-    round moves a nonzero entry of least absolute value to (t, t) and
-    clears column t below it with row operations.  If a remainder is left,
-    the next round starts.  Otherwise column operations change only row t,
-    so ``row[c] %= pivot`` clears it, and the pivot is kept once it is
-    clear.  A round that keeps no pivot leaves a remainder smaller than the
-    pivot, so the least nonzero |entry| falls and the rounds end.
-    """
-    return _diagonal(matrix.rows, _distinct_dense(matrix))
 
 
 def _divisor_chain(diag: list[int]) -> list[int]:

@@ -27,9 +27,9 @@ own step :func:`_act`, and :meth:`ActionTable.round_trip_failures`
 certifies the compiled rows.  The table is the only store of per-level
 combing data, and :func:`build_action_table` caches one table per m.  The
 eliminated letters are expanded by solving the surface relation
-(:func:`sbk.presentations.surface_relation`) for them.  The cold letterwise
-rewrites here (rows, eliminated letters, the section) are
-:func:`sbk.words.substitute`.
+(:func:`sbk.presentations.surface_relation`) for them, in one table per
+top level (:func:`_x_images`).  The cold letterwise rewrites here (rows,
+eliminated letters, the section) are :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time, down to the base level, with
 a single right-to-left pass per level, :func:`_split_top`.  The pass is the
@@ -96,25 +96,26 @@ def _solved_surface_relation(j: int, top: int, surface: str) -> tuple[Letter, ..
 
 
 @lru_cache(maxsize=None)
-def _top_band_images(top: int, surface: str) -> dict[Gen, tuple[Letter, ...]]:
-    return {gen_a(top - 1, top): _solved_surface_relation(top, top, surface)}
-
-
-def _expand_top_band(letters: Iterable[Letter], top: int,
-                     surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    """Expand the eliminated top band generator A[top-1,top] by the surface
-    relation at level top, solved for it."""
-    return substitute(letters, _top_band_images(top, surface))
+def _x_images(top: int, surface: str = SURFACE_RP2) -> dict[Gen, tuple[Letter, ...]]:
+    """Every eliminated A[j-1,j], j <= top, over the kernel bases: the surface
+    relation at level j solved for it, built from the top level down, so
+    the eliminated A[j,j+1] it contains is already expanded.  A word at
+    level top contains no eliminated letter but A[top-1,top], whose image
+    is the solved relation itself."""
+    images: dict[Gen, tuple[Letter, ...]] = {}
+    for j in range(top, 2, -1):
+        images[gen_a(j - 1, j)] = substitute(_solved_surface_relation(j, top, surface), images)
+    return images
 
 
 def expand_C(i: int, j: int, top: int) -> Word:
     """The reflected band element C[i,j], with the eliminated generator
-    A[top-1,top] surface-expanded when j is the top level."""
+    A[top-1,top] surface-expanded (:func:`_x_images`) when j is the top level."""
     if not 1 <= i < j <= top:
         raise ValueError(f"expand_C requires 1 <= i < j <= top, got ({i},{j},{top})")
     letters = cln_letters(i, j)
     if j == top:
-        letters = _expand_top_band(letters, top)
+        letters = substitute(letters, _x_images(top))
     return Word.from_letters(letters)
 
 
@@ -135,7 +136,7 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
         raise AlphabetError(f"unexpected conjugator {format_gen(x)}")
     if not punctures + 1 <= gen_level(x) < top:
         raise AlphabetError(f"conjugator {format_gen(x)} outside level range")
-    return _expand_top_band(conjugate(x, sign, b), top, surface)
+    return substitute(conjugate(x, sign, b), _x_images(top, surface))
 
 
 def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
@@ -313,11 +314,11 @@ class ActionTable(Frozen):
         right (:func:`_section_parts`): phi_g(right^-1) * left^-1 for g,
         phi_{g^-1}(left) * right for g^-1."""
         index = self.index
+        images = _x_images(self.top)
         steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
         for (x, sign), row_map in self.maps.items():
             row = _Row.of({i: self.encode(row_map[b]) for b, i in index.items()})
-            left, right = (_expand_top_band(part, self.top)
-                           for part in _section_parts(x, self.top))
+            left, right = (substitute(part, images) for part in _section_parts(x, self.top))
             if sign > 0:
                 left, right = invert_letters(right), invert_letters(left)
             tail = _act(self.encode(left), row, self.encode(right))
@@ -355,18 +356,6 @@ def build_action_table(m: int) -> ActionTable:
                            for x in x_alphabet(m - 1) for sign in (1, -1)})
 
 
-@lru_cache(maxsize=None)
-def _x_images(m: int) -> dict[Gen, tuple[Letter, ...]]:
-    """Every eliminated A[j-1,j] over the combing alphabet: the surface
-    relation at level j solved for it, built from the top level down, so
-    the eliminated A[j,j+1] it contains is already expanded."""
-    images: dict[Gen, tuple[Letter, ...]] = {}
-    for j in range(m + 2, 2, -1):
-        images[gen_a(j - 1, j)] = substitute(
-            _solved_surface_relation(j, m + 2, SURFACE_RP2), images)
-    return images
-
-
 def _checked_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """The letters, each checked to be in the m-strand, two-puncture alphabet."""
     letters = tuple(letters)
@@ -380,7 +369,7 @@ def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     alphabet (eliminated band generators A[j-1,j] are expanded).  The comber
     does not go through it: it combs an eliminated letter as it is
     (:func:`_eliminated`)."""
-    return substitute(_checked_letters(m, letters), _x_images(m))
+    return substitute(_checked_letters(m, letters), _x_images(m + 2))
 
 
 def _section_parts(gen: Gen, top: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
@@ -449,7 +438,7 @@ def _eliminated(table: ActionTable, key: tuple[Gen, int]):
     table's own compiled rows."""
     if key not in table.powers:
         gen, sign = key
-        image = _x_images(table.m)[gen]
+        image = _x_images(table.top)[gen]
         letters = image if sign > 0 else invert_letters(image)
         if gen_level(gen) == table.top:
             table.powers[key] = table.encode(letters)

@@ -11,7 +11,7 @@ from difflib import SequenceMatcher
 from itertools import chain
 from typing import Callable, Mapping, Sequence
 
-from .combing import _MASK, _POWER_MIN, _SHIFT, _Row, _act, _code, _inverse, _reduce, _split_code
+from .combing import _MASK, _POWER_MIN, _SHIFT, _Row, _act, _inverse, _reduce, _split_code
 
 
 def _halves(block: list[int]) -> list[list[int]] | None:
@@ -71,14 +71,6 @@ def _certify(W: list[list[int]], D: list[list[int]],
     return _reduce((x, psi(W[-1]), tau)) == W[-1]
 
 
-def _is_hom(row: Mapping[int, Sequence[int]]) -> bool:
-    """Whether the letterwise map of ``row`` is a free-group homomorphism, as compiled rows are."""
-    return all(list(row[-i]) == _inverse(row[i])
-               and list(row[_code(i, 2)]) == _reduce((row[i], row[i]))
-               and list(row[_code(i, -2)]) == _inverse(row[_code(i, 2)])
-               for i in row if 0 < i <= _MASK)
-
-
 def _closed_form(row: Mapping[int, Sequence[int]], tail: Sequence[int],
                  start: Sequence[int], parity: int) -> tuple | None:
     """``(base, q, W, D)``, a certified block form E(i) of F^(base + q i)(start)
@@ -98,25 +90,30 @@ def _closed_form(row: Mapping[int, Sequence[int]], tail: Sequence[int],
 
 def _iterate(row: Mapping[int, Sequence[int]], tail: Sequence[int],
              start: tuple[int, ...], n: int, forms: dict, key: tuple) -> list[int] | None:
-    """F^n(start) from its form, kept in ``forms`` under ``key + (n % 2,)``, or None."""
-    if key + (n % 2,) not in forms:
-        forms[key + (n % 2,)] = _closed_form(row, tail, start, n % 2)
-    if forms[key + (n % 2,)] is None:
+    """F^n(start) from its form, kept in ``forms`` under ``key + (n % 2,)``, or
+    one step after F^(n-1)(start) from the other parity's form; else None."""
+    for k in (n, n - 1):
+        if key + (k % 2,) not in forms:
+            forms[key + (k % 2,)] = _closed_form(row, tail, start, k % 2)
+        if forms[key + (k % 2,)] is not None:
+            break
+    else:
         return None
-    base, q, W, D = forms[key + (n % 2,)]
+    base, q, W, D = forms[key + (k % 2,)]
     pieces: list[Sequence[int]] = [W[0]]
     for w, d in zip(W[1:], D):
         clean = (abs(d[0]) ^ abs(d[-1])) & _MASK  # its copies neither merge nor cancel
-        pieces += (d * ((n - base) // q) if clean else _reduce([d] * ((n - base) // q)), w)
-    return _reduce(pieces)
+        pieces += (d * ((k - base) // q) if clean else _reduce([d] * ((k - base) // q)), w)
+    return _reduce(pieces) if k == n else _act(_reduce(pieces), row, tail)
 
 
 def _power(row: Mapping[int, Sequence[int]], tail: Sequence[int],
            start: Sequence[int], n: int, forms: dict, key: object) -> list[int]:
     """F^n(start) for F(a) = row(a) * tail: F^n(a) = phi^n(a) * F^n(1) for a
     homomorphism phi, so ``start`` takes one step through b_i -> phi^n(b_i) and
-    F^n(1), forms kept under ``(key, i, parity)``, i = 0 for F^n(1); else plain."""
-    if n >= _POWER_MIN and _is_hom(row):
+    F^n(1), forms kept under ``(key, i, parity)``, i = 0 for F^n(1); else plain.
+    ``row`` is a homomorphism, as every row :meth:`~sbk.combing._Row.of` builds is."""
+    if n >= _POWER_MIN:
         power = _iterate(row, tail, (), n, forms, (key, 0))
         images = {i: _iterate(row, (), (i,), n, forms, (key, i))
                   for i in {abs(code) & _MASK for code in start}}

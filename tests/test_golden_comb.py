@@ -2,9 +2,9 @@ import hashlib
 import json
 from pathlib import Path
 
-from sbk.combing import build_action_table, comb
-from sbk.presentations import build_gamma_rp2, build_gamma_s2
-from sbk.words import Word, format_gen, parse_word
+from sbk.combing import build_action_table, comb, conjugation_row, kernel_basis
+from sbk.presentations import SURFACE_RP2, SURFACE_S2, build_gamma_rp2, build_gamma_s2
+from sbk.words import Word, format_gen, gen_a, gen_rho, parse_word
 
 GOLDEN = Path(__file__).resolve().parent / "golden_comb.json"
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -35,6 +35,15 @@ S2_RELATOR_DIGESTS = {
     (3, 2): "2fcf4d3b9d4d0244", (3, 3): "42a613e4f2ed7456", (3, 4): "6c5c6617317e0c69",
     (4, 1): "3a9bf69acf7d2bf8", (4, 2): "6f24b7e789753add", (4, 3): "557de3ef7b6b10b2",
     (4, 4): "10be68494883cb5e",
+}
+
+# sha256(...)[:16] of the conjugation rows of the strand-forgetting kernels
+# (fn_kernel_coinvariants) per surface, over l, then m = 1..6: every actor,
+# both signs, on every kernel basis letter; recorded while the top band letter
+# still had its own expansion beside the eliminated-letter table
+ROW_DIGESTS = {
+    SURFACE_RP2: (range(2, 8), 16968, "21b1fd09b9e1020f"),
+    SURFACE_S2: (range(3, 8), 12320, "01e02b86bc717eb5"),
 }
 
 
@@ -68,6 +77,30 @@ def test_action_tables_and_relators_pinned():
     got = {(m, p): _digest([str(r) for r in build_gamma_rp2(m, p).relators])
            for m, p in RELATOR_DIGESTS}
     assert got == RELATOR_DIGESTS
+
+
+def _kernel_row_lines(surface, ls):
+    lines = []
+    for l in ls:
+        for m in range(1, 7):
+            top = m + l + 1
+            for s in range(l + 1, top):
+                actors = [gen_a(r, s) for r in range(1, s)]
+                if surface == SURFACE_RP2:
+                    actors.append(gen_rho(s))
+                lines += [f"{m} {l} {format_gen(x)} {sign} {format_gen(b)}: "
+                          f"{Word(conjugation_row(x, sign, b, top, l, surface))}"
+                          for x in actors for sign in (1, -1)
+                          for b in kernel_basis(top, surface)]
+    return lines
+
+
+def test_kernel_conjugation_rows_pinned():
+    # only the coinvariants of these rows are checked elsewhere; the pins fix
+    # the rows of the sphere and of every puncture count exactly
+    for surface, (ls, count, digest) in ROW_DIGESTS.items():
+        lines = _kernel_row_lines(surface, ls)
+        assert (len(lines), _digest(lines)) == (count, digest), surface
 
 
 def test_sphere_relators_pinned():
