@@ -6,8 +6,9 @@ matrices have generators indexing rows and relators indexing columns,
 and :func:`snf` reports the invariants of the cokernel Z^rows / colspace.
 An :class:`IntMatrix` stores only its columns, each as the tuple of its
 nonzero (row, value) pairs: :func:`exponent_matrix` builds one such column
-per relator straight from its letters, and the dense rows ``entries`` are
-derived on demand.  :func:`snf` and :func:`delta_coinvariants` feed one
+per relation straight from its ``(lhs, rhs)`` pair, as ab(lhs) - ab(rhs),
+and makes no relator word; the dense rows ``entries`` are derived on
+demand.  :func:`snf` and :func:`delta_coinvariants` feed one
 elimination, :func:`_diagonal`, an iterable of dense columns.  The column space does not change when a column is negated,
 when a copy of another column is dropped or when a zero column is
 dropped, so :func:`snf` makes dense only the distinct sparse columns, and
@@ -223,16 +224,19 @@ def snf(matrix: IntMatrix) -> AbelianInvariants:
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:
-    """Exponent sums of the relators: generators index rows, relators
-    index columns, one sparse column per relator."""
+    """Exponent sums of the relators, each relation's ab(lhs) - ab(rhs):
+    generators index rows, relators index columns, one sparse column per
+    relation.  It reads the relation pairs and makes no relator word."""
     index = {g: r for r, g in enumerate(pres.generators)}
     columns: list[SparseColumn] = []
-    for rel in pres.relators:
-        # sum per generator; most relators are commutators, all of whose
-        # sums vanish, so only a nonzero sum looks up its row
+    for lhs, rhs in pres.relations():
+        # sum per generator; most relations are band conjugations, all of
+        # whose sums vanish, so only a nonzero sum looks up its row
         sums: dict[Gen, int] = {}
-        for gen, exp in rel.letters:
+        for gen, exp in lhs:
             sums[gen] = sums.get(gen, 0) + exp
+        for gen, exp in rhs:
+            sums[gen] = sums.get(gen, 0) - exp
         column = [(index[gen], e) for gen, e in sums.items() if e]
         columns.append(tuple(sorted(column)) if column else ())
     return IntMatrix._of_sparse(len(pres.generators), columns)

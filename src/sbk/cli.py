@@ -23,11 +23,14 @@ import sys
 NF_MAX_M = 16
 
 # the largest strand count, punctures included, that `info` and `abelianize`
-# accept for each group family.  pn-rp2 at n = 40 has 325,170 relators:
-# `abelianize` takes 1.8-3.4 s and 255 MB, `info` 2.7-4.9 s and 275 MB, and
-# the gamma families at 40 strands are of the same size; the ln tower at
-# n = 16 takes about 2 s and 80 MB (Python 3.11, 2-core Xeon).  `eval`
-# caps its --n and --to at PN_RP2_MAX_N too.
+# accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
+# `abelianize` reads them as a stream and holds only exponent columns,
+# 1.3-1.6 s and 38 MB max RSS; `info` writes every relator, 2.9-3.1 s and
+# 56 MB.  The gamma families at 40 strands are of the same size
+# (`abelianize` 0.9-2.7 s and 18-37 MB, `info` 2.8-4.0 s and 52-59 MB); the
+# ln tower at n = 16 takes 1.5-1.7 s and 81 MB (Python 3.11, 2-core Xeon,
+# each call in its own process).  `eval` caps its --n and --to at
+# PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
 GAMMA_S2_MAX_STRANDS = 40

@@ -11,18 +11,26 @@ Families (parameters are strand counts ``>= 1`` throughout):
 * ``gamma-s2``  -- the pure braid group of the sphere with m punctures
   on n strands, on ``A[i,j]`` with strand labels ``m+1 .. m+n``.
 
-Relations with right-hand sides are stored as single relator words
-``lhs * rhs^-1``, canonically reduced, with the convention that a
-relator equals the identity.  Every conjugation relation (the band
-relations of all three families and the rho relations of ``gamma-rp2``)
-is stated once, in :func:`conjugate`, and so is the surface relation of
-both surfaces (:func:`surface_relation`); the relator builders and the
-action tables and eliminated-letter expansions of :mod:`sbk.combing` share both.
+A presentation holds its relations as a stream of ``(lhs, rhs)`` pairs of
+reduced letter tuples, made anew on each pass and never held: its
+relator count is known from the loop ranges of its stream, and
+:func:`sbk.abelian.exponent_matrix` reads the pairs alone.  The relator
+word ``lhs * rhs^-1`` of a relation, which equals the identity, is made
+by :func:`_relator` only where :class:`Relators`, the presentation's
+read-only sequence of words, is read.  Every conjugation relation (the
+band relations of all three families and the rho relations of
+``gamma-rp2``) is stated once, in :func:`conjugate`, and so is the
+surface relation of both surfaces (:func:`surface_relation`); the
+relation streams and the action tables and eliminated-letter expansions
+of :mod:`sbk.combing` share both.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from collections.abc import Sequence
+from functools import partial
+from typing import Callable, Iterator
 
 from .words import (
     KIND_A,
@@ -46,15 +54,64 @@ SURFACE_RP2 = "rp2"
 SURFACE_S2 = "s2"
 
 
+# a relation lhs = rhs, as its two reduced letter tuples
+Relation = tuple
+
+
+class Relators(Sequence):
+    """The relator words of a presentation, as a read-only sequence over
+    its relation stream: ``relations()`` returns a new iterator over the
+    ``(lhs, rhs)`` pairs, and ``count`` is their number.  ``len`` makes no
+    word; iterating makes each word as it goes; indexing, slicing, equality
+    and hashing make the tuple of words once and keep it."""
+
+    __slots__ = ("_relations", "_count", "_words")
+
+    def __init__(self, relations: Callable[[], Iterator[Relation]], count: int):
+        self._relations = relations
+        self._count = count
+        self._words: tuple[Word, ...] | None = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[Word]:
+        if self._words is not None:
+            return iter(self._words)
+        return (_relator(lhs, rhs) for lhs, rhs in self._relations())
+
+    def _tuple(self) -> tuple[Word, ...]:
+        if self._words is None:
+            self._words = tuple(self)
+        return self._words
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __eq__(self, other):
+        if isinstance(other, Relators):
+            return self._tuple() == other._tuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._tuple())
+
+
 class Presentation(Frozen):
+    """A finite presentation: ``relations()`` returns a new iterator over
+    its relations as ``(lhs, rhs)`` pairs, ``count`` of them, and
+    ``relators`` is their sequence of relator words."""
+
     _fields = ("family", "params", "generators", "relators")
 
     def __init__(self, family: str, params: tuple[tuple[str, int], ...],
-                 generators: tuple[Gen, ...], relators: tuple[Word, ...]):
+                 generators: tuple[Gen, ...],
+                 relations: Callable[[], Iterator[Relation]], count: int):
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relators", relators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "relators", Relators(relations, count))
 
     def to_json(self) -> dict:
         return {
@@ -193,46 +250,49 @@ def surface_relation(j: int, top: int, surface: str = SURFACE_RP2
 
 def _relator(lhs: tuple[Letter, ...], rhs: tuple[Letter, ...]) -> Word:
     """The relator ``lhs rhs^-1`` of the relation ``lhs = rhs``, joined as it
-    stands: every caller passes reduced sides whose letters do not merge at
+    stands: every relation has reduced sides whose letters do not merge at
     the join, since the last letter of ``lhs`` and the last letter of ``rhs``
     are different generators."""
     return Word(lhs + invert_letters(rhs))
 
 
-def _conjugation_relator(x: Gen, b: Gen) -> Word:
+def _conjugation(x: Gen, b: Gen) -> Relation:
+    """The relation ``x b x^-1 = conjugate(x, 1, b)``."""
     # x lies below the level of b and of every letter of the reduced image
-    return _relator(((x, 1), (b, 1), (x, -1)), conjugate(x, 1, b))
+    return ((x, 1), (b, 1), (x, -1)), conjugate(x, 1, b)
 
 
-def _artin_relators(bands: Sequence[tuple[int, int]]) -> list[Word]:
-    """One band conjugation relator per ordered pair (r,s), (i,j) with s < j."""
-    gens = [gen_a(i, j) for (i, j) in bands]
-    return [_conjugation_relator(x, b) for b in gens for x in gens if x[2] < b[2]]
+def _bands(low: int, top: int) -> list[tuple[int, int]]:
+    """The index pairs (i, j) of the band generators at levels low..top."""
+    return [(i, j) for j in range(low, top + 1) for i in range(1, j)]
 
 
-def build_pn_rp2(n: int) -> Presentation:
-    """Presentation of the n-strand pure braid group of the projective plane."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    bands = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    generators = tuple(gen_a(i, j) for (i, j) in sorted(bands)) + tuple(
-        gen_tau(k) for k in range(1, n + 1)
-    )
-    relators: list[Word] = []
-    relators += _artin_relators(bands)
+def _artin_relations(low: int, top: int) -> Iterator[Relation]:
+    """One band conjugation relation per ordered pair (r,s), (i,j) of the
+    bands at levels low..top with s < j."""
+    gens = [gen_a(i, j) for (i, j) in _bands(low, top)]
+    return (_conjugation(x, b) for b in gens for x in gens if x[2] < b[2])
+
+
+def _artin_count(low: int, top: int) -> int:
+    """The number of :func:`_artin_relations`: the j - 1 bands at level j,
+    each by the C(j-1,2) - C(low-1,2) bands below it."""
+    return sum((j - 1) * (math.comb(j - 1, 2) - math.comb(low - 1, 2))
+               for j in range(low, top + 1))
+
+
+def _pn_rp2_relations(n: int) -> Iterator[Relation]:
+    yield from _artin_relations(2, n)
     # tau_i tau_j tau_i^-1 = tau_j^-1 A[i,j]^-1 tau_j^2
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             ti, tj, a = gen_tau(i), gen_tau(j), gen_a(i, j)
-            relators.append(_relator(
-                ((ti, 1), (tj, 1), (ti, -1)),
-                ((tj, -1), (a, -1), (tj, 2)),
-            ))
+            yield ((ti, 1), (tj, 1), (ti, -1)), ((tj, -1), (a, -1), (tj, 2))
     # tau_i^2 = A[1,i] ... A[i-1,i] A[i,i+1] ... A[i,n]
     for i in range(1, n + 1):
         rhs = tuple([(gen_a(k, i), 1) for k in range(1, i)]
                     + [(gen_a(i, k), 1) for k in range(i + 1, n + 1)])
-        relators.append(_relator(((gen_tau(i), 2),), rhs))
+        yield ((gen_tau(i), 2),), rhs
     # tau_k A[i,j] tau_k^-1, k != j
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -251,14 +311,41 @@ def build_pn_rp2(n: int) -> Presentation:
                         (a, 1),
                         (akj, 1), (tj, -1), (akj, 1), (tj, 1),
                     )
-                relators.append(_relator(
-                    ((gen_tau(k), 1), (a, 1), (gen_tau(k), -1)), rhs))
-    return Presentation(
-        family=FAMILY_PN_RP2,
-        params=(("n", n),),
-        generators=generators,
-        relators=tuple(relators),
+                yield ((gen_tau(k), 1), (a, 1), (gen_tau(k), -1)), rhs
+
+
+def build_pn_rp2(n: int) -> Presentation:
+    """Presentation of the n-strand pure braid group of the projective plane."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    generators = tuple(gen_a(i, j) for (i, j) in sorted(_bands(2, n))) + tuple(
+        gen_tau(k) for k in range(1, n + 1)
     )
+    # one term per loop of _pn_rp2_relations
+    pairs = math.comb(n, 2)
+    count = _artin_count(2, n) + pairs + n + pairs * (n - 1)
+    return Presentation(FAMILY_PN_RP2, (("n", n),), generators,
+                        partial(_pn_rp2_relations, n), count)
+
+
+def _gamma_rp2_relations(m: int, p: int) -> Iterator[Relation]:
+    top = m + p
+    yield from _artin_relations(p + 1, top)
+    bands = _bands(p + 1, top)
+    # A[i,j] rho_k A[i,j]^-1 = rho_k for j < k
+    for (i, j) in bands:
+        for k in range(j + 1, top + 1):
+            yield _conjugation(gen_a(i, j), gen_rho(k))
+    # rho_k A[i,j] rho_k^-1 for p+1 <= k < j, with C expanded eagerly
+    for (i, j) in bands:
+        for k in range(p + 1, j):
+            yield _conjugation(gen_rho(k), gen_a(i, j))
+    # rho_k rho_j rho_k^-1 = C[k,j] rho_j for p+1 <= k < j
+    for j in range(p + 1, top + 1):
+        for k in range(p + 1, j):
+            yield _conjugation(gen_rho(k), gen_rho(j))
+    for j in range(p + 1, top + 1):
+        yield surface_relation(j, top)
 
 
 def build_gamma_rp2(m: int, p: int) -> Presentation:
@@ -266,31 +353,23 @@ def build_gamma_rp2(m: int, p: int) -> Presentation:
     plane with p punctures, strand labels p+1 .. m+p."""
     if m < 1 or p < 1:
         raise ValueError("m and p must be >= 1")
-    top = m + p
-    bands = [(i, j) for j in range(p + 1, top + 1) for i in range(1, j)]
     generators: list[Gen] = []
-    for j in range(p + 1, top + 1):
+    for j in range(p + 1, m + p + 1):
         generators += [gen_a(i, j) for i in range(1, j)]
         generators.append(gen_rho(j))
-    relators: list[Word] = []
-    relators += _artin_relators(bands)
-    # A[i,j] rho_k A[i,j]^-1 = rho_k for j < k
-    relators += [_conjugation_relator(gen_a(i, j), gen_rho(k))
-                 for (i, j) in bands for k in range(j + 1, top + 1)]
-    # rho_k A[i,j] rho_k^-1 for p+1 <= k < j, with C expanded eagerly
-    relators += [_conjugation_relator(gen_rho(k), gen_a(i, j))
-                 for (i, j) in bands for k in range(p + 1, j)]
-    # rho_k rho_j rho_k^-1 = C[k,j] rho_j for p+1 <= k < j
-    relators += [_conjugation_relator(gen_rho(k), gen_rho(j))
-                 for j in range(p + 1, top + 1) for k in range(p + 1, j)]
-    for j in range(p + 1, top + 1):
-        relators.append(_relator(*surface_relation(j, top)))
-    return Presentation(
-        family=FAMILY_GAMMA_RP2,
-        params=(("m", m), ("p", p)),
-        generators=tuple(generators),
-        relators=tuple(relators),
-    )
+    # one term per loop of _gamma_rp2_relations, whose two band-by-rho loops
+    # together pair each band A[i,j] with the m - 1 letters rho[k], k != j
+    bands = math.comb(m + p, 2) - math.comb(p, 2)
+    count = _artin_count(p + 1, m + p) + bands * (m - 1) + math.comb(m, 2) + m
+    return Presentation(FAMILY_GAMMA_RP2, (("m", m), ("p", p)), tuple(generators),
+                        partial(_gamma_rp2_relations, m, p), count)
+
+
+def _gamma_s2_relations(n: int, m: int) -> Iterator[Relation]:
+    top = m + n
+    yield from _artin_relations(m + 1, top)
+    for j in range(m + 1, top + 1):
+        yield surface_relation(j, top, SURFACE_S2)
 
 
 def build_gamma_s2(n: int, m: int) -> Presentation:
@@ -298,17 +377,8 @@ def build_gamma_s2(n: int, m: int) -> Presentation:
     m punctures, strand labels m+1 .. m+n."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    top = m + n
-    bands = [(i, j) for j in range(m + 1, top + 1) for i in range(1, j)]
-    generators = tuple(gen_a(i, j) for (i, j) in bands)
-    relators: list[Word] = []
-    relators += _artin_relators(bands)
-    for j in range(m + 1, top + 1):
-        relators.append(_relator(*surface_relation(j, top, SURFACE_S2)))
-    return Presentation(
-        family=FAMILY_GAMMA_S2,
-        params=(("n", n), ("m", m)),
-        generators=generators,
-        relators=tuple(relators),
-    )
-
+    generators = tuple(gen_a(i, j) for (i, j) in _bands(m + 1, m + n))
+    # one term per loop of _gamma_s2_relations
+    count = _artin_count(m + 1, m + n) + n
+    return Presentation(FAMILY_GAMMA_S2, (("n", n), ("m", m)), generators,
+                        partial(_gamma_s2_relations, n, m), count)

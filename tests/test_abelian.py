@@ -7,7 +7,7 @@ import pytest
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from sbk import abelian, combing, verify
+from sbk import abelian, combing, presentations, verify
 from sbk.abelian import (
     AbelianInvariants,
     IntMatrix,
@@ -273,6 +273,19 @@ def test_exponent_matrix_matches_letter_counts():
         matrix = exponent_matrix(pres)
         assert matrix.entries == counts, (pres.family, pres.params)
         assert matrix == IntMatrix(len(pres.generators), len(pres.relators), counts)
+
+
+def test_exponent_matrix_and_relator_count_make_no_word(monkeypatch):
+    def no_words(lhs, rhs):
+        raise AssertionError("a relator word was made")
+
+    monkeypatch.setattr(presentations, "_relator", no_words)
+    for pres in (build_gamma_rp2(3, 2), build_gamma_s2(3, 3), build_pn_rp2(6)):
+        matrix = exponent_matrix(pres)
+        assert matrix.cols == len(pres.relators), (pres.family, pres.params)
+    assert snf(matrix) == AbelianInvariants(0, (2,) * 6)
+    with pytest.raises(AssertionError, match="relator word"):
+        next(iter(build_pn_rp2(3).relators))
 
 
 def _sympy_invariants(pres):

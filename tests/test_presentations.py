@@ -163,6 +163,28 @@ def _family_presentations(pn_ns, gamma_rp2_ms, gamma_rp2_ps, gamma_s2_ns, gamma_
         yield build_gamma_s2(n, m)
 
 
+def test_relator_counts_match_the_relation_streams():
+    # each family's count is a closed form of its loop ranges; it must equal
+    # the number of relations its stream yields
+    for pres in _family_presentations(range(1, 13), range(1, 7), range(1, 5),
+                                      range(1, 7), range(1, 5)):
+        assert len(pres.relators) == sum(1 for _ in pres.relators), \
+            (pres.family, pres.params)
+
+
+def test_relators_index_and_compare_as_their_word_tuple():
+    pres = build_gamma_rp2(2, 2)
+    words = tuple(pres.relators)
+    assert pres.relators[0] == words[0] and pres.relators[-1] == words[-1]
+    assert pres.relators[1:3] == words[1:3]
+    assert pres.relators[3] is pres.relators[3]  # the words are kept once indexed
+    assert pres.relators == build_gamma_rp2(2, 2).relators
+    assert hash(pres.relators) == hash(words)
+    assert pres.relators != build_gamma_rp2(2, 3).relators
+    with pytest.raises(IndexError):
+        pres.relators[len(words)]
+
+
 def test_relators_are_stored_reduced():
     # every relator is a tuple join; free reduction must leave it as it is
     for pres in _family_presentations(range(1, 13), range(1, 7), range(1, 4),

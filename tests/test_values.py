@@ -2,6 +2,7 @@
 read-only fields, and the reprs that are relied on."""
 
 import copy
+import itertools
 import pickle
 from collections.abc import Hashable
 
@@ -21,6 +22,13 @@ def _table_copy(m):
     return ActionTable(table.m, {key: dict(row) for key, row in table.maps.items()})
 
 
+def _pn_rp2_without_first_relation(n):
+    pres = build_pn_rp2(n)
+    return Presentation(pres.family, pres.params, pres.generators,
+                        lambda: itertools.islice(pres.relations(), 1, None),
+                        len(pres.relators) - 1)
+
+
 # per class: two builders of equal values, built apart, and one of a value
 # that differs from them in one field
 VALUES = {
@@ -30,8 +38,7 @@ VALUES = {
     "QuatElement": (lambda: QuatElement(-1, 2), lambda: homs.Q_J ** 3,
                     lambda: QuatElement(1, 2)),
     "Presentation": (lambda: build_pn_rp2(3), lambda: build_pn_rp2(3),
-                     lambda: Presentation("pn-rp2", (("n", 3),), build_pn_rp2(3).generators,
-                                          build_pn_rp2(3).relators[1:])),
+                     lambda: _pn_rp2_without_first_relation(3)),
     "ActionTable": (lambda: build_action_table(2), lambda: _table_copy(2),
                     lambda: ActionTable(2, {})),
     "CombedForm": (lambda: comb(2, parse_word("rho[4] A[1,3]^2")),

@@ -322,14 +322,27 @@ def test_forget_large_tau_power_fits_in_300_mb():
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
-def test_abelianize_large_pn_fits_in_256_mb():
+def test_abelianize_large_pn_fits_in_64_mb():
     # pn-rp2 at n = 30 has 103,415 relators: its exponent matrix is kept as
-    # sparse columns, where dense rows and their transpose did not fit in 400 MB
-    proc = _cli_under_memory_cap(256 * 2**20, "abelianize", "--group", "pn-rp2:n=30",
+    # sparse columns, where dense rows and their transpose did not fit in
+    # 400 MB, and the columns come from the relation pairs, so no relator
+    # word is held (about 30 MB of address space, 22 MB max RSS)
+    proc = _cli_under_memory_cap(64 * 2**20, "abelianize", "--group", "pn-rp2:n=30",
                                  timeout=120)
     assert proc.returncode == 0, proc.stdout
     out = json.loads(proc.stdout)
     assert (out["free_rank"], out["torsion"]) == (0, [2] * 30)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_abelianize_pn_at_its_cap_fits_in_100_mb():
+    # pn-rp2 at n = 40, the cap, has 325,170 relations and 1,600 distinct
+    # nonzero columns; read as a stream, they need about 42 MB of address space
+    proc = _cli_under_memory_cap(100 * 2**20, "abelianize", "--group", "pn-rp2:n=40",
+                                 timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)
+    assert (out["free_rank"], out["torsion"]) == (0, [2] * 40)
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
@@ -341,8 +354,11 @@ def test_memory_caps_near_the_edge_exit_0_or_2():
     # child dies with exit 1, empty stdout and "lost sys.stderr".  The edge
     # moves with the Python version, so it is found here first; it is not
     # sharp, and a cap near it may fit in one run and not in the next.
+    # pn-rp2 at n = 40 has its edge near 41 MB; at n = 22 the streamed job
+    # fits in about 20 MB, next to the edge below which the interpreter
+    # cannot import sbk at all and exits 1 before the command runs.
     mb = 2**20
-    argv = ("abelianize", "--group", "pn-rp2:n=22")
+    argv = ("abelianize", "--group", "pn-rp2:n=40")
 
     def one_document(limit):
         proc = _cli_under_memory_cap(limit * mb, *argv)
