@@ -9,13 +9,14 @@ nonzero (row, value) pairs: :func:`exponent_matrix` builds one such column
 per relation straight from its ``(lhs, rhs)`` pair, as ab(lhs) - ab(rhs),
 and makes no relator word; the dense rows ``entries`` are derived on
 demand.  :func:`snf` and :func:`delta_coinvariants` feed one
-elimination, :func:`_diagonal`, an iterable of dense columns.  The column space does not change when a column is negated,
-when a copy of another column is dropped or when a zero column is
-dropped, so :func:`snf` makes dense only the distinct sparse columns, and
-the elimination runs on the distinct nonzero columns up to sign only:
-the exponent matrix of pn-rp2 has n^2 of them, 484 among the 30,129
-relators at n = 22.  Each pivot takes one round of row operations, and
-one more while a remainder is left.
+elimination, :func:`_diagonal`, sparse columns in that format.  The column
+space does not change when a column is negated, when a copy of another
+column is dropped or when a zero column is dropped, so the elimination
+runs on the distinct nonzero columns up to sign only: the exponent matrix
+of pn-rp2 has n^2 of them, 484 among the 30,129 relators at n = 22.  These
+columns are short and mostly units, so it first pivots on their unit
+entries, sparse, and runs dense rounds only on the few rows and columns
+that are left.
 
 On top of Smith normal form this module computes presentation
 abelianizations, the coinvariant quotient Delta(K) of a free group K
@@ -28,8 +29,7 @@ reports.
 from __future__ import annotations
 
 import math
-import operator
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import combing
 from .combing import (
@@ -89,16 +89,6 @@ def _sparse(column: Iterable[int]) -> SparseColumn:
     return tuple((r, v) for r, v in enumerate(column) if v)
 
 
-def _distinct_dense(matrix: IntMatrix) -> Iterator[tuple[int, ...]]:
-    """Dense tuples of the distinct columns of ``matrix`` only: dropping an
-    exact copy of a column leaves the column space unchanged."""
-    for col in dict.fromkeys(matrix.columns):
-        dense = [0] * matrix.rows
-        for r, v in col:
-            dense[r] = v
-        yield tuple(dense)
-
-
 class AbelianInvariants(Frozen):
     """A finitely generated abelian group: free rank (>= 0) plus the
     invariant factors d1 | d2 | ... (each >= 2, no units kept)."""
@@ -133,35 +123,98 @@ class AbelianInvariants(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-def _distinct_columns(columns: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The distinct nonzero ``columns`` (tuples) up to sign, each with its
-    first nonzero entry positive, in first-seen order."""
-    seen: dict[tuple[int, ...], None] = {}
-    for col in columns:
-        if any(col):
-            # of col and -col, the larger one is positive where they first differ
-            seen[max(col, tuple(map(operator.neg, col)))] = None
+def _distinct_columns(columns: Iterable[SparseColumn]) -> list[SparseColumn]:
+    """The distinct nonzero sparse ``columns`` up to sign, each with its
+    first value positive, in first-seen order."""
+    seen: dict[SparseColumn, None] = {}
+    for col in dict.fromkeys(columns):
+        if col:
+            seen[col if col[0][1] > 0 else tuple([(r, -v) for r, v in col])] = None
     return list(seen)
 
 
-def _diagonal(rows: int, columns: Iterable[tuple[int, ...]]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of the ``rows``-row matrix
-    with ``columns``, as a divisor chain.
+def _diagonal(columns: Iterable[SparseColumn]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of the matrix with these
+    sparse ``columns``, as a divisor chain.
 
     Elimination runs on the distinct nonzero columns up to sign
     (:func:`_distinct_columns`), generators indexing rows: negating a
     column or subtracting it from a copy of it is a unimodular column
-    operation, and a zero column adds nothing to the column space.  Each
-    round moves a nonzero entry of least absolute value to (t, t) and
+    operation, and a zero column adds nothing to the column space.  It has
+    two phases.  The first, the unit pivoting of Havas, Holt and Rees
+    ("Recognizing badly presented Z-modules", 1993), works on the sparse
+    columns: a pivot is an entry s = +-1 of a short column c, in a row r
+    that occurs in few columns, and ``c2 -= c2[r] * s * c`` clears row r
+    from every other column c2; then row operations clear the rest of c
+    without touching another column, so c and r leave with one unit on the
+    diagonal.  The second phase runs dense rounds (:func:`_dense_rounds`)
+    on the rows and columns that are left, none of which has a unit.
+    """
+    cols = dict(enumerate(map(dict, _distinct_columns(columns))))
+    where: dict[int, set[int]] = {}  # row -> the columns it occurs in
+    for j, col in cols.items():
+        for r in col:
+            where.setdefault(r, set()).add(j)
+    units = 0
+    pivoted = True
+    while pivoted:
+        pivoted = False
+        for j in sorted(cols, key=lambda j: len(cols[j])):
+            col = cols.get(j)
+            if col is None:  # cleared to zero by an earlier pivot
+                continue
+            rows = [r for r, v in col.items() if v == 1 or v == -1]
+            if rows:
+                _unit_pivot(cols, where, j, min(rows, key=lambda r: len(where[r])))
+                units += 1
+                pivoted = True
+    rest = _distinct_columns(tuple(sorted(col.items())) for col in cols.values())
+    return [1] * units + _divisor_chain(_dense_rounds(rest))
+
+
+def _unit_pivot(cols: dict[int, dict[int, int]], where: dict[int, set[int]],
+                j: int, r: int) -> None:
+    """Pivot on the unit ``cols[j][r]``: clear row r from every other column,
+    keeping ``where`` right through the fill-in, then drop column j and row
+    r.  A column cleared to zero is dropped too."""
+    col = cols.pop(j)
+    for row in col:
+        where[row].discard(j)
+    s = col.pop(r)  # s * s = 1, so c2 - c2[r] * s * col is 0 at row r
+    for k in where.pop(r):
+        c2 = cols[k]
+        f = c2.pop(r) * s
+        for row, v in col.items():
+            value = c2.get(row, 0) - f * v
+            if value:
+                if row not in c2:
+                    where[row].add(k)
+                c2[row] = value
+            else:
+                del c2[row]
+                where[row].discard(k)
+        if not c2:
+            del cols[k]
+
+
+def _dense_rounds(columns: list[SparseColumn]) -> list[int]:
+    """Nonzero diagonal of the Smith normal form of the matrix with these
+    sparse ``columns``, before it is made a divisor chain, by rounds on its
+    dense rows: the rows that occur in ``columns``, the others being zero.
+
+    Each round moves a nonzero entry of least absolute value to (t, t) and
     clears column t below it with row operations.  If a remainder is left,
     the next round starts.  Otherwise column operations change only row t,
     so ``row[c] %= pivot`` clears it, and the pivot is kept once it is
     clear.  A round that keeps no pivot leaves a remainder smaller than the
     pivot, so the least nonzero |entry| falls and the rounds end.
     """
-    columns = _distinct_columns(columns)
-    a = [list(row) for row in zip(*columns)]
-    cols = len(columns)
+    index = {r: i for i, r in enumerate(sorted({r for col in columns for r, _ in col}))}
+    rows, cols = len(index), len(columns)
+    a = [[0] * cols for _ in range(rows)]
+    for c, col in enumerate(columns):
+        for r, v in col:
+            a[index[r]][c] = v
     diag: list[int] = []
     t = 0
     while t < min(rows, cols):
@@ -197,7 +250,7 @@ def _diagonal(rows: int, columns: Iterable[tuple[int, ...]]) -> list[int]:
         if not any(at[t + 1:]):
             diag.append(abs(pivot))
             t += 1
-    return _divisor_chain(diag)
+    return diag
 
 
 def _divisor_chain(diag: list[int]) -> list[int]:
@@ -212,15 +265,15 @@ def _divisor_chain(diag: list[int]) -> list[int]:
     return diag
 
 
-def _cokernel(rows: int, columns: Iterable[tuple[int, ...]]) -> AbelianInvariants:
-    """Invariants of Z^rows modulo the span of ``columns``."""
-    diag = _diagonal(rows, columns)
+def _cokernel(rows: int, columns: Iterable[SparseColumn]) -> AbelianInvariants:
+    """Invariants of Z^rows modulo the span of the sparse ``columns``."""
+    diag = _diagonal(columns)
     return AbelianInvariants(rows - len(diag), tuple(d for d in diag if d >= 2))
 
 
 def snf(matrix: IntMatrix) -> AbelianInvariants:
     """Invariants of the cokernel Z^rows / column-space(matrix)."""
-    return _cokernel(matrix.rows, _distinct_dense(matrix))
+    return _cokernel(matrix.rows, matrix.columns)
 
 
 def exponent_matrix(pres: Presentation) -> IntMatrix:
@@ -262,9 +315,10 @@ def _coinvariants(index: dict, images: Iterable[Sequence[Iterable[tuple]]]
                   ) -> AbelianInvariants:
     """:func:`delta_coinvariants` of images whose letters are (key,
     exponent) with ``index[key]`` the basis index: each letter's exponent
-    goes straight into its column."""
+    goes straight into its dense column, and the nonzero columns go to the
+    elimination sparse."""
     rank = len(index)
-    columns: list[tuple[int, ...]] = []
+    columns: list[SparseColumn] = []
     for actor_images in images:
         if len(actor_images) != rank:
             raise ValueError("each actor must provide one image per basis element")
@@ -276,7 +330,8 @@ def _coinvariants(index: dict, images: Iterable[Sequence[Iterable[tuple]]]
             except KeyError as err:
                 raise ValueError(f"image letter index {err.args[0]!r} outside basis") from None
             col[b] -= 1
-            columns.append(tuple(col))
+            if any(col):
+                columns.append(_sparse(col))
     return _cokernel(rank, columns)
 
 

@@ -25,16 +25,22 @@ NF_MAX_M = 16
 # the largest strand count, punctures included, that `info` and `abelianize`
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
 # `abelianize` reads them as a stream and holds only exponent columns,
-# 1.3-1.6 s and 38 MB max RSS; `info` writes every relator, 2.9-3.1 s and
-# 56 MB.  The gamma families at 40 strands are of the same size
-# (`abelianize` 0.9-2.7 s and 18-37 MB, `info` 2.8-4.0 s and 52-59 MB); the
-# ln tower at n = 16 takes 1.5-1.7 s and 81 MB (Python 3.11, 2-core Xeon,
+# 0.8-0.9 s and 19 MB max RSS; `info` writes every relator, 1.7-1.8 s and
+# 55 MB.  The gamma families at 40 strands are of the same size
+# (`abelianize` 0.6-1.4 s and 18 MB, `info` 1.6-2.8 s and 51-59 MB); the
+# ln tower at n = 16 takes 1.1-1.7 s and 79 MB (Python 3.11, 2-core Xeon,
 # each call in its own process).  `eval` caps its --n and --to at
 # PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
 GAMMA_S2_MAX_STRANDS = 40
 LN_MAX_N = 16
+
+# CPython's parser reports an AST node it could not allocate as a missing
+# field of its parent, as in "field 'target' is required for AnnAssign".
+# sbk's own sources always compile, so this error, raised while a command
+# compiles a module it imports lazily, means that memory ran out
+_COMPILE_OUT_OF_MEMORY = re.compile(r"field '\w+' is required for \w+")
 
 # the parameters each group family accepts, and its cap on their sum
 _FAMILY_PARAMS = {
@@ -271,6 +277,8 @@ def main(argv=None) -> int:
         message = "out of memory"
     except (ValueError, KeyError) as err:
         message = str(err)
+    if _COMPILE_OUT_OF_MEMORY.fullmatch(message):
+        message = "out of memory"
     # reported only once the except block has dropped the error: its
     # traceback holds the failed command's frames, and with them its memory
     print(f"error: {message}", file=sys.stderr)

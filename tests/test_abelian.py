@@ -90,11 +90,16 @@ def test_snf_against_oracles_random():
 
 
 def test_snf_ignores_repeated_negated_and_zero_columns():
+    # small dense matrices, then sparse ones that take both elimination phases
     rng = random.Random(RNG_SEED + 2)
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 4)
-        entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    for trial in range(100):
+        if trial < 40:
+            rows = rng.randint(1, 4)
+            cols = rng.randint(1, 4)
+            entries = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        else:
+            rows, cols = rng.randint(1, 10), rng.randint(1, 12)
+            entries = _random_sparse(rng, rows, cols, (1, -1, 1, -1, 2, -2, 3), 0.3)
         columns = [list(col) for col in zip(*entries)]
         padded = []
         for col in columns:
@@ -103,7 +108,7 @@ def test_snf_ignores_repeated_negated_and_zero_columns():
         padded += [[0] * rows for _ in range(rng.randint(0, 2))]
         rng.shuffle(padded)
         variant = IntMatrix(rows, len(padded), [list(row) for row in zip(*padded)])
-        reference = determinant_divisor_invariants(rows, cols, entries)
+        reference = _oracles(rows, cols, entries)
         assert snf(IntMatrix(rows, cols, entries)) == reference
         assert snf(variant) == reference
 
@@ -135,7 +140,8 @@ def test_snf_keeps_multiples_of_a_column():
 
 def test_distinct_columns_up_to_sign():
     matrix = IntMatrix(2, 5, [[0, 1, -1, 0, 2], [0, -2, 2, 0, -4]])
-    assert abelian._distinct_columns(zip(*matrix.entries)) == [(1, -2), (2, -4)]
+    assert abelian._distinct_columns(matrix.columns) == [((0, 1), (1, -2)),
+                                                         ((0, 2), (1, -4))]
     assert abelian._distinct_columns([]) == []
 
 
@@ -144,10 +150,115 @@ def test_distinct_exponent_columns_counts():
     # pn-rp2 and m^2 for gamma-rp2 with two punctures
     for n in range(1, 11):
         matrix = exponent_matrix(build_pn_rp2(n))
-        assert len(abelian._distinct_columns(zip(*matrix.entries))) == n * n
+        assert len(abelian._distinct_columns(matrix.columns)) == n * n
     for m in range(1, 7):
         matrix = exponent_matrix(build_gamma_rp2(m, 2))
-        assert len(abelian._distinct_columns(zip(*matrix.entries))) == m * m
+        assert len(abelian._distinct_columns(matrix.columns)) == m * m
+
+
+def _spy_on_phases(monkeypatch) -> dict:
+    """Count the unit pivots of :func:`abelian._diagonal`, the entries its
+    pivots fill in, and the columns left to its dense rounds, per call."""
+    seen = {"pivots": 0, "fill": 0, "rest": []}
+    unit_pivot, dense_rounds = abelian._unit_pivot, abelian._dense_rounds
+
+    def pivot(cols, where, j, r):
+        before = {k: set(cols[k]) for k in where[r] if k != j}
+        unit_pivot(cols, where, j, r)
+        seen["pivots"] += 1
+        seen["fill"] += sum(len(set(cols[k]) - rows) for k, rows in before.items()
+                            if k in cols)
+
+    def rounds(columns):
+        seen["rest"].append(len(columns))
+        return dense_rounds(columns)
+
+    monkeypatch.setattr(abelian, "_unit_pivot", pivot)
+    monkeypatch.setattr(abelian, "_dense_rounds", rounds)
+    return seen
+
+
+def _random_sparse(rng, rows, cols, values, density):
+    return [[rng.choice(values) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _oracles(rows, cols, entries):
+    """The cokernel by sympy, and by determinant divisors where the minors
+    are few enough to list."""
+    expected = sympy_cokernel(sympy.Matrix(entries))
+    if rows * cols <= 20:
+        assert determinant_divisor_invariants(rows, cols, entries) == expected
+    return expected
+
+
+def test_unit_pivots_with_fill_in_and_a_dense_remainder(monkeypatch):
+    # mostly unit entries with some 2s and 3s: the unit pivots fill in and
+    # leave columns without a unit to the dense rounds
+    seen = _spy_on_phases(monkeypatch)
+    rng = random.Random(RNG_SEED + 4)
+    filled = remainders = 0
+    for trial in range(300):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
+        if trial < 60:
+            rows, cols = min(rows, 4), min(cols, 5)
+        entries = _random_sparse(rng, rows, cols, (1, -1, 1, -1, 2, -2, 3, -3),
+                                 rng.choice((0.2, 0.3, 0.45)))
+        fill, rests = seen["fill"], len(seen["rest"])
+        got = snf(IntMatrix(rows, cols, entries))
+        assert len(seen["rest"]) == rests + 1
+        filled += seen["fill"] > fill
+        remainders += seen["rest"][-1] > 0
+        assert got == _oracles(rows, cols, entries), entries
+    # the draws exercise both phases together, not just one of them
+    assert filled >= 100 and remainders >= 60, (filled, remainders)
+
+
+def test_no_unit_entry_takes_the_dense_rounds_only(monkeypatch):
+    seen = _spy_on_phases(monkeypatch)
+    rng = random.Random(RNG_SEED + 5)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        entries = _random_sparse(rng, rows, cols, (2, -2, 3, -3, 4, 6, -9), 0.6)
+        expected = _oracles(rows, cols, entries)
+        assert snf(IntMatrix(rows, cols, entries)) == expected, entries
+    assert seen["pivots"] == 0
+    assert sum(seen["rest"]) > 0
+
+
+def test_units_only_take_the_unit_pivots_only(monkeypatch):
+    # a lower unitriangular matrix up to signs and the order of its rows and
+    # columns: every pivot stays a unit, and nothing is left for the rounds
+    seen = _spy_on_phases(monkeypatch)
+    rng = random.Random(RNG_SEED + 6)
+    for _ in range(60):
+        cols = rng.randint(1, 10)
+        rows = cols + rng.randint(0, 3)
+        entries = [[rng.choice((1, -1)) if r == c else
+                    rng.choice((0, 0, 1, -1)) if r > c else 0
+                    for c in range(cols)] for r in range(rows)]
+        rng.shuffle(entries)
+        order = rng.sample(range(cols), cols)
+        entries = [[row[c] for c in order] for row in entries]
+        pivots = seen["pivots"]
+        assert snf(IntMatrix(rows, cols, entries)) == AbelianInvariants(rows - cols, ())
+        assert seen["pivots"] - pivots == cols
+        assert _oracles(rows, cols, entries) == AbelianInvariants(rows - cols, ())
+    assert set(seen["rest"]) == {0}
+
+
+def test_unit_pivots_agree_with_the_dense_rounds_alone():
+    # the two phases against the second phase on its own, on the same columns
+    rng = random.Random(RNG_SEED + 8)
+    for _ in range(1000):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 16)
+        entries = _random_sparse(rng, rows, cols, (1, -1, 1, -1, 2, -2, 3, -5),
+                                 rng.choice((0.15, 0.3, 0.5)))
+        columns = IntMatrix(rows, cols, entries).columns
+        dense = abelian._divisor_chain(
+            abelian._dense_rounds(abelian._distinct_columns(columns)))
+        # both are the invariant factors, in a divisor chain as long as the rank
+        assert abelian._diagonal(columns) == dense, entries
 
 
 def test_int_matrix_round_trip():

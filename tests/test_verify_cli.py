@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib.machinery
 import io
 import json
 import os
@@ -273,6 +274,31 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
     assert err == "error: out of memory\n"
 
 
+def test_compile_failure_of_a_lazy_import_is_out_of_memory(capsys, monkeypatch):
+    # short of memory, CPython's parser reports an AST node it could not
+    # allocate as a missing field; here the compile of sbk.abelian, which
+    # abelianize imports once its input is read, is made to fail that way
+    get_code = importlib.machinery.SourceFileLoader.get_code
+
+    def compile_fails(loader, fullname):
+        if fullname == "sbk.abelian":
+            raise ValueError("field 'target' is required for AnnAssign")
+        return get_code(loader, fullname)
+
+    monkeypatch.setattr(importlib.machinery.SourceFileLoader, "get_code", compile_fails)
+    monkeypatch.delitem(sys.modules, "sbk.abelian")
+    monkeypatch.delattr(sbk, "abelian")
+    capsys.readouterr()
+    assert main(["abelianize", "--group", "pn-rp2:n=3"]) == 2
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and json.loads(out) == {"error": "out of memory"}
+    assert err == "error: out of memory\n"
+    # an input error keeps its own text
+    assert main(["abelianize", "--group", "pn-rp2:k=3"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "unknown parameter 'k' for group family 'pn-rp2'"}
+
+
 def _cli_under_memory_cap(limit, *argv, timeout=10):
     """``sbk`` on argv in a child whose address space alone is capped at
     ``limit`` bytes."""
@@ -343,6 +369,18 @@ def test_abelianize_pn_at_its_cap_fits_in_100_mb():
     assert proc.returncode == 0, proc.stdout
     out = json.loads(proc.stdout)
     assert (out["free_rank"], out["torsion"]) == (0, [2] * 40)
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_abelianize_gamma_rp2_at_its_cap_fits_in_100_mb():
+    # gamma-rp2 at m = 39, p = 1, the cap, has 1,521 distinct nonzero exponent
+    # columns, 3,042 entries in 819 rows; eliminated sparse, by unit pivots,
+    # they need about 21 MB of address space
+    proc = _cli_under_memory_cap(100 * 2**20, "abelianize", "--group", "gamma-rp2:m=39,p=1",
+                                 timeout=120)
+    assert proc.returncode == 0, proc.stdout
+    out = json.loads(proc.stdout)
+    assert (out["free_rank"], out["torsion"]) == (39, [])
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
