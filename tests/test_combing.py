@@ -37,6 +37,7 @@ from sbk.words import (
     Word,
     concat_letters,
     gen_a,
+    gen_level,
     gen_rho,
     invert_letters,
     parse_word,
@@ -178,15 +179,68 @@ def _plain_split(table, lower, codes, tails):
     return table.decode_letters(codes)
 
 
-def _random_accumulator(rng, table, length):
-    """A reduced coded word of the given length over the table's basis:
-    no two adjacent letters on one generator, exponents +-1, +-2, +-3."""
-    codes = []
+def _random_accumulator(rng, table, length, exponents=(-3, -2, -1, -1, 1, 1, 2, 3), start=()):
+    """A reduced coded word of the given length over the table's basis that
+    begins with the reduced ``start``: no two adjacent letters on one
+    generator, exponents drawn from ``exponents``."""
+    codes = list(start)
     while len(codes) < length:
         i = rng.randint(1, len(table.basis))
         if not codes or abs(codes[-1]) & combing._MASK != i:
-            codes.append(combing._code(i, rng.choice((-3, -2, -1, -1, 1, 1, 2, 3))))
+            codes.append(combing._code(i, rng.choice(exponents)))
     return codes
+
+
+# +-1, +-2, +-3 and large powers, up to 2^15
+WIDE_EXPONENTS = (-2**15, -3000, -257, -5, -3, -2, -1, 1, 2, 3, 5, 257, 3000, 2**15)
+
+
+def _split_decode(table, codes):
+    """The letters of a coded word, one ``(basis[i-1], e)`` built per code
+    through ``_split_code``: the oracle for the table's letter dict."""
+    basis = table.basis
+    return tuple([(basis[i - 1], exp) for i, exp in map(combing._split_code, codes)])
+
+
+def test_decode_through_the_letter_dict():
+    # any power decodes as _split_code reads it, and only the +-1, +-2 codes,
+    # the key set of a compiled row, are kept however large the powers met
+    rng = random.Random(RNG_SEED)
+    for m in range(1, 6):
+        table = ActionTable(m, build_action_table(m).maps)
+        for _ in range(100):
+            codes = _random_accumulator(rng, table, rng.randint(0, 30), WIDE_EXPONENTS)
+            assert table.decode_letters(codes) == _split_decode(table, codes), (m, codes)
+        assert set(table.letters) == {combing._code(i, exp) for i in table.index.values()
+                                      for exp in (1, -1, 2, -2)}, m
+
+
+def test_reduce_merges_by_exponent_arithmetic():
+    # each piece after the first cancels a random suffix of the one before
+    # and meets the letter left there on its generator, with mixed signs and
+    # large exponents; the merged product is the letter-level reduction of
+    # the pieces joined, and is reduced
+    code = combing._code
+    assert combing._reduce(([code(1, 3)], [code(1, -5)])) == [code(1, -2)]
+    assert combing._reduce(([1], [1])) == [code(1, 2)]
+    assert combing._reduce(([2, code(1, 300)], [code(1, -44), 2])) == [2, code(1, 256), 2]
+    rng = random.Random(RNG_SEED)
+    for m in range(1, 6):
+        table = build_action_table(m)
+        for _ in range(150):
+            pieces = [_random_accumulator(rng, table, rng.randint(1, 5), WIDE_EXPONENTS)]
+            for _ in range(rng.randint(1, 4)):
+                last = pieces[-1]
+                cut = rng.randrange(len(last))
+                head = combing._inverse(last[cut + 1:]) + \
+                    [code(abs(last[cut]) & combing._MASK, rng.choice(WIDE_EXPONENTS))]
+                pieces.append(_random_accumulator(rng, table, len(head) + rng.randint(0, 4),
+                                                  WIDE_EXPONENTS, head))
+            got = combing._reduce(pieces)
+            expected = reduce_letters(chain.from_iterable(_split_decode(table, p) for p in pieces))
+            assert _split_decode(table, got) == expected, (m, pieces)
+            assert all((abs(a) ^ abs(b)) & combing._MASK for a, b in zip(got, got[1:])), \
+                (m, pieces)
 
 
 def test_power_split_matches_plain_loop():
@@ -662,21 +716,33 @@ def test_power_cache_stays_bounded():
                    for key in table.powers), k
         assert eliminated | top_words <= set(table.powers), k
         assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(eliminated) + 2, k
-        assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps", "powers"}, k
+        assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps", "powers",
+                                    "letters"}, k
         rows = [row for row, _ in table.steps.values()] + \
             [table.powers[key][0] for key in eliminated]
         compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
         assert all(set(row) == compiled for row in rows), k
+        # the large powers decoded were made on lookup, not kept
+        assert set(table.letters) == compiled, k
 
 
 def test_small_powers_take_the_plain_loop(monkeypatch):
     # below _POWER_MIN no closed form is read off: the insertion-sized
-    # words comb as before
+    # words comb as before.  A word is drawn again while a letter merges to
+    # _POWER_MIN or more in the reduced word of some level, as A[1,3] A[1,5]
+    # A[1,3]^7 does at level 4 once A[1,5] is dropped
     monkeypatch.setattr(iterates, "_closed_form", None)
     rng = random.Random(RNG_SEED)
+    power = parse_word(f"A[1,3]^{combing._POWER_MIN - 1}")
     for m in (2, 3):
         for _ in range(20):
-            comb(m, random_x_word(rng, m, 8) * parse_word(f"A[1,3]^{combing._POWER_MIN - 1}"))
+            while True:
+                w = random_x_word(rng, m, 8) * power
+                if all(abs(exp) < combing._POWER_MIN for top in range(m + 2, 2, -1)
+                       for _, exp in reduce_letters(l for l in w.letters
+                                                    if gen_level(l[0]) <= top)):
+                    break
+            comb(m, w)
 
 
 def test_comb_known_value():

@@ -276,23 +276,27 @@ def test_out_of_memory_is_an_input_error(capsys, monkeypatch):
 
 def test_compile_failure_of_a_lazy_import_is_out_of_memory(capsys, monkeypatch):
     # short of memory, CPython's parser reports an AST node it could not
-    # allocate as a missing field; here the compile of sbk.abelian, which
-    # abelianize imports once its input is read, is made to fail that way
+    # allocate as a missing field, or a rule it could not finish as a syntax
+    # error; here the compile of sbk.abelian, which abelianize imports once
+    # its input is read, is made to fail both ways
     get_code = importlib.machinery.SourceFileLoader.get_code
+    error = None
 
     def compile_fails(loader, fullname):
         if fullname == "sbk.abelian":
-            raise ValueError("field 'target' is required for AnnAssign")
+            raise error
         return get_code(loader, fullname)
 
     monkeypatch.setattr(importlib.machinery.SourceFileLoader, "get_code", compile_fails)
     monkeypatch.delitem(sys.modules, "sbk.abelian")
     monkeypatch.delattr(sbk, "abelian")
-    capsys.readouterr()
-    assert main(["abelianize", "--group", "pn-rp2:n=3"]) == 2
-    out, err = capsys.readouterr()
-    assert out.count("\n") == 1 and json.loads(out) == {"error": "out of memory"}
-    assert err == "error: out of memory\n"
+    for error in (ValueError("field 'target' is required for AnnAssign"),
+                  SyntaxError("expected ':'")):
+        capsys.readouterr()
+        assert main(["abelianize", "--group", "pn-rp2:n=3"]) == 2, error
+        out, err = capsys.readouterr()
+        assert out.count("\n") == 1 and json.loads(out) == {"error": "out of memory"}, error
+        assert err == "error: out of memory\n", error
     # an input error keeps its own text
     assert main(["abelianize", "--group", "pn-rp2:k=3"]) == 2
     assert json.loads(capsys.readouterr().out) == {
