@@ -35,9 +35,9 @@ from . import combing
 from .combing import (
     SURFACE_RP2,
     SURFACE_S2,
+    _kernel_rows,
     _split_top,
     build_action_table,
-    conjugation_row,
     kernel_basis,
     keromega_basis,
     rewrite_kernel_letters,
@@ -358,13 +358,9 @@ def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     level-l kernel basis, as indexed basis-image words."""
     if l < 2:
         raise ValueError("kernel levels start at 2")
-    if l == 2:
-        return 2, []
-    table = build_action_table(l - 1)
-    index = {g: i for i, g in enumerate(table.basis)}
-    return len(table.basis), [
-        [tuple([(index[gen], exp) for gen, exp in table.row(x, 1, b)]) for b in table.basis]
-        for x in x_alphabet(l - 2)]
+    index = {g: i for i, g in enumerate(kernel_basis(l + 1))}
+    return len(index), [[tuple([(index[gen], exp) for gen, exp in image]) for image in row]
+                        for row in _kernel_rows(x_alphabet(l - 2), 1, l + 1)]
 
 
 def omega_delta(l: int) -> AbelianInvariants:
@@ -443,10 +439,8 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
         actors += [gen_a(r, s) for r in range(1, s)]
         if surface == SURFACE_RP2:
             actors.append(gen_rho(s))
-    basis = kernel_basis(top, surface)
-    return _coinvariants({g: i for i, g in enumerate(basis)},
-                         [[conjugation_row(x, 1, b, top, l, surface) for b in basis]
-                          for x in actors])
+    return _coinvariants({g: i for i, g in enumerate(kernel_basis(top, surface))},
+                         _kernel_rows(actors, 1, top, l, surface))
 
 
 def subgroup_count_exponent(n: int) -> int:

@@ -14,14 +14,17 @@ reduced words (omega_{m+1}, ..., omega_2), one per kernel level, with
     w = omega_{m+1} * s(omega_m * s( ... s(omega_2) ... )).
 
 The conjugation action of the lower-level generators on each kernel
-basis is the defining conjugation relations read as automorphisms: one
-:class:`ActionTable` per level, constructed as ``maps[(x, sign)][b] ->
-image``, whose rows are :func:`sbk.presentations.conjugate` with the
-eliminated letter expanded.  ``maps`` is the one constructed shape; the
-table compiles one view from it on first use, ``steps``: the rows and the
-kernel part of every lower-level letter over the basis interned as ``1 ..
-r``, with every letter b_i^e coded as one signed int (:func:`_code`) and
-every row built by :meth:`_Row.of` from the images of the b_i.  The kernel
+basis is the defining conjugation relations read as automorphisms: a row
+x^sign b x^-sign is :func:`sbk.presentations.conjugate` with the
+eliminated letter expanded (:func:`conjugation_row`), and one builder,
+:func:`_kernel_rows`, makes the rows of the comber, of the tower action
+:func:`sbk.abelian.omega_action` and of the kernel coinvariants
+:func:`sbk.abelian.fn_kernel_coinvariants`.  The comber's rows live in
+one :class:`ActionTable` per level, constructed as ``ActionTable(m)``,
+which compiles them on first use into ``steps``: the rows and the kernel
+part of every lower-level letter over the basis interned as ``1 .. r``,
+with every letter b_i^e coded as one signed int (:func:`_code`) and every
+row built by :meth:`_Row.of` from the images of the b_i.  The kernel
 parts come from the section (:func:`_section_parts`) through the comber's
 own step :func:`_act`, and :meth:`ActionTable.round_trip_failures`
 certifies the compiled rows.  The table is the only store of per-level
@@ -141,6 +144,15 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
     return substitute(conjugate(x, sign, b), _x_images(top, surface))
 
 
+def _kernel_rows(actors: Iterable[Gen], sign: int, top: int, punctures: int = 2,
+                 surface: str = SURFACE_RP2) -> list[list[tuple[Letter, ...]]]:
+    """For each actor x, the images x^sign b x^-sign of the basis letters b
+    of :func:`kernel_basis` ``(top, surface)``, in basis order."""
+    basis = kernel_basis(top, surface)
+    return [[conjugation_row(x, sign, b, top, punctures, surface) for b in basis]
+            for x in actors]
+
+
 def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
     """Free basis of the kernel of forgetting strand ``top``: A[1,top], ...,
     A[top-2,top], then rho[top] on the projective plane (the band letter
@@ -149,13 +161,6 @@ def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:
     if surface == SURFACE_RP2:
         gens += (gen_rho(top),)
     return gens
-
-
-def omega_basis(level: int) -> tuple[Gen, ...]:
-    """Basis of the level-l free kernel: A[1,l+1], ..., A[l-1,l+1], rho[l+1]."""
-    if level < 2:
-        raise ValueError("kernel levels start at 2")
-    return kernel_basis(level + 1)
 
 
 # A letter b_i^e over a level basis b_1, ..., b_r is coded as one signed
@@ -267,25 +272,22 @@ _POWER_MIN = 8
 
 
 class ActionTable(Frozen):
-    """Conjugation rows of the lower-level generating letters on the rank
-    m+1 kernel basis at strand level ``top`` = m+2.
-
-    ``maps[(x, sign)][b]`` is the reduced word x^sign b x^-sign over the
-    basis, for every combing letter x below the top level and both signs.
-    Basis letters themselves act by free conjugation and are not stored.
-    ``maps`` is the one constructed shape, and the abelian route reads
-    only it; ``steps``, the rows and kernel parts the comber runs on, is
-    compiled from it on first use.
+    """The comber's coded rows and kernel parts for the lower-level
+    generating letters on the rank m+1 kernel basis at strand level ``top``
+    = m+2.  A table is constructed from ``m`` alone; ``steps`` is compiled
+    from :func:`_kernel_rows` on first use.
 
     ``steps`` is over the basis b_1, ..., b_r interned as ``index[b_i] =
     i``, with every letter b_i^e coded as one signed int (:func:`_code`).
-    ``steps[(x, sign)]`` is ``(row, tail)``: ``row[i]`` is the image of b_i
-    under conjugation by x^sign as a tuple of coded letters, ``row[-i]``
-    the image of b_i^-1 (stored, not inverted on use), ``row[code]`` of any
-    power b_i^e that power of the image, and ``tail`` the kernel part
-    x^sign * s(x^sign)^-1.  ``letters`` decodes on the same keys: it holds
-    the letter b_i^e of every code for e = +-1, +-2 and makes a longer power
-    on lookup without keeping it (:class:`_Letters`).
+    ``steps[(x, sign)]`` is ``(row, tail)`` for every combing letter x below
+    the top level and both signs: ``row[i]`` is the image of b_i under
+    conjugation by x^sign as a tuple of coded letters, ``row[-i]`` the image
+    of b_i^-1 (stored, not inverted on use), ``row[code]`` of any power
+    b_i^e that power of the image, and ``tail`` the kernel part x^sign *
+    s(x^sign)^-1.  Basis letters themselves act by free conjugation and have
+    no step.  ``letters`` decodes on the same keys: it holds the letter
+    b_i^e of every code for e = +-1, +-2 and makes a longer power on lookup
+    without keeping it (:class:`_Letters`).
 
     ``powers`` holds what the comber compiles on demand: the eliminated
     letters' steps, in the shape of ``steps``, and top words under ``(gen,
@@ -294,12 +296,11 @@ class ActionTable(Frozen):
     ``powers`` is left out of equality: it fills as the comber goes.
     """
 
-    _fields = ("m", "maps")
+    _fields = ("m",)
     __hash__ = None
 
-    def __init__(self, m: int, maps: Mapping[tuple[Gen, int], Mapping[Gen, tuple[Letter, ...]]]):
+    def __init__(self, m: int):
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "maps", maps)
         object.__setattr__(self, "powers", {})
 
     @property
@@ -308,16 +309,13 @@ class ActionTable(Frozen):
 
     @cached_property
     def basis(self) -> tuple[Gen, ...]:
-        return omega_basis(self.m + 1)
+        return kernel_basis(self.top)
 
     @cached_property
     def index(self) -> dict[Gen, int]:
         if len(self.basis) > _MASK:
             raise ValueError(f"a level basis of rank {len(self.basis)} is too large to code")
         return {b: i for i, b in enumerate(self.basis, 1)}
-
-    def row(self, x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
-        return self.maps[(x, sign)][b]
 
     def encode(self, letters: Iterable[Letter]) -> tuple[int, ...]:
         """The coded letters of a word over the basis, one per letter."""
@@ -339,21 +337,23 @@ class ActionTable(Frozen):
 
     @cached_property
     def steps(self) -> dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]]:
-        """The rows of ``maps`` and the kernel parts, coded.
+        """The rows of :func:`_kernel_rows` and the kernel parts, coded.
 
         The kernel part of g^sign comes from the section s(g) = left * g *
         right (:func:`_section_parts`): phi_g(right^-1) * left^-1 for g,
         phi_{g^-1}(left) * right for g^-1."""
-        index = self.index
-        images = _x_images(self.top)
+        top = self.top
+        images = _x_images(top)
+        actors = x_alphabet(self.m - 1)
         steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
-        for (x, sign), row_map in self.maps.items():
-            row = _Row.of({i: self.encode(row_map[b]) for b, i in index.items()})
-            left, right = (substitute(part, images) for part in _section_parts(x, self.top))
-            if sign > 0:
-                left, right = invert_letters(right), invert_letters(left)
-            tail = _act(self.encode(left), row, self.encode(right))
-            steps[(x, sign)] = (row, tuple(tail))
+        forward, backward = (_kernel_rows(actors, sign, top) for sign in (1, -1))
+        for x, forward_images, backward_images in zip(actors, forward, backward):
+            left, right = (substitute(part, images) for part in _section_parts(x, top))
+            for sign, row_images, head, end in (
+                    (1, forward_images, invert_letters(right), invert_letters(left)),
+                    (-1, backward_images, left, right)):
+                row = _Row.of({i: self.encode(image) for i, image in enumerate(row_images, 1)})
+                steps[(x, sign)] = row, tuple(_act(self.encode(head), row, self.encode(end)))
         return steps
 
     def round_trip_failures(self) -> list[tuple[Gen, int, Gen]]:
@@ -381,10 +381,7 @@ def build_action_table(m: int) -> ActionTable:
     the level-(m+1) kernel basis."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    top = m + 2
-    basis = omega_basis(m + 1)
-    return ActionTable(m, {(x, sign): {b: conjugation_row(x, sign, b, top) for b in basis}
-                           for x in x_alphabet(m - 1) for sign in (1, -1)})
+    return ActionTable(m)
 
 
 def _checked_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -684,7 +681,7 @@ def gamma_tower_ranks(n: int) -> list[int]:
     two-puncture group, counted from the level bases: [n-1, n-2, ..., 2]."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return [len(omega_basis(l)) for l in range(n - 1, 1, -1)]
+    return [len(kernel_basis(top)) for top in range(n, 2, -1)]
 
 
 def ln_tower_ranks(n: int) -> list[int]:

@@ -26,6 +26,7 @@ from sbk.abelian import (
     vcd_report,
 )
 from sbk.presentations import build_gamma_rp2, build_gamma_s2, build_pn_rp2
+from sbk.words import gen_rho
 
 RNG_SEED = 70839
 
@@ -532,6 +533,44 @@ def test_fn_kernel_parameter_range():
         fn_kernel_coinvariants("torus", 1, 2)
 
 
+def test_omega_action_levels():
+    # the base level has no actors: the general path gives its rank only
+    assert abelian.omega_action(2) == (2, [])
+    with pytest.raises(ValueError):
+        abelian.omega_action(1)
+
+
+def test_one_kernel_row_source_feeds_every_consumer(monkeypatch):
+    # one corrupted forward rho-on-rho row of the defining relations reaches
+    # all three consumers of the kernel rows: a fresh action table, the
+    # gamma tower data and the strand-forgetting kernel coinvariants
+    fn_rows = []
+    coinvariants = abelian._coinvariants
+    monkeypatch.setattr(abelian, "_coinvariants",
+                        lambda index, images: fn_rows.append(images) or coinvariants(index, images))
+
+    def consumers():
+        fn_rows.clear()
+        levels = abelian.gamma_tower_levels(2)
+        fn_kernel_coinvariants("rp2", 1, 2)
+        return levels, list(fn_rows)
+
+    honest = consumers()
+    row = combing.conjugation_row
+    target = (gen_rho(3), 1, gen_rho(4), 4)
+    assert len(row(*target)) > 1
+
+    def corrupted(x, sign, b, top, *args):
+        image = row(x, sign, b, top, *args)
+        return image[-1:] if (x, sign, b, top) == target else image
+
+    monkeypatch.setattr(combing, "conjugation_row", corrupted)
+    assert combing.ActionTable(2).round_trip_failures()
+    levels, rows = consumers()
+    assert levels != honest[0]
+    assert rows != honest[1]
+
+
 def test_subgroup_count_exponent():
     assert subgroup_count_exponent(3) == 3
     for n in range(3, 7):
@@ -550,7 +589,7 @@ def test_vcd_report():
 
 
 @pytest.mark.parametrize("surface, n, patched, level", [
-    ("rp2", 6, "omega_basis", 3),
+    ("rp2", 6, "kernel_basis", 4),
     ("s2", 6, "kernel_basis", 5),
 ])
 def test_vcd_counts_only_nonempty_levels(monkeypatch, surface, n, patched, level):

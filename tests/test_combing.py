@@ -16,6 +16,7 @@ from sbk.combing import (
     expand_C,
     gamma_tower_ranks,
     is_trivial_gamma,
+    kernel_basis,
     keromega_basis,
     kn_decompose,
     kn_membership,
@@ -23,14 +24,14 @@ from sbk.combing import (
     ln_membership,
     ln_tower_ranks,
     ln_word_problem,
-    omega_basis,
     pn_triviality,
     rewrite_kernel_letters,
     section_s,
     sphere_tower_ranks,
     to_x_letters,
+    x_alphabet,
 )
-from sbk.presentations import build_gamma_rp2
+from sbk.presentations import SURFACE_S2, build_gamma_rp2
 from sbk.verify import random_x_word
 from sbk.words import (
     AlphabetError,
@@ -55,35 +56,48 @@ def test_expand_c_examples():
     assert str(expand_C(3, 4, 4)) == "A[2,4]^-1 A[1,4]^-1 rho[4]^-2"
 
 
-def test_omega_basis():
-    basis = omega_basis(3)
-    assert basis == (gen_a(1, 4), gen_a(2, 4), gen_rho(4))
-    with pytest.raises(ValueError):
-        omega_basis(1)
+@lru_cache(maxsize=None)
+def _letter_rows(m):
+    """``{(x, sign): {b: x^sign b x^-sign}}`` for every combing letter x below
+    the top level m+2, both signs, on every kernel basis letter b, straight
+    from the defining relations: the oracle for the compiled rows."""
+    top = m + 2
+    return {(x, sign): {b: combing.conjugation_row(x, sign, b, top) for b in kernel_basis(top)}
+            for x in x_alphabet(m - 1) for sign in (1, -1)}
+
+
+def _compiled_row(table, x, sign, b):
+    """The image of b under x^sign that the comber runs on, decoded."""
+    return table.decode_letters(table.steps[(x, sign)][0][table.index[b]])
+
+
+def test_kernel_basis_example():
+    assert kernel_basis(4) == (gen_a(1, 4), gen_a(2, 4), gen_rho(4))
+    assert kernel_basis(4, SURFACE_S2) == (gen_a(1, 4), gen_a(2, 4))
+    assert build_action_table(2).basis == kernel_basis(4)
 
 
 def test_action_table_surface_row():
     # rho_k acting on the top surface letter gives C[k,top] rho[top]
-    table = build_action_table(2)
-    row = table.row(gen_rho(3), 1, gen_rho(4))
+    row = _compiled_row(build_action_table(2), gen_rho(3), 1, gen_rho(4))
     assert Word(row) == expand_C(3, 4, 4) * Word.of(gen_rho(4))
 
 
 def test_action_table_disjoint_band_row():
     # disjoint index pairs: conjugation leaves the basis letter alone
-    table = build_action_table(3)
-    assert table.row(gen_a(2, 4), 1, gen_a(1, 5)) == ((gen_a(1, 5), 1),)
+    row = _compiled_row(build_action_table(3), gen_a(2, 4), 1, gen_a(1, 5))
+    assert row == ((gen_a(1, 5), 1),)
 
 
 def _kernel_part(table, x, sign, row_map=None):
     """The kernel part x^sign * s(x^sign)^-1 in letters, from the section
     s(x) = left * x * right: phi_x(right^-1) * left^-1 for x and
     phi_{x^-1}(left) * right for x^-1, phi_{x^sign} the row map (by default
-    the table's); the oracle for the compiled tails."""
+    that of :func:`_letter_rows`); the oracle for the compiled tails."""
     left, right = (substitute(part, combing._x_images(table.top))
                    for part in combing._section_parts(x, table.top))
     if row_map is None:
-        row_map = table.maps[(x, sign)]
+        row_map = _letter_rows(table.m)[(x, sign)]
     if sign > 0:
         return concat_letters(substitute(invert_letters(right), row_map), invert_letters(left))
     return concat_letters(substitute(left, row_map), right)
@@ -93,26 +107,29 @@ def test_action_table_round_trip():
     for m in range(1, 7):
         table = build_action_table(m)
         assert table.round_trip_failures() == [], m
-        # rows are stored as built, so conjugation_row must return reduced words
-        for row_map in table.maps.values():
+        # rows are compiled as built, so conjugation_row must return reduced words
+        rows = _letter_rows(m)
+        for row_map in rows.values():
             assert all(reduce_letters(image) == image for image in row_map.values())
-        # the compiled rows decode to the stored rows, the negative indices
-        # to their inverses, and the tails to the kernel parts
+        # the compiled rows, in the oracle's order, decode to the oracle's
+        # rows, the negative indices to their inverses, and the tails to the
+        # kernel parts
         for i, b in enumerate(table.basis, 1):
             assert table.index[b] == i, (m, b)
+        assert list(table.steps) == list(rows), m
         for (x, sign), (row, tail) in table.steps.items():
             for i, b in enumerate(table.basis, 1):
                 for exp in (1, -1, 2, -2):
-                    image = substitute(((b, exp),), table.maps[(x, sign)])
+                    image = substitute(((b, exp),), rows[(x, sign)])
                     assert table.decode_letters(row[combing._code(i, exp)]) == image, \
                         (m, x, sign, b, exp)
             assert table.decode_letters(tail) == _kernel_part(table, x, sign), (m, x, sign)
 
 
 def test_round_trip_certifies_compiled_rows():
-    # the round trip reads the rows the comber runs on, not ``maps``
+    # the round trip reads the rows the comber runs on
     table = build_action_table(3)
-    fresh = ActionTable(table.m, table.maps)
+    fresh = ActionTable(table.m)
     row, _ = next(iter(fresh.steps.values()))
     row[1] = row[2]
     assert fresh.round_trip_failures()
@@ -135,7 +152,7 @@ def test_int_step_matches_substitute(case):
     table = build_action_table(m)
     for key, (row, tail) in table.steps.items():
         for codes_tail, letters_tail in (((), ()), (tail, _kernel_part(table, *key))):
-            expected = concat_letters(substitute(letters, table.maps[key]), letters_tail)
+            expected = concat_letters(substitute(letters, _letter_rows(m)[key]), letters_tail)
             got = combing._act(table.encode(letters), row, codes_tail)
             # reduced coded words are unique, one coded letter per letter
             assert tuple(got) == table.encode(expected), (m, key, codes_tail)
@@ -148,7 +165,7 @@ def test_split_top_without_tails_is_the_action():
     rng = random.Random(RNG_SEED)
     for m in range(1, 5):
         table = build_action_table(m)
-        lower = [x for x, sign in table.maps if sign > 0]  # none at m = 1
+        lower = [x for x, sign in table.steps if sign > 0]  # none at m = 1
         for _ in range(30):
             u = tuple((rng.choice(lower), rng.choice((-2, -1, 1, 2)))
                       for _ in range(rng.randint(0, 4) if lower else 0))
@@ -157,7 +174,7 @@ def test_split_top_without_tails_is_the_action():
             expected = reduce_letters(v)
             for gen, exp in reversed(u):
                 for _ in range(abs(exp)):
-                    expected = substitute(expected, table.maps[(gen, 1 if exp > 0 else -1)])
+                    expected = substitute(expected, _letter_rows(m)[(gen, 1 if exp > 0 else -1)])
             got = combing._split_top(table, u + v, tails=False)
             assert got == expected, (m, u, v)
 
@@ -207,7 +224,7 @@ def test_decode_through_the_letter_dict():
     # the key set of a compiled row, are kept however large the powers met
     rng = random.Random(RNG_SEED)
     for m in range(1, 6):
-        table = ActionTable(m, build_action_table(m).maps)
+        table = ActionTable(m)
         for _ in range(100):
             codes = _random_accumulator(rng, table, rng.randint(0, 30), WIDE_EXPONENTS)
             assert table.decode_letters(codes) == _split_decode(table, codes), (m, codes)
@@ -295,7 +312,7 @@ def test_walk_keeps_the_coded_word_reduced():
     rng = random.Random(RNG_SEED)
     for m in range(1, 5):
         table = build_action_table(m)
-        lower = [x for x, sign in table.maps if sign > 0] + [x for x, _ in _eliminated_keys(table)]
+        lower = [x for x, sign in table.steps if sign > 0] + [x for x, _ in _eliminated_keys(table)]
         top = list(table.basis) + [gen_a(table.top - 1, table.top)]
         for _ in range(150):
             letters = tuple((rng.choice(lower if lower and rng.random() < 0.4 else top),
@@ -333,7 +350,7 @@ def test_eliminated_steps_walk_the_compiled_rows():
     # relations would not see the corruption, and relators with eliminated
     # letters would still comb to the identity against a corrupted table
     table = build_action_table(2)
-    fresh = ActionTable(table.m, table.maps)
+    fresh = ActionTable(table.m)
     for sign in (1, -1):
         row, _ = fresh.steps[(gen_rho(3), sign)]
         row[1] = row[2]
@@ -444,7 +461,7 @@ def test_broken_form_is_rejected_and_falls_back(monkeypatch):
     expected = _plain_split(table, ((gen_a(1, 3), 40),), [], True)
     assert combing._split_top(table, ((gen_a(1, 3), 40),)) == expected
     monkeypatch.setattr(iterates, "_closed_form", lambda *args: None)
-    fresh = ActionTable(table.m, table.maps)
+    fresh = ActionTable(table.m)
     assert combing._split_top(fresh, ((gen_a(1, 3), 40),)) == expected
     assert set(fresh.powers.values()) == {None}
 
@@ -546,15 +563,14 @@ def test_comb_conjugated_relator():
 def _kernel_parts(m):
     """The kernel parts of the oracle, per letter and sign."""
     table = build_action_table(m)
-    return {key: _kernel_part(table, *key) for key in table.maps}
+    return {key: _kernel_part(table, *key) for key in table.steps}
 
 
 @lru_cache(maxsize=None)
 def _psi_maps(m):
     """Conjugation by the section image s(g) = kappa_g^-1 * g, per letter."""
-    table = build_action_table(m)
     psi = {}
-    for key, row_map in table.maps.items():
+    for key, row_map in _letter_rows(m).items():
         k = _kernel_parts(m)[key]
         ik = invert_letters(k)
         psi[key] = {
@@ -668,7 +684,7 @@ def test_power_steps_do_not_grow_with_the_exponent(monkeypatch):
         for n in (1000, 8000):
             count = 0
             letters = (parse_word(name) ** n).letters
-            combing._comb_letters(m, letters, lambda k: ActionTable(k, build_action_table(k).maps))
+            combing._comb_letters(m, letters, ActionTable)
             counts.append(count)
         assert counts[0] == counts[1], (m, name, counts)
 
@@ -716,8 +732,7 @@ def test_power_cache_stays_bounded():
                    for key in table.powers), k
         assert eliminated | top_words <= set(table.powers), k
         assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(eliminated) + 2, k
-        assert set(vars(table)) <= {"m", "maps", "basis", "index", "steps", "powers",
-                                    "letters"}, k
+        assert set(vars(table)) <= {"m", "basis", "index", "steps", "powers", "letters"}, k
         rows = [row for row, _ in table.steps.values()] + \
             [table.powers[key][0] for key in eliminated]
         compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
@@ -885,7 +900,7 @@ def _rewrite_kernel_letters_unit_steps(l, letters):
 # words over the level-l kernel basis, l = 2..5, heavy in rho[l+1]; both
 # even and odd total rho-exponents occur
 coset_words = st.integers(2, 5).flatmap(lambda l: st.tuples(st.just(l), st.lists(
-    st.tuples(st.sampled_from(omega_basis(l) + (gen_rho(l + 1),) * l),
+    st.tuples(st.sampled_from(kernel_basis(l + 1) + (gen_rho(l + 1),) * l),
               st.sampled_from([-40, -7, -3, -2, -1, 1, 2, 3, 7, 40])),
     max_size=10)))
 

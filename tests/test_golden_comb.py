@@ -63,10 +63,11 @@ def _digest(lines):
 
 def _table_lines(m):
     table = build_action_table(m)
-    lines = [f"{format_gen(x)} {sign} {format_gen(b)}: {Word(table.row(x, sign, b))}"
-             for x, sign in table.maps for b in table.basis]
-    lines += [f"kappa {format_gen(x)} {sign}: {Word(table.decode_letters(tail))}"
-              for (x, sign), (_, tail) in table.steps.items()]
+    lines = []
+    for (x, sign), (row, tail) in table.steps.items():
+        lines += [f"{format_gen(x)} {sign} {format_gen(b)}: {Word(table.decode_letters(row[i]))}"
+                  for b, i in table.index.items()]
+        lines.append(f"kappa {format_gen(x)} {sign}: {Word(table.decode_letters(tail))}")
     return sorted(lines)
 
 

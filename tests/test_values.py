@@ -17,11 +17,6 @@ from sbk.verify import Case, VerificationReport
 from sbk.words import Word, parse_word
 
 
-def _table_copy(m):
-    table = build_action_table(m)
-    return ActionTable(table.m, {key: dict(row) for key, row in table.maps.items()})
-
-
 def _pn_rp2_without_first_relation(n):
     pres = build_pn_rp2(n)
     return Presentation(pres.family, pres.params, pres.generators,
@@ -39,8 +34,8 @@ VALUES = {
                     lambda: QuatElement(1, 2)),
     "Presentation": (lambda: build_pn_rp2(3), lambda: build_pn_rp2(3),
                      lambda: _pn_rp2_without_first_relation(3)),
-    "ActionTable": (lambda: build_action_table(2), lambda: _table_copy(2),
-                    lambda: ActionTable(2, {})),
+    "ActionTable": (lambda: build_action_table(2), lambda: ActionTable(2),
+                    lambda: ActionTable(3)),
     "CombedForm": (lambda: comb(2, parse_word("rho[4] A[1,3]^2")),
                    lambda: CombedForm(2, comb(2, parse_word("rho[4] A[1,3]^2")).components),
                    lambda: comb(2, parse_word("rho[4] A[1,3]"))),
@@ -72,7 +67,7 @@ READ_ONLY = {
     "Word": (lambda: Word(), "letters"),
     "QuatElement": (lambda: QuatElement(), "sign"),
     "Presentation": (lambda: build_pn_rp2(2), "relators"),
-    "ActionTable": (lambda: build_action_table(1), "maps"),
+    "ActionTable": (lambda: build_action_table(1), "m"),
     "CombedForm": (lambda: comb(1, Word()), "components"),
     "AbelianInvariants": (lambda: AbelianInvariants(0), "torsion"),
     "Case": (lambda: Case("c", "d", "1", "1"), "got"),
@@ -131,8 +126,8 @@ def test_action_table_powers_left_out_of_equality():
     # rows stay equal
     warm = build_action_table(2)
     comb(2, parse_word("A[1,3]^20 A[3,4]"))
-    assert warm.powers and not _table_copy(2).powers
-    assert warm == _table_copy(2)
+    assert warm.powers and not ActionTable(2).powers
+    assert warm == ActionTable(2)
 
 
 def test_report_cases_default_is_a_new_list():

@@ -26,8 +26,8 @@ from sbk.cli import (
     _parse_group_spec,
     main,
 )
-from sbk.combing import ActionTable, build_action_table
-from sbk.words import gen_a
+from sbk.combing import ActionTable, _Row
+from sbk.words import gen_a, gen_rho
 
 # child interpreters import sbk from this checkout, as the tests do
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -523,18 +523,18 @@ def test_cli_catalogue_matches_pinned_digests(capsys, monkeypatch):
 
 
 def _corrupted_table_factory(m: int) -> ActionTable:
-    table = build_action_table(m)
-    maps = {key: dict(row_map) for key, row_map in table.maps.items()}
-    # swap one forward row for a wrong word: drop the conjugator entirely
-    target = next(
-        ((key, b) for key, row_map in maps.items() for b, image in row_map.items()
-         if key[1] == 1 and key[0][0] == "rho" and b[0] == "rho" and len(image) > 1),
-        None,
-    )
-    if target is not None:
-        key, b = target
-        maps[key][b] = (maps[key][b][-1],)
-    return ActionTable(table.m, maps)
+    table = ActionTable(m)
+    # swap one forward coded row for a wrong word: in the first rho row whose
+    # image of rho[top] has more than one letter, drop the conjugator
+    # entirely; the kernel part stays the honest one
+    rho_top = table.index[gen_rho(table.top)]
+    for (x, sign), (row, tail) in table.steps.items():
+        if sign == 1 and x[0] == "rho" and len(row[rho_top]) > 1:
+            images = {i: row[i] for i in table.index.values()}
+            images[rho_top] = row[rho_top][-1:]
+            table.steps[(x, sign)] = _Row.of(images), tail
+            break
+    return table
 
 
 def test_combing_suite_negative_control():
