@@ -18,9 +18,10 @@ import re
 import sys
 
 # the largest strand count `sbk nf` accepts: every level's action table is
-# built whatever the word, O(m^3) words in all; `sbk nf --word "rho[3]"`
-# takes 0.35 to 0.55 s and 38 MB at m = 16, and its comb 17 s and 820 MB at
-# m = 40 (Python 3.11, 2-core Xeon)
+# built whatever the word, O(m^3) words in all; a cold `sbk nf --m 16` with
+# `--word "rho[3]"` or `--word "rho[3] A[1,18]^-2"` takes 0.39 to 0.61 s and
+# 33 MB max RSS (ten child runs each, no bytecode cache), and the comb of
+# `rho[3]` at m = 40 takes 18 s and 640 MB (Python 3.11, 2-core Xeon)
 NF_MAX_M = 16
 
 # the largest strand count, punctures included, that `info` and `abelianize`

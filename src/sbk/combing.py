@@ -23,12 +23,18 @@ eliminated letter expanded (:func:`conjugation_row`), and one builder,
 one :class:`ActionTable` per level, constructed as ``ActionTable(m)``,
 which compiles them on first use into ``steps``: the rows and the kernel
 part of every lower-level letter over the basis interned as ``1 .. r``,
-with every letter b_i^e coded as one signed int (:func:`_code`) and every
-row built by :meth:`_Row.of` from the images of the b_i.  The kernel
-parts come from the section (:func:`_section_parts`) through the comber's
-own step :func:`_act`, and :meth:`ActionTable.round_trip_failures`
-certifies the compiled rows.  The table is the only store of per-level
-combing data, and :func:`build_action_table` caches one table per m.  The
+with every letter b_i^e coded as one signed int (:func:`_code`).  By
+Artin's representation every image phi_g(b_i) is a conjugate of a basis
+letter, and most images of one row share their outer conjugator, so a
+row is kept factored through an inner automorphism, phi_g = iota_P .
+psi_g (:func:`_step`): the head P that a majority of the images are
+conjugated by (:func:`_head`), the row of the short images psi_g(b_i) =
+P^-1 phi_g(b_i) P built by :meth:`_Row.of`, and the kernel part t_g kept
+as P^-1 t_g.  The kernel parts come from the section
+(:func:`_section_parts`) through the comber's own step :func:`_act`, and
+:meth:`ActionTable.round_trip_failures` certifies the compiled steps.
+The table is the only store of per-level combing data, and
+:func:`build_action_table` caches one table per m.  The
 eliminated letters are expanded by solving the surface relation
 (:func:`sbk.presentations.surface_relation`) for them, in one table per
 top level (:func:`_x_images`).  The cold letterwise rewrites here (rows,
@@ -36,16 +42,19 @@ eliminated letters, the section) are :func:`sbk.words.substitute`.
 
 :func:`comb` peels one kernel level at a time, down to the base level, with
 a single right-to-left pass per level, :func:`_split_top`.  The pass is the
-hot loop: it runs on coded words, one step F(a) = phi_g(a) * t_g,
-:func:`_act`, per unit of exponent of each lower-level letter g, and two
-letters on one generator merge by adding their coded exponents
-(:func:`_reduce`).  Every coded word it holds is reduced, so it decodes to
-letters one per coded letter, once per level, each looked up in the
+hot loop: it runs on coded words, one step F(a) = phi_g(a) * t_g = P *
+psi_g(a) * (P^-1 t_g), :func:`_act`, per unit of exponent of each
+lower-level letter g, so the conjugator that neighbouring images share is
+neither pushed nor popped, and two letters on one generator merge by
+adding their coded exponents (:func:`_reduce`).  Every coded word it
+holds is reduced, so it decodes to letters one per coded letter, once
+per level, each looked up in the
 table's letter dict (:attr:`ActionTable.letters`).  It is the only loop
 over :func:`_act` (compiling ``steps`` and the round trip apply it once per
 row, :mod:`sbk.iterates` a few times per closed form): without the kernel
-parts it also gives the action of a lower-level word on a kernel word,
-which is how :func:`sbk.abelian.keromega_action` builds the tower of the
+parts (with the end P^-1, :func:`_action`) it also gives the action of a
+lower-level word on a kernel word, which is how
+:func:`sbk.abelian.keromega_action` builds the tower of the
 torsion-free complement.  An eliminated letter A[j-1,j] is a combing letter
 like any other (:func:`_eliminated`): below its level it takes one step,
 walked once per table along its x-image through the table's compiled rows;
@@ -254,12 +263,60 @@ class _Letters(dict):
         return self.get(i)[0], exp
 
 
-def _act(codes: Sequence[int], row: Mapping[int, Sequence[int]],
-         tail: Sequence[int] = ()) -> list[int]:
-    """The reduced coded word row(codes) * tail: the one step F(a) = phi(a)
-    * tail of the comber's hot loop, which also compiles the kernel parts and
-    checks the round trip of :attr:`ActionTable.steps`."""
-    return _reduce(chain(map(row.__getitem__, codes), (tail,)))
+# A step F(a) = P * psi(a) * tail is ``(head, row, tail)``: the head P, the
+# row of psi (a :class:`_Row`) and the end that follows psi's pieces; the
+# action phi = iota_P . psi alone is the step with the end P^-1
+# (:func:`_action`).
+_Step = tuple[Sequence[int], Mapping[int, Sequence[int]], Sequence[int]]
+
+
+def _act(codes: Sequence[int], step: _Step) -> list[int]:
+    """The reduced coded word head * row(codes) * end for the step ``(head,
+    row, end)``: the one step of the comber's hot loop, which also compiles
+    the kernel parts and checks the round trip of :attr:`ActionTable.steps`."""
+    head, row, end = step
+    return _reduce(chain((head,), map(row.__getitem__, codes), (end,)))
+
+
+def _action(step: _Step) -> _Step:
+    """The step's action alone, a -> P psi(a) P^-1, P its head."""
+    head, row, _ = step
+    return head, row, _inverse(head)
+
+
+def _head(images: Iterable[Sequence[int]]) -> list[int]:
+    """The longest coded word P that more than half of the reduced ``images``
+    are spelt conjugated by, P w P^-1 as they stand: a majority walk over
+    their conjugators, one letter deeper per round, O(r |P|) for r images."""
+    alive = list(images)
+    need = len(alive) // 2 + 1
+    head: list[int] = []
+    while True:
+        depth = len(head)
+        # the images still spelt head * w * head^-1, with w = c w' c^-1
+        codes = [image[depth] for image in alive
+                 if len(image) > 2 * depth + 1 and image[depth] == -image[-1 - depth]]
+        if len(codes) < need:
+            return head
+        code = max(set(codes), key=codes.count)
+        if codes.count(code) < need:
+            return head
+        head.append(code)
+        alive = [image for image in alive
+                 if len(image) > 2 * depth + 1 and image[depth] == code == -image[-1 - depth]]
+
+
+def _step(images: Mapping[int, Sequence[int]], lead: Sequence[int] = (),
+          end: Sequence[int] = ()) -> _Step:
+    """The step F(a) = phi(a) * phi(lead) * end, phi: b_i -> images[i]
+    (reduced coded words), factored through the inner automorphism of its
+    head P (:func:`_head`), phi = iota_P . psi: ``(P, row, tail)`` with
+    ``row`` the images psi(b_i) = P^-1 phi(b_i) P (:meth:`_Row.of`) and
+    ``tail`` = P^-1 phi(lead) end, so that F(a) = P psi(a) tail (:func:`_act`)."""
+    head = _head(images.values())
+    unhead = _inverse(head)
+    row = _Row.of({i: _reduce((unhead, image, head)) for i, image in images.items()})
+    return tuple(head), row, tuple(_act(lead, ((), row, _reduce((unhead, end)))))
 
 
 def _inverse(codes: Sequence[int]) -> list[int]:
@@ -279,13 +336,15 @@ class ActionTable(Frozen):
 
     ``steps`` is over the basis b_1, ..., b_r interned as ``index[b_i] =
     i``, with every letter b_i^e coded as one signed int (:func:`_code`).
-    ``steps[(x, sign)]`` is ``(row, tail)`` for every combing letter x below
-    the top level and both signs: ``row[i]`` is the image of b_i under
-    conjugation by x^sign as a tuple of coded letters, ``row[-i]`` the image
-    of b_i^-1 (stored, not inverted on use), ``row[code]`` of any power
-    b_i^e that power of the image, and ``tail`` the kernel part x^sign *
-    s(x^sign)^-1.  Basis letters themselves act by free conjugation and have
-    no step.  ``letters`` decodes on the same keys: it holds the letter
+    ``steps[(x, sign)]`` is ``(head, row, tail)`` for every combing letter x
+    below the top level and both signs, the step F(a) = head * row(a) * tail
+    (:func:`_step`): conjugation phi by x^sign factored as phi(a) = head *
+    row(a) * head^-1, where ``row[i]`` is the image psi(b_i) = head^-1
+    phi(b_i) head as a tuple of coded letters, ``row[-i]`` the image of
+    b_i^-1 (stored, not inverted on use), ``row[code]`` of any power b_i^e
+    that power of the image, and ``tail`` is head^-1 times the kernel part
+    x^sign * s(x^sign)^-1.  Basis letters themselves act by free conjugation
+    and have no step.  ``letters`` decodes on the same keys: it holds the letter
     b_i^e of every code for e = +-1, +-2 and makes a longer power on lookup
     without keeping it (:class:`_Letters`).
 
@@ -336,8 +395,9 @@ class ActionTable(Frozen):
         return tuple([*map(self.letters.__getitem__, codes)])
 
     @cached_property
-    def steps(self) -> dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]]:
-        """The rows of :func:`_kernel_rows` and the kernel parts, coded.
+    def steps(self) -> dict[tuple[Gen, int], _Step]:
+        """The rows of :func:`_kernel_rows` and the kernel parts, coded and
+        factored (:func:`_step`).
 
         The kernel part of g^sign comes from the section s(g) = left * g *
         right (:func:`_section_parts`): phi_g(right^-1) * left^-1 for g,
@@ -345,27 +405,28 @@ class ActionTable(Frozen):
         top = self.top
         images = _x_images(top)
         actors = x_alphabet(self.m - 1)
-        steps: dict[tuple[Gen, int], tuple[_Row, tuple[int, ...]]] = {}
+        steps: dict[tuple[Gen, int], _Step] = {}
         forward, backward = (_kernel_rows(actors, sign, top) for sign in (1, -1))
         for x, forward_images, backward_images in zip(actors, forward, backward):
             left, right = (substitute(part, images) for part in _section_parts(x, top))
-            for sign, row_images, head, end in (
+            for sign, row_images, lead, end in (
                     (1, forward_images, invert_letters(right), invert_letters(left)),
                     (-1, backward_images, left, right)):
-                row = _Row.of({i: self.encode(image) for i, image in enumerate(row_images, 1)})
-                steps[(x, sign)] = row, tuple(_act(self.encode(head), row, self.encode(end)))
+                steps[(x, sign)] = _step(
+                    {i: self.encode(image) for i, image in enumerate(row_images, 1)},
+                    self.encode(lead), self.encode(end))
         return steps
 
     def round_trip_failures(self) -> list[tuple[Gen, int, Gen]]:
-        """The rows (x, sign, b) of ``steps`` that the opposite-sign row of x
-        does not map back to b; empty when every pair x, x^-1 composes to
+        """The rows (x, sign, b) of ``steps`` that the opposite-sign action of
+        x does not map back to b; empty when every pair x, x^-1 composes to
         the identity."""
-        steps = self.steps
+        actions = {key: _action(step) for key, step in self.steps.items()}
         return [
             (x, sign, b)
-            for (x, sign), (row, _) in steps.items()
+            for (x, sign), action in actions.items()
             for i, b in enumerate(self.basis, 1)
-            if _act(row[i], steps[(x, -sign)][0]) != [i]
+            if _act(_act((i,), action), actions[(x, -sign)]) != [i]
         ]
 
 
@@ -461,9 +522,9 @@ def _eliminated(table: ActionTable, key: tuple[Gen, int]):
     table's level, compiled on first use and kept on ``table.powers`` under
     ``key``: at its own level j = top it multiplies in its coded top word, the
     solved surface relation, whose ends lie on different generators; below
-    it, it takes one step ``(row, tail)``, F(a) = kernel(A[j-1,j]^sign . a) =
-    row(a) * tail, walked (:func:`_walk`) along its x-image through the
-    table's own compiled rows."""
+    it, it takes one step ``(head, row, tail)``, F(a) = kernel(A[j-1,j]^sign
+    . a) = head * row(a) * tail (:func:`_step`), walked (:func:`_walk`) along
+    its x-image through the table's own compiled rows."""
     if key not in table.powers:
         gen, sign = key
         image = _x_images(table.top)[gen]
@@ -473,8 +534,8 @@ def _eliminated(table: ActionTable, key: tuple[Gen, int]):
         else:
             tail = _walk(table, letters, [], True)
             untail = _inverse(tail)
-            table.powers[key] = _Row.of({i: _reduce((_walk(table, letters, [i], True), untail))
-                                         for i in table.index.values()}), tuple(tail)
+            table.powers[key] = _step({i: _reduce((_walk(table, letters, [i], True), untail))
+                                       for i in table.index.values()}, (), tail)
     return table.powers[key]
 
 
@@ -502,15 +563,15 @@ def _walk(table: ActionTable, letters: Sequence[Letter], codes: list[int],
         if heads:
             codes = _reduce(chain(reversed(heads), (codes,)))
             heads = []
-        row, tail = steps.get(key) or _eliminated(table, key)
+        step = steps.get(key) or _eliminated(table, key)
         if not tails:
-            tail = ()
+            step = _action(step)
         if -_POWER_MIN < exp < _POWER_MIN:
             for _ in range(abs(exp)):
-                codes = _act(codes, row, tail)
+                codes = _act(codes, step)
         else:
             from .iterates import _power  # compiled on first use: few combs need it
-            codes = _power(row, tail, codes, abs(exp), forms, key)
+            codes = _power(step, codes, abs(exp), forms, key)
     return _reduce(chain(reversed(heads), (codes,))) if heads else codes
 
 

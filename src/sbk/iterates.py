@@ -1,5 +1,7 @@
 """Closed forms for the powers of a comb step F(a) = phi(a) * t, of a
-lower-level letter or of an eliminated letter below its level: phi acts like a
+lower-level letter or of an eliminated letter below its level, held factored as
+``(P, psi row, P^-1 t)`` with phi = iota_P . psi (:func:`sbk.combing._step`) and
+stepped by :func:`sbk.combing._act`: phi acts like a
 Dehn twist, so the iterates are block periodic, W_0 D_1^i W_1 ... D_k^i W_k
 (Cohen and Lustig, Comment. Math. Helv. 74, 1999), read off a few plain steps,
 proved by a finite check and written out in linear time.  :mod:`sbk.combing`
@@ -9,9 +11,10 @@ from __future__ import annotations
 
 from difflib import SequenceMatcher
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .combing import _MASK, _POWER_MIN, _SHIFT, _Row, _act, _inverse, _reduce, _split_code
+from .combing import (_MASK, _POWER_MIN, _SHIFT, _Row, _Step, _act, _action, _inverse, _reduce,
+                      _split_code)
 
 
 def _halves(block: list[int]) -> list[list[int]] | None:
@@ -71,30 +74,33 @@ def _certify(W: list[list[int]], D: list[list[int]],
     return _reduce((x, psi(W[-1]), tau)) == W[-1]
 
 
-def _closed_form(row: Mapping[int, Sequence[int]], tail: Sequence[int],
-                 start: Sequence[int], parity: int) -> tuple | None:
+def _closed_form(step: _Step, start: Sequence[int], parity: int) -> tuple | None:
     """``(base, q, W, D)``, a certified block form E(i) of F^(base + q i)(start)
-    for F(a) = row(a) * tail, row a homomorphism, base = 2 + parity mod q (two
-    steps let cancellation settle); ``None`` where no form of period <= 2 does."""
+    for the step F(a) = phi(a) * F(1), phi its action (:func:`~sbk.combing._action`),
+    base = 2 + parity mod q (two steps let cancellation settle); ``None`` where
+    no form of period <= 2 does."""
     seq = [list(start)]
     for _ in range(7):
-        seq.append(_act(seq[-1], row, tail))
+        seq.append(_act(seq[-1], step))
+    action = _action(step)
+    one = _reduce((step[0], step[2]))  # F(1) = P * P^-1 t
     for q in (1, 2):
         base = 2 + parity % q
         form = _guess(seq[base], seq[base + 2 * q])
-        psi = (lambda w: _act(w, row)) if q == 1 else (lambda w: _act(_act(w, row), row))
-        if form and _certify(*form, psi, tail if q == 1 else _act(tail, row, tail)):
+        psi = (lambda w: _act(w, action)) if q == 1 else \
+            (lambda w: _act(_act(w, action), action))
+        if form and _certify(*form, psi, one if q == 1 else _act(one, step)):
             return (base, q) + form
     return None
 
 
-def _iterate(row: Mapping[int, Sequence[int]], tail: Sequence[int],
-             start: tuple[int, ...], n: int, forms: dict, key: tuple) -> list[int] | None:
+def _iterate(step: _Step, start: tuple[int, ...], n: int, forms: dict,
+             key: tuple) -> list[int] | None:
     """F^n(start) from its form, kept in ``forms`` under ``key + (n % 2,)``, or
     one step after F^(n-1)(start) from the other parity's form; else None."""
     for k in (n, n - 1):
         if key + (k % 2,) not in forms:
-            forms[key + (k % 2,)] = _closed_form(row, tail, start, k % 2)
+            forms[key + (k % 2,)] = _closed_form(step, start, k % 2)
         if forms[key + (k % 2,)] is not None:
             break
     else:
@@ -104,23 +110,24 @@ def _iterate(row: Mapping[int, Sequence[int]], tail: Sequence[int],
     for w, d in zip(W[1:], D):
         clean = (abs(d[0]) ^ abs(d[-1])) & _MASK  # its copies neither merge nor cancel
         pieces += (d * ((k - base) // q) if clean else _reduce([d] * ((k - base) // q)), w)
-    return _reduce(pieces) if k == n else _act(_reduce(pieces), row, tail)
+    return _reduce(pieces) if k == n else _act(_reduce(pieces), step)
 
 
-def _power(row: Mapping[int, Sequence[int]], tail: Sequence[int],
-           start: Sequence[int], n: int, forms: dict, key: object) -> list[int]:
-    """F^n(start) for F(a) = row(a) * tail: F^n(a) = phi^n(a) * F^n(1) for a
-    homomorphism phi, so ``start`` takes one step through b_i -> phi^n(b_i) and
-    F^n(1), forms kept under ``(key, i, parity)``, i = 0 for F^n(1); else plain.
-    ``row`` is a homomorphism, as every row :meth:`~sbk.combing._Row.of` builds is."""
+def _power(step: _Step, start: Sequence[int], n: int, forms: dict, key: object) -> list[int]:
+    """F^n(start) for the step F(a) = phi(a) * F(1): F^n(a) = phi^n(a) * F^n(1)
+    for the homomorphism phi, the step's action, so ``start`` takes one step
+    through b_i -> phi^n(b_i) and F^n(1), forms kept under ``(key, i,
+    parity)``, i = 0 for F^n(1); else plain.  The row is a homomorphism, as
+    every row :meth:`~sbk.combing._Row.of` builds is."""
     if n >= _POWER_MIN:
-        power = _iterate(row, tail, (), n, forms, (key, 0))
-        images = {i: _iterate(row, (), (i,), n, forms, (key, i))
+        power = _iterate(step, (), n, forms, (key, 0))
+        action = _action(step)
+        images = {i: _iterate(action, (i,), n, forms, (key, i))
                   for i in {abs(code) & _MASK for code in start}}
         if power is not None and None not in images.values():
-            return _act(start, _Row.of(images), power)
+            return _act(start, ((), _Row.of(images), power))
     codes = list(start)
     for _ in range(n):
-        codes = _act(codes, row, tail)
+        codes = _act(codes, step)
     return codes
 

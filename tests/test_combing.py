@@ -66,9 +66,16 @@ def _letter_rows(m):
             for x in x_alphabet(m - 1) for sign in (1, -1)}
 
 
+def _conjugated(head, codes):
+    """head * codes * head^-1, reduced: a factored row image read back."""
+    return tuple(combing._reduce((head, codes, combing._inverse(head))))
+
+
 def _compiled_row(table, x, sign, b):
-    """The image of b under x^sign that the comber runs on, decoded."""
-    return table.decode_letters(table.steps[(x, sign)][0][table.index[b]])
+    """The image of b under x^sign that the comber runs on, head * row[i] *
+    head^-1, decoded."""
+    head, row, _ = table.steps[(x, sign)]
+    return table.decode_letters(_conjugated(head, row[table.index[b]]))
 
 
 def test_kernel_basis_example():
@@ -111,26 +118,50 @@ def test_action_table_round_trip():
         rows = _letter_rows(m)
         for row_map in rows.values():
             assert all(reduce_letters(image) == image for image in row_map.values())
-        # the compiled rows, in the oracle's order, decode to the oracle's
-        # rows, the negative indices to their inverses, and the tails to the
-        # kernel parts
+        # the compiled steps come in the oracle's order, over the basis in order
         for i, b in enumerate(table.basis, 1):
             assert table.index[b] == i, (m, b)
         assert list(table.steps) == list(rows), m
-        for (x, sign), (row, tail) in table.steps.items():
+
+
+def test_factored_steps_reproduce_the_relations():
+    # each step is kept as (head, row, tail), F(a) = head * row(a) * tail:
+    # conjugated back by its head, every compiled row image (the negative
+    # indices and squares too) decodes to the oracle's row, and head * tail
+    # to the kernel part of the section
+    heads = {}
+    for m in range(1, 7):
+        table = build_action_table(m)
+        rows = _letter_rows(m)
+        for (x, sign), (head, row, tail) in table.steps.items():
             for i, b in enumerate(table.basis, 1):
                 for exp in (1, -1, 2, -2):
                     image = substitute(((b, exp),), rows[(x, sign)])
-                    assert table.decode_letters(row[combing._code(i, exp)]) == image, \
-                        (m, x, sign, b, exp)
-            assert table.decode_letters(tail) == _kernel_part(table, x, sign), (m, x, sign)
+                    got = table.decode_letters(_conjugated(head, row[combing._code(i, exp)]))
+                    assert got == image, (m, x, sign, b, exp)
+            assert table.decode_letters(combing._reduce((head, tail))) == \
+                _kernel_part(table, x, sign), (m, x, sign)
+        heads[m] = [key for key, (head, _, _) in table.steps.items() if head]
+    # the rho rows are conjugated by one head, so the factoring is not vacuous
+    assert all(heads[m] and any(x[0] == "rho" for x, _ in heads[m]) for m in range(2, 7))
+    # negative control: one head corrupted, the round trip and the relators see it
+    for m in (2, 3):
+        fresh = ActionTable(m)
+        key = heads[m][0]
+        head, row, tail = fresh.steps[key]
+        fresh.steps[key] = head[:-1], row, tail
+        assert fresh.round_trip_failures(), m
+        relators = build_gamma_rp2(m, 2).relators
+        assert not all(combing._comb_letters(m, r.letters, lambda k: fresh if k == m
+                                             else build_action_table(k)).is_identity
+                       for r in relators), m
 
 
 def test_round_trip_certifies_compiled_rows():
     # the round trip reads the rows the comber runs on
     table = build_action_table(3)
     fresh = ActionTable(table.m)
-    row, _ = next(iter(fresh.steps.values()))
+    _, row, _ = next(iter(fresh.steps.values()))
     row[1] = row[2]
     assert fresh.round_trip_failures()
     assert table.round_trip_failures() == []
@@ -150,12 +181,12 @@ kernel_words = st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.list
 def test_int_step_matches_substitute(case):
     m, letters = case
     table = build_action_table(m)
-    for key, (row, tail) in table.steps.items():
-        for codes_tail, letters_tail in (((), ()), (tail, _kernel_part(table, *key))):
+    for key, step in table.steps.items():
+        for tails, letters_tail in ((False, ()), (True, _kernel_part(table, *key))):
             expected = concat_letters(substitute(letters, _letter_rows(m)[key]), letters_tail)
-            got = combing._act(table.encode(letters), row, codes_tail)
+            got = combing._act(table.encode(letters), step if tails else combing._action(step))
             # reduced coded words are unique, one coded letter per letter
-            assert tuple(got) == table.encode(expected), (m, key, codes_tail)
+            assert tuple(got) == table.encode(expected), (m, key, tails)
 
 
 def test_split_top_without_tails_is_the_action():
@@ -179,20 +210,23 @@ def test_split_top_without_tails_is_the_action():
             assert got == expected, (m, u, v)
 
 
-def _plain_step(codes, row, tail=()):
-    """row(codes) * tail with every letter of the whole word mapped through
-    the row and reduced: the oracle for the closed forms."""
-    return combing._reduce(chain(map(row.__getitem__, codes), (tail,)))
+def _plain_step(codes, step):
+    """head * row(codes) * tail for the step ``(head, row, tail)``, with every
+    letter of the whole word mapped through the row and reduced: the oracle
+    for the closed forms."""
+    head, row, tail = step
+    return combing._reduce(chain((head,), map(row.__getitem__, codes), (tail,)))
 
 
 def _plain_split(table, lower, codes, tails):
     """The split of ``lower`` times the coded kernel word ``codes`` by the
-    plain per-unit loop over :func:`_plain_step`; the oracle for the closed
-    powers of ``_split_top``."""
+    plain per-unit loop over :func:`_plain_step`, without the kernel parts
+    by the steps' actions alone; the oracle for the closed powers of
+    ``_split_top``."""
     for gen, exp in reversed(lower):
-        row, tail = table.steps[(gen, 1 if exp > 0 else -1)]
+        step = table.steps[(gen, 1 if exp > 0 else -1)]
         for _ in range(abs(exp)):
-            codes = _plain_step(codes, row, tail if tails else ())
+            codes = _plain_step(codes, step if tails else combing._action(step))
     return table.decode_letters(codes)
 
 
@@ -333,13 +367,15 @@ def test_eliminated_steps_match_the_defining_relations():
     for m in range(2, 7):
         table = build_action_table(m)
         for x, sign in _eliminated_keys(table):
-            row, tail = combing._eliminated(table, (x, sign))
+            head, row, tail = combing._eliminated(table, (x, sign))
             row_map = {b: combing.conjugation_row(x, sign, b, table.top) for b in table.basis}
             for i, b in enumerate(table.basis, 1):
-                assert row[i] == table.encode(row_map[b]), (m, x, sign, b)
-                assert row[-i] == table.encode(invert_letters(row_map[b])), (m, x, sign, b)
+                assert _conjugated(head, row[i]) == table.encode(row_map[b]), (m, x, sign, b)
+                assert _conjugated(head, row[-i]) == table.encode(invert_letters(row_map[b])), \
+                    (m, x, sign, b)
                 rows += 1
-            assert tail == table.encode(_kernel_part(table, x, sign, row_map)), (m, x, sign)
+            assert tuple(combing._reduce((head, tail))) == \
+                table.encode(_kernel_part(table, x, sign, row_map)), (m, x, sign)
             tails += 1
     assert (rows, tails) == (170, 30)
 
@@ -352,7 +388,7 @@ def test_eliminated_steps_walk_the_compiled_rows():
     table = build_action_table(2)
     fresh = ActionTable(table.m)
     for sign in (1, -1):
-        row, _ = fresh.steps[(gen_rho(3), sign)]
+        _, row, _ = fresh.steps[(gen_rho(3), sign)]
         row[1] = row[2]
     for key in _eliminated_keys(table):
         assert combing._eliminated(fresh, key) != combing._eliminated(table, key), key
@@ -369,32 +405,33 @@ def test_closed_form_matches_plain_steps():
     cases = []
     for m in range(1, 6):
         table = build_action_table(m)
-        for k, (key, (row, tail)) in enumerate(table.steps.items()):
+        for k, (key, step) in enumerate(table.steps.items()):
             starts = (0, rng.randint(1, 2)) if m < 5 or k % 5 == 0 else (0,)
-            cases.append((table, key, row, tail, starts))
-            cases.append((table, key, row, (), starts[1:]))
+            cases.append((table, key, step, starts))
+            cases.append((table, key, combing._action(step), starts[1:]))
     for m in range(2, 6):
         table = build_action_table(m)
         for key in _eliminated_keys(table):
             # the step of an eliminated letter, compiled with the kernel parts
-            row, tail = combing._eliminated(table, key)
+            step = combing._eliminated(table, key)
+            head, row, tail = step
             image = combing._x_images(m + 2)[key[0]]
             x_word = image if key[1] > 0 else invert_letters(image)
             # its row is reduced, as _reduce needs of every piece
-            assert all(map(_is_reduced, list(row.values()) + [tail])), (m, key)
+            assert all(map(_is_reduced, list(row.values()) + [head, tail])), (m, key)
             for i in range(-len(table.basis), len(table.basis) + 1):
                 walked = combing._walk(table, x_word, [i] if i else [], True)
-                stepped = _plain_step([i] if i else [], row, tail)
+                stepped = _plain_step([i] if i else [], step)
                 assert table.decode_letters(walked) == table.decode_letters(stepped), (key, i)
-            cases.append((table, key, row, tail, (0, rng.randint(1, 2))))
-    for table, key, row, tail, starts in cases:
+            cases.append((table, key, step, (0, rng.randint(1, 2))))
+    for table, key, step, starts in cases:
         forms = {}
         for length in starts:
             start = _random_accumulator(rng, table, length)
             codes = start
             for n in range(61):
-                assert iterates._power(row, tail, start, n, forms, key) == codes, (key, n)
-                codes = _plain_step(codes, row, tail)
+                assert iterates._power(step, start, n, forms, key) == codes, (key, n)
+                codes = _plain_step(codes, step)
 
 
 def test_every_large_power_has_a_form():
@@ -408,18 +445,20 @@ def test_every_large_power_has_a_form():
         table = build_action_table(m)
         steps = dict(table.steps)
         steps.update((key, combing._eliminated(table, key)) for key in _eliminated_keys(table))
-        for key, (row, tail) in steps.items():
+        for key, step in steps.items():
             forms = {}
-            for i, start, tau in [(0, (), tail)] + [(i, (i,), ()) for i in table.index.values()]:
+            action = combing._action(step)
+            for i, start, iterated in [(0, (), step)] + [(i, (i,), action)
+                                                         for i in table.index.values()]:
                 codes = list(start)
                 for n in range(21):
                     if n >= combing._POWER_MIN:
-                        got = iterates._iterate(row, tau, start, n, forms, (key, i))
+                        got = iterates._iterate(iterated, start, n, forms, (key, i))
                         if got is None:
                             missing.append((m, key, i, n))
                         else:
                             assert got == codes, (m, key, i, n)
-                    codes = _plain_step(codes, row, tau)
+                    codes = _plain_step(codes, iterated)
     assert missing == []
 
 
@@ -442,14 +481,16 @@ def test_broken_form_is_rejected_and_falls_back(monkeypatch):
     # does not, fails the certificate; where no form certifies, the plain
     # steps give the same output
     table = build_action_table(2)
-    row, tail = table.steps[(gen_a(1, 3), 1)]
-    base, q, W, D = iterates._closed_form(row, tail, (), 0)
-    psi = lambda w: combing._act(w, row)  # noqa: E731
-    assert q == 1 and len(D) == 2 and iterates._certify(W, D, psi, tail)
+    step = table.steps[(gen_a(1, 3), 1)]
+    base, q, W, D = iterates._closed_form(step, (), 0)
+    psi = lambda w: combing._act(w, combing._action(step))  # noqa: E731
+    # tau = F(1) = head * tail
+    tau = combing._reduce((step[0], step[2]))
+    assert q == 1 and len(D) == 2 and iterates._certify(W, D, psi, tau)
     for t, block in enumerate(D):
         for changed in (block + [2], [2] + block, block[:-1], block[1:] + block[:1], block * 2):
             broken = D[:t] + [combing._reduce([c] for c in changed)] + D[t + 1:]
-            assert not iterates._certify(W, broken, psi, tail), (t, changed)
+            assert not iterates._certify(W, broken, psi, tau), (t, changed)
     # D_1 z and W_1^-1 z^-1 W_1 D_2 give the same E(0) and E(1) but another
     # E(2): only the commuting check X psi(D) = D X can reject them
     for z in (1, -2, 3):
@@ -457,7 +498,7 @@ def test_broken_form_is_rejected_and_falls_back(monkeypatch):
                  combing._reduce((combing._inverse(W[1]), [-z], W[1], D[1]))]
         assert combing._reduce((W[0], moved[0], W[1], moved[1], W[2])) == \
             combing._reduce((W[0], D[0], W[1], D[1], W[2]))
-        assert not iterates._certify(W, moved, psi, tail), z
+        assert not iterates._certify(W, moved, psi, tau), z
     expected = _plain_split(table, ((gen_a(1, 3), 40),), [], True)
     assert combing._split_top(table, ((gen_a(1, 3), 40),)) == expected
     monkeypatch.setattr(iterates, "_closed_form", lambda *args: None)
@@ -733,8 +774,8 @@ def test_power_cache_stays_bounded():
         assert eliminated | top_words <= set(table.powers), k
         assert len(table.powers) <= len(keys) * (len(table.basis) + 1) * 2 + len(eliminated) + 2, k
         assert set(vars(table)) <= {"m", "basis", "index", "steps", "powers", "letters"}, k
-        rows = [row for row, _ in table.steps.values()] + \
-            [table.powers[key][0] for key in eliminated]
+        rows = [row for _, row, _ in table.steps.values()] + \
+            [table.powers[key][1] for key in eliminated]
         compiled = {combing._code(i, exp) for i in table.index.values() for exp in (1, -1, 2, -2)}
         assert all(set(row) == compiled for row in rows), k
         # the large powers decoded were made on lookup, not kept

@@ -2,7 +2,8 @@ import hashlib
 import json
 from pathlib import Path
 
-from sbk.combing import build_action_table, comb, conjugation_row, kernel_basis
+from sbk.combing import (_inverse, _reduce, build_action_table, comb, conjugation_row,
+                         kernel_basis)
 from sbk.presentations import SURFACE_RP2, SURFACE_S2, build_gamma_rp2, build_gamma_s2
 from sbk.words import Word, format_gen, gen_a, gen_rho, parse_word
 
@@ -62,12 +63,17 @@ def _digest(lines):
 
 
 def _table_lines(m):
+    # a step is kept factored, F(a) = head * row(a) * tail: the pinned rows
+    # are head * row[i] * head^-1 and the kernel parts head * tail
     table = build_action_table(m)
     lines = []
-    for (x, sign), (row, tail) in table.steps.items():
-        lines += [f"{format_gen(x)} {sign} {format_gen(b)}: {Word(table.decode_letters(row[i]))}"
+    for (x, sign), (head, row, tail) in table.steps.items():
+        unhead = _inverse(head)
+        lines += [f"{format_gen(x)} {sign} {format_gen(b)}: "
+                  f"{Word(table.decode_letters(_reduce((head, row[i], unhead))))}"
                   for b, i in table.index.items()]
-        lines.append(f"kappa {format_gen(x)} {sign}: {Word(table.decode_letters(tail))}")
+        lines.append(f"kappa {format_gen(x)} {sign}: "
+                     f"{Word(table.decode_letters(_reduce((head, tail))))}")
     return sorted(lines)
 
 

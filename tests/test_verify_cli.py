@@ -524,15 +524,16 @@ def test_cli_catalogue_matches_pinned_digests(capsys, monkeypatch):
 
 def _corrupted_table_factory(m: int) -> ActionTable:
     table = ActionTable(m)
-    # swap one forward coded row for a wrong word: in the first rho row whose
-    # image of rho[top] has more than one letter, drop the conjugator
-    # entirely; the kernel part stays the honest one
+    # swap one forward coded row for a wrong word: in the first rho step
+    # with a nonempty head, whose row images are conjugated back by that
+    # head, keep only the last letter of the image of rho[top]; the head and
+    # the kernel part stay the honest ones
     rho_top = table.index[gen_rho(table.top)]
-    for (x, sign), (row, tail) in table.steps.items():
-        if sign == 1 and x[0] == "rho" and len(row[rho_top]) > 1:
+    for (x, sign), (head, row, tail) in table.steps.items():
+        if sign == 1 and x[0] == "rho" and head:
             images = {i: row[i] for i in table.index.values()}
             images[rho_top] = row[rho_top][-1:]
-            table.steps[(x, sign)] = _Row.of(images), tail
+            table.steps[(x, sign)] = head, _Row.of(images), tail
             break
     return table
 
