@@ -17,10 +17,8 @@ _EXPORTS = {
                      "forget_strands", "tau_from_rho", "aij_from_sigma", "full_twist_pure"),
                     "homs"),
     **dict.fromkeys(("combing", "ActionTable", "CombedForm", "build_action_table", "comb",
-                     "expand_C", "section_s", "is_trivial_gamma",
-                     "ln_membership", "ln_word_problem", "kn_membership", "kn_decompose",
-                     "pn_triviality", "ln_generators", "keromega_basis",
-                     "gamma_tower_ranks", "ln_tower_ranks"), "combing"),
+                     "section_s", "ln_membership", "pn_triviality", "ln_generators",
+                     "keromega_basis", "gamma_tower_ranks", "ln_tower_ranks"), "combing"),
     **dict.fromkeys(("abelian", "AbelianInvariants", "IntMatrix", "snf",
                      "abelianize_presentation", "delta_coinvariants", "tower_abelianization",
                      "fn_kernel_coinvariants", "subgroup_count_exponent", "vcd_report"),

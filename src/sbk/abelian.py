@@ -95,7 +95,8 @@ class AbelianInvariants(Frozen):
 
     _fields = ("free_rank", "torsion")
 
-    def __init__(self, free_rank: int, torsion: tuple[int, ...] = ()):
+    def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
+        torsion = tuple(torsion)
         if free_rank < 0:
             raise ValueError("the free rank must be >= 0")
         if any(d < 2 for d in torsion):
@@ -363,12 +364,6 @@ def omega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
                         for row in _kernel_rows(x_alphabet(l - 2), 1, l + 1)]
 
 
-def omega_delta(l: int) -> AbelianInvariants:
-    """Delta of the level-l free kernel under the lower-level action."""
-    rank, images = omega_action(l)
-    return delta_coinvariants(rank, images)
-
-
 def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     """The action on the rank 2l-1 index-2 kernel basis at level l, by the
     generators of the lower torsion-free part, rewritten in that basis.
@@ -386,12 +381,6 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
                                               tails=False))
          for bw in basis_words]
         for actor in combing.ln_generators(l)]
-
-
-def keromega_delta(l: int) -> AbelianInvariants:
-    """Delta of the rank 2l-1 kernel factor of the torsion-free tower."""
-    rank, images = keromega_action(l)
-    return delta_coinvariants(rank, images)
 
 
 def gamma_tower_levels(m: int) -> list[tuple[int, list[list[IndexedWord]]]]:

@@ -80,8 +80,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
-from .presentations import (SURFACE_RP2, SURFACE_S2, cln_letters, conjugate,
-                            surface_relation)
+from .presentations import SURFACE_RP2, SURFACE_S2, conjugate, surface_relation
 from .words import (
     KIND_A,
     KIND_RHO,
@@ -120,17 +119,6 @@ def _x_images(top: int, surface: str = SURFACE_RP2) -> dict[Gen, tuple[Letter, .
     for j in range(top, 2, -1):
         images[gen_a(j - 1, j)] = substitute(_solved_surface_relation(j, top, surface), images)
     return images
-
-
-def expand_C(i: int, j: int, top: int) -> Word:
-    """The reflected band element C[i,j], with the eliminated generator
-    A[top-1,top] surface-expanded (:func:`_x_images`) when j is the top level."""
-    if not 1 <= i < j <= top:
-        raise ValueError(f"expand_C requires 1 <= i < j <= top, got ({i},{j},{top})")
-    letters = cln_letters(i, j)
-    if j == top:
-        letters = substitute(letters, _x_images(top))
-    return Word.from_letters(letters)
 
 
 def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
@@ -608,41 +596,12 @@ def comb(m: int, w: Word) -> CombedForm:
     return _comb_letters(m, w.letters, build_action_table)
 
 
-def is_trivial_gamma(m: int, w: Word) -> bool:
-    """Word problem for the m-strand, two-puncture group."""
-    return comb(m, w).is_identity
-
-
 def ln_membership(n: int, w: Word) -> bool:
     """Membership of a two-puncture word in the torsion-free complement:
     the mod-2 image on the last n-2 coordinates must vanish."""
     if n < 3:
         raise ValueError("n must be >= 3")
     return not any(iota_hat(n - 2, w))
-
-
-def ln_word_problem(n: int, w: Word) -> bool:
-    """Word problem restricted to members of the torsion-free complement."""
-    if not ln_membership(n, w):
-        raise ValueError("word is not a member (nonzero mod-2 image)")
-    return is_trivial_gamma(n - 2, w)
-
-
-def kn_membership(n: int, w: Word) -> bool:
-    """Membership in the commutator subgroup of the n-strand group, i.e.
-    the kernel of the mod-2 exponent map."""
-    return not any(iota_sharp(n, w))
-
-
-def kn_decompose(n: int, u: Word, eps: int) -> tuple[CombedForm, int]:
-    """Decompose an element of the commutator subgroup presented as a pair
-    (u, eps) encoding u * (full twist)^(2 eps): the combed form of u plus
-    the central mod-2 exponent.  Requires u in the torsion-free part."""
-    if eps not in (0, 1):
-        raise ValueError("eps must be 0 or 1")
-    if not ln_membership(n, u):
-        raise ValueError("u is not in the torsion-free part")
-    return comb(n - 2, u), eps
 
 
 class Verdict(enum.Enum):

@@ -87,15 +87,6 @@ class QuatElement(Frozen):
     def __str__(self) -> str:
         return ("" if self.sign > 0 else "-") + _AXIS_NAMES[self.axis]
 
-    @staticmethod
-    def parse(text: str) -> "QuatElement":
-        sign = 1
-        if text.startswith("-"):
-            sign, text = -1, text[1:]
-        if text not in _AXIS_NAMES:
-            raise ValueError(f"not a quaternion unit: {text!r}")
-        return QuatElement(sign, _AXIS_NAMES.index(text))
-
 
 Q_ONE = QuatElement(1, 0)
 Q_MINUS_ONE = QuatElement(-1, 0)

@@ -131,11 +131,11 @@ def ln_tower(n: int) -> Check:
 
 
 def omega_delta(l: int) -> Check:
-    return AbelianInvariants(2), abelian.omega_delta(l)
+    return AbelianInvariants(2), abelian.delta_coinvariants(*abelian.omega_action(l))
 
 
 def keromega_delta(l: int) -> Check:
-    return AbelianInvariants(2 * l - 1), abelian.keromega_delta(l)
+    return AbelianInvariants(2 * l - 1), abelian.delta_coinvariants(*abelian.keromega_action(l))
 
 
 def fn_coinvariants(surface: str, m: int, l: int) -> Check:

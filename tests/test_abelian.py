@@ -17,9 +17,9 @@ from sbk.abelian import (
     exponent_matrix,
     fn_kernel_coinvariants,
     gamma_tower_abelianization,
-    keromega_delta,
+    keromega_action,
     ln_tower_abelianization,
-    omega_delta,
+    omega_action,
     snf,
     subgroup_count_exponent,
     tower_abelianization,
@@ -437,12 +437,12 @@ def test_delta_trivial_action():
 
 def test_delta_omega_values():
     for l in range(3, 7):
-        assert omega_delta(l) == AbelianInvariants(2, ())
+        assert delta_coinvariants(*omega_action(l)) == AbelianInvariants(2, ())
 
 
 def test_delta_keromega_values():
     for l in range(3, 7):
-        assert keromega_delta(l) == AbelianInvariants(2 * l - 1, ())
+        assert delta_coinvariants(*keromega_action(l)) == AbelianInvariants(2 * l - 1, ())
 
 
 def test_two_route_agreement():

@@ -91,7 +91,7 @@ def test_quaternion_table():
     assert Q_J * Q_K == Q_I
     assert Q_K * Q_I == Q_J
     assert Q_MINUS_ONE * Q_MINUS_ONE == Q_ONE
-    assert QuatElement.parse("-k") == Q_K.inverse()
+    assert QuatElement(-1, 3) == Q_K.inverse()
     assert str(Q_I ** -1) == "-i"
 
 

@@ -43,7 +43,7 @@ VALUES = {
                   lambda: IntMatrix(2, 2, [[1, 2], [3, 4]]),
                   lambda: IntMatrix(2, 2, [[1, 2], [3, 5]])),
     "AbelianInvariants": (lambda: AbelianInvariants(1, (2, 4)),
-                          lambda: AbelianInvariants(free_rank=1, torsion=(2, 4)),
+                          lambda: AbelianInvariants(free_rank=1, torsion=[2, 4]),
                           lambda: AbelianInvariants(1, (2,))),
     "Case": (lambda: Case("c", "d", "1", "1"), lambda: Case("c", "d", "1", "1"),
              lambda: Case("c", "d", "1", "2")),

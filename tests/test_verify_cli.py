@@ -246,7 +246,7 @@ def test_each_command_loads_only_what_it_runs():
 
 def test_package_names_are_their_submodules_objects():
     # sbk reads each public name from its submodule on first use
-    assert len(sbk.__all__) == 45
+    assert len(sbk.__all__) == 40
     listed = dir(sbk)
     for name in sbk.__all__:
         value = getattr(sbk, name)
