@@ -43,8 +43,8 @@ from .combing import (
     rewrite_kernel_letters,
     x_alphabet,
 )
-from .presentations import Presentation
-from .words import Frozen, Gen, gen_a, gen_rho
+from .presentations import Presentation, build_gamma_rp2, build_gamma_s2
+from .words import Frozen, Gen
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 SparseColumn = tuple  # ((row, nonzero value), ...) in row order
@@ -406,14 +406,10 @@ def ln_tower_abelianization(n: int) -> AbelianInvariants:
 
 
 def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
-    """Coinvariants of the free kernel of forgetting the last strand,
-    for the (m+1)-strand group with l punctures over the given surface.
-
-    The kernel basis consists of the top-level letters (with the
-    eliminated band generator removed by the surface relation); the
-    quotient is by the subgroup generated by alpha(x) - x over all
-    generators alpha of the m-strand group.
-    """
+    """Coinvariants of the free kernel of forgetting the last strand, for
+    the (m+1)-strand group with l punctures over the given surface: its
+    basis (:func:`~sbk.combing.kernel_basis`) modulo alpha(x) - x, alpha
+    running over the generators of the m-strand group's presentation."""
     if surface not in (SURFACE_RP2, SURFACE_S2):
         raise ValueError("surface must be 'rp2' or 's2'")
     if m < 1:
@@ -423,13 +419,9 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     if surface == SURFACE_S2 and l < 3:
         raise ValueError("the sphere case needs l >= 3")
     top = m + l + 1
-    actors: list[Gen] = []
-    for s in range(l + 1, top):
-        actors += [gen_a(r, s) for r in range(1, s)]
-        if surface == SURFACE_RP2:
-            actors.append(gen_rho(s))
+    group = build_gamma_rp2(m, l) if surface == SURFACE_RP2 else build_gamma_s2(m, l)
     return _coinvariants({g: i for i, g in enumerate(kernel_basis(top, surface))},
-                         _kernel_rows(actors, 1, top, l, surface))
+                         _kernel_rows(group.generators, 1, top, l, surface))
 
 
 def subgroup_count_exponent(n: int) -> int:

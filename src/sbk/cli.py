@@ -27,9 +27,9 @@ NF_MAX_M = 16
 # the largest strand count, punctures included, that `info` and `abelianize`
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
 # `abelianize` reads them as a stream and holds only exponent columns,
-# 0.8-0.9 s and 19 MB max RSS; `info` writes every relator, 1.7-1.8 s and
-# 55 MB.  The gamma families at 40 strands are of the same size
-# (`abelianize` 0.6-1.4 s and 18 MB, `info` 1.6-2.8 s and 51-59 MB); the
+# 0.8-0.9 s and 19 MB max RSS.  The gamma families at 40 strands are of the
+# same size (`abelianize` 0.6-1.4 s and 18 MB).  `info` writes every
+# relator, 2.4-3.5 s and 51-59 MB at the caps of all three families; the
 # ln tower at n = 16 takes 1.1-1.7 s and 79 MB (Python 3.11, 2-core Xeon,
 # each call in its own process).  `eval` caps its --n and --to at
 # PN_RP2_MAX_N too.
@@ -97,8 +97,15 @@ def _build_from_spec(family: str, params: dict[str, int]):
 
 
 def _emit(payload) -> None:
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
+    try:
+        json.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: the flush at exit writes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _cmd_nf(args) -> int:

@@ -78,7 +78,7 @@ from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .homs import (Q_ONE, check_gamma_letter, expand_even_crossings, iota_hat,
+from .homs import (Q_ONE, _checked_letters, check_letters, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
 from .presentations import SURFACE_RP2, SURFACE_S2, conjugate, surface_relation
 from .words import (
@@ -123,21 +123,14 @@ def _x_images(top: int, surface: str = SURFACE_RP2) -> dict[Gen, tuple[Letter, .
 
 def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
                     surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    """The word over the top-level kernel basis equal to x^sign b x^-sign.
-
-    ``x`` is a generator at a level below ``top`` (a band generator
-    A[r,s] with s < top, or on the projective plane a surface generator
-    rho[k] with punctures < k < top); ``b`` is a kernel basis letter
-    (A[i,top] with i <= top-2, or rho[top]).  The row is the defining
-    relation :func:`sbk.presentations.conjugate` with the eliminated
-    letter A[top-1,top] expanded, freely reduced.
-    """
-    if x[0] == KIND_RHO and surface != SURFACE_RP2:
-        raise AlphabetError("surface generators only exist on the projective plane")
-    if x[0] not in (KIND_A, KIND_RHO):
-        raise AlphabetError(f"unexpected conjugator {format_gen(x)}")
-    if not punctures + 1 <= gen_level(x) < top:
-        raise AlphabetError(f"conjugator {format_gen(x)} outside level range")
+    """The word over the top-level kernel basis equal to x^sign b x^-sign,
+    for a letter ``x`` of the group below level ``top`` and a kernel basis
+    letter ``b`` (:func:`kernel_basis`): the defining relation
+    :func:`sbk.presentations.conjugate` with the eliminated letter
+    A[top-1,top] expanded, freely reduced."""
+    # a constant message, as this runs once per row, not once per actor
+    kinds = (KIND_RHO,) if surface == SURFACE_RP2 else ()
+    check_letters(((x, sign),), punctures + 1, top - 1, kinds, "outside the conjugator levels")
     return substitute(conjugate(x, sign, b), _x_images(top, surface))
 
 
@@ -433,14 +426,6 @@ def build_action_table(m: int) -> ActionTable:
     return ActionTable(m)
 
 
-def _checked_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    """The letters, each checked to be in the m-strand, two-puncture alphabet."""
-    letters = tuple(letters)
-    for gen, _ in letters:
-        check_gamma_letter(gen, m, 2)
-    return letters
-
-
 def to_x_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Rewrite a word over the full two-puncture alphabet into the combing
     alphabet (eliminated band generators A[j-1,j] are expanded).  The comber
@@ -475,10 +460,7 @@ def section_s(m: int, w: Word) -> Word:
     if m < 2:
         raise ValueError("the section needs m >= 2")
     images: dict[Gen, tuple[Letter, ...]] = {}
-    for gen, _ in w.letters:
-        if gen[0] not in (KIND_A, KIND_RHO) or not 3 <= gen_level(gen) <= m + 1:
-            raise AlphabetError(
-                f"{format_gen(gen)} outside the section domain (levels 3..{m + 1})")
+    for gen, _ in _checked_letters(m - 1, w.letters):
         left, right = _section_parts(gen, m + 2)
         images[gen] = left + ((gen, 1),) + right
     return Word(substitute(w.letters, images))
@@ -630,13 +612,11 @@ def pn_triviality(n: int, w: Word) -> Verdict:
         return Verdict.NONTRIVIAL
     if n == 2:
         return Verdict.TRIVIAL
-    if all(
-        gen[0] in (KIND_A, KIND_RHO) and 3 <= gen_level(gen) <= n
-        for gen, _ in w.letters
-    ):
-        # words over the two-puncture alphabet: the combed form decides
-        return Verdict.TRIVIAL if comb(n - 2, w).is_identity else Verdict.NONTRIVIAL
-    return Verdict.UNKNOWN
+    try:
+        _checked_letters(n - 2, w.letters)
+    except AlphabetError:
+        return Verdict.UNKNOWN
+    return Verdict.TRIVIAL if comb(n - 2, w).is_identity else Verdict.NONTRIVIAL
 
 
 def ln_generators(n: int) -> tuple[Word, ...]:

@@ -19,6 +19,8 @@ only defined on pure words.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .words import (
     KIND_A,
     KIND_RHO,
@@ -115,48 +117,48 @@ def expand_even_crossings(w: Word) -> Word:
     return Word(tuple(out))
 
 
-def _check_pn_letter(gen: Gen, n: int) -> None:
-    kind = gen[0]
-    if kind == KIND_A:
-        if gen[2] > n:
-            raise AlphabetError(f"{format_gen(gen)} needs strand count > {n}")
-    elif kind in (KIND_RHO, KIND_TAU):
-        if gen[1] > n:
-            raise AlphabetError(f"{format_gen(gen)} needs strand count > {n}")
-    else:
-        raise AlphabetError(f"unexpected letter {format_gen(gen)}")
+def check_letters(letters: tuple[Letter, ...], low: int, top: int,
+                  surface_kinds: tuple[str, ...], outside: str) -> None:
+    """The one alphabet rule: each letter is a band letter A[i,j] or a letter
+    of one of the ``surface_kinds``, at a strand level from ``low`` to
+    ``top``.  Raises ``unexpected letter X`` for a letter of another kind and
+    ``X <outside>`` for one at another level."""
+    for gen, _ in letters:
+        if gen[0] == KIND_A:
+            level = gen[2]
+        elif gen[0] in surface_kinds:
+            level = gen[1]
+        else:
+            raise AlphabetError(f"unexpected letter {format_gen(gen)}")
+        if not low <= level <= top:
+            raise AlphabetError(f"{format_gen(gen)} {outside}")
+
+
+def _pn_letters(n: int, w: Word) -> tuple[Letter, ...]:
+    """The letters of ``w`` with even crossings expanded, checked to lie in
+    the n-strand alphabet of the projective plane."""
+    letters = expand_even_crossings(w).letters
+    check_letters(letters, 1, n, (KIND_RHO, KIND_TAU), f"needs strand count > {n}")
+    return letters
+
+
+def _checked_letters(m: int, letters: Iterable[Letter]) -> tuple[Letter, ...]:
+    """The letters, checked to lie in the m-strand, two-puncture alphabet."""
+    letters = tuple(letters)
+    check_letters(letters, 3, m + 2, (KIND_RHO,),
+                  f"outside the {m}-strand, 2-puncture alphabet")
+    return letters
 
 
 def iota_sharp(n: int, w: Word) -> Z2Vector:
     """Image in (Z/2)^n: bands to 0, rho[k] and tau[k] to the k-th basis bit."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    w = expand_even_crossings(w)
     bits = [0] * n
-    for gen, exp in w.letters:
-        _check_pn_letter(gen, n)
-        if gen[0] in (KIND_RHO, KIND_TAU):
+    for gen, exp in _pn_letters(n, w):
+        if gen[0] != KIND_A:
             bits[gen[1] - 1] ^= exp & 1
     return tuple(bits)
-
-
-def check_gamma_letter(gen: Gen, m: int, p: int = 2) -> None:
-    """Reject a letter outside the m-strand, p-puncture alphabet: A[i,j]
-    and rho[j] need p+1 <= j <= m+p."""
-    kind = gen[0]
-    top = m + p
-    if kind == KIND_A:
-        if gen[1] < 1 or gen[2] < p + 1 or gen[2] > top:
-            raise AlphabetError(
-                f"{format_gen(gen)} outside the {m}-strand, {p}-puncture alphabet"
-            )
-    elif kind == KIND_RHO:
-        if gen[1] < p + 1 or gen[1] > top:
-            raise AlphabetError(
-                f"{format_gen(gen)} outside the {m}-strand, {p}-puncture alphabet"
-            )
-    else:
-        raise AlphabetError(f"unexpected letter {format_gen(gen)}")
 
 
 def iota_hat(m: int, w: Word) -> Z2Vector:
@@ -165,8 +167,7 @@ def iota_hat(m: int, w: Word) -> Z2Vector:
     if m < 1:
         raise ValueError("m must be >= 1")
     bits = [0] * m
-    for gen, exp in w.letters:
-        check_gamma_letter(gen, m, 2)
+    for gen, exp in _checked_letters(m, w.letters):
         if gen[0] == KIND_RHO:
             bits[gen[1] - 3] ^= exp & 1
     return tuple(bits)
@@ -183,10 +184,8 @@ def q2_sharp(n: int, w: Word) -> QuatElement:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    w = expand_even_crossings(w)
     result = Q_ONE
-    for gen, exp in w.letters:
-        _check_pn_letter(gen, n)
+    for gen, exp in _pn_letters(n, w):
         kind = gen[0]
         if kind == KIND_A:
             image = Q_MINUS_ONE if (gen[1], gen[2]) == (1, 2) else Q_ONE
@@ -220,15 +219,14 @@ def forget_strands(w: Word, frm: int, to: int) -> Word:
     """
     if not 1 <= to < frm:
         raise ValueError(f"need 1 <= to < from, got from={frm}, to={to}")
-    w = expand_even_crossings(w)
+    letters = _pn_letters(frm, w)
     images: dict[Gen, tuple[Letter, ...]] = {}
-    for gen, _ in w.letters:
-        _check_pn_letter(gen, frm)
+    for gen, _ in letters:
         if gen_level(gen) > to:
             images[gen] = ()
         elif gen[0] == KIND_TAU:
             images[gen] = tau_from_rho(gen[1], to).letters
-    return Word(substitute(w.letters, images))
+    return Word(substitute(letters, images))
 
 
 def aij_from_sigma(i: int, j: int) -> Word:

@@ -139,8 +139,10 @@ def artin_case(r: int, s: int, i: int, j: int) -> str:
     return "linked"
 
 
-def artin_conjugate(r: int, s: int, i: int, j: int) -> tuple[Letter, ...]:
-    """The word equal to ``A[r,s] A[i,j] A[r,s]^-1`` over band generators."""
+def artin_conjugate(r: int, s: int, i: int, j: int, sign: int = 1) -> tuple[Letter, ...]:
+    """The word equal to ``A[r,s]^sign A[i,j] A[r,s]^-sign`` over band
+    generators, written out for both signs: a call neither reduces nor
+    inverts, as it runs once per band relation of every presentation."""
     case = artin_case(r, s, i, j)
     # artin_case has validated the indices, so the generators are built as
     # plain tuples
@@ -150,32 +152,19 @@ def artin_conjugate(r: int, s: int, i: int, j: int) -> tuple[Letter, ...]:
     u = (KIND_A, r, j)
     v = (KIND_A, s, j)
     if case == "lower":
-        return ((v, -1), (b, 1), (v, 1))
-    if case == "upper":
-        return ((v, -1), (u, -1), (v, 1), (u, 1), (v, 1))
-    return (
-        (v, -1), (u, -1), (v, 1), (u, 1),
-        (b, 1),
-        (u, -1), (v, -1), (u, 1), (v, 1),
-    )
-
-
-def artin_conjugate_inv(r: int, s: int, i: int, j: int) -> tuple[Letter, ...]:
-    """The word equal to ``A[r,s]^-1 A[i,j] A[r,s]``.
-
-    These closed forms are the inverses of :func:`artin_conjugate`; the
-    pairing is certified by the action-table round-trip checks.
-    """
-    case = artin_case(r, s, i, j)
-    b = (KIND_A, i, j)
-    if case == "disjoint":
-        return ((b, 1),)
-    u = (KIND_A, r, j)
-    v = (KIND_A, s, j)
-    if case == "lower":
+        if sign > 0:
+            return ((v, -1), (b, 1), (v, 1))
         return ((u, 1), (v, 1), (u, 1), (v, -1), (u, -1))
     if case == "upper":
+        if sign > 0:
+            return ((v, -1), (u, -1), (v, 1), (u, 1), (v, 1))
         return ((u, 1), (v, 1), (u, -1))
+    if sign > 0:
+        return (
+            (v, -1), (u, -1), (v, 1), (u, 1),
+            (b, 1),
+            (u, -1), (v, -1), (u, 1), (v, 1),
+        )
     return (
         (u, 1), (v, 1), (u, -1), (v, -1),
         (b, 1),
@@ -207,9 +196,7 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
     if x[0] == KIND_A:
         if b[0] == KIND_RHO:
             return ((b, 1),)
-        if sign > 0:
-            return artin_conjugate(x[1], x[2], b[1], j)
-        return artin_conjugate_inv(x[1], x[2], b[1], j)
+        return artin_conjugate(x[1], x[2], b[1], j, sign)
     # x = rho[k] with k < j, so rho[j] and A[k,j] are built as plain tuples
     k = x[1]
     rj = (KIND_RHO, j)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -234,3 +235,52 @@ def test_iota_hat_kills_gamma_relators():
     for m in (1, 2, 3):
         for rel in build_gamma_rp2(m, 2).relators:
             assert not any(iota_hat(m, rel))
+
+
+def _letter_rule_outcomes() -> list[str]:
+    """``ok`` or the exception's class and message, for every one-letter
+    word A[i,j] (1 <= i < j <= 6), rho[1..6] and tau[1..6] under each map
+    that checks its alphabet."""
+    from sbk.combing import comb
+
+    maps = (
+        lambda w: iota_sharp(3, w),
+        lambda w: q2_sharp(3, w),
+        lambda w: forget_strands(w, 3, 2),
+        lambda w: iota_hat(2, w),
+        lambda w: comb(2, w),
+    )
+    gens = [gen_a(i, j) for j in range(2, 7) for i in range(1, j)]
+    gens += [gen_rho(k) for k in range(1, 7)] + [gen_tau(k) for k in range(1, 7)]
+    out = []
+    for gen in gens:
+        for image in maps:
+            try:
+                image(Word.of(gen))
+                out.append("ok")
+            except Exception as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# sha256 of the outcome list, recorded before the alphabet checks were
+# folded into one letter rule; every message here is one the CLI can print
+LETTER_RULE_DIGEST = "10755dd6e9e38eb387181835e6be6d5abe04e43ff8ee14309910cb66693211fc"
+
+
+def test_letter_rule_outcomes_pinned():
+    text = "\n".join(_letter_rule_outcomes())
+    assert hashlib.sha256(text.encode()).hexdigest() == LETTER_RULE_DIGEST
+
+
+def test_pn_triviality_lets_comb_errors_propagate(monkeypatch):
+    from sbk import combing
+
+    def broken(m, w):
+        raise AlphabetError("raised inside comb")
+
+    monkeypatch.setattr(combing, "comb", broken)
+    # a two-puncture word that the mod-2 and quaternion images do not decide
+    w = parse_word("A[1,3]^2")
+    with pytest.raises(AlphabetError, match="raised inside comb"):
+        combing.pn_triviality(3, w)

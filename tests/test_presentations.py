@@ -9,7 +9,6 @@ from sbk.combing import comb
 from sbk.presentations import (
     artin_case,
     artin_conjugate,
-    artin_conjugate_inv,
     build_gamma_rp2,
     build_gamma_s2,
     build_pn_rp2,
@@ -129,7 +128,7 @@ def test_artin_conjugate_cases():
     # the A[.,j] letters, checked by substitution
     for (r, s, i, j) in [(1, 2, 1, 3), (1, 2, 2, 3), (1, 3, 2, 4), (2, 3, 3, 4), (1, 3, 3, 4)]:
         row_fwd = {gen_a(t, j): artin_conjugate(r, s, t, j) for t in range(1, j)}
-        image = artin_conjugate_inv(r, s, i, j)
+        image = artin_conjugate(r, s, i, j, -1)
         assert substitute(image, row_fwd) == ((gen_a(i, j), 1),)
 
 

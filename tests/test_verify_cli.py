@@ -88,6 +88,20 @@ def test_info_presentation():
     assert "tau[1]" in data["generators"]
 
 
+def test_closed_stdout_ends_quietly():
+    # the output (about 175 KB) is larger than a pipe buffer, so a reader
+    # that stops after 150 bytes closes the pipe before the write ends
+    with subprocess.Popen(
+        [sys.executable, "-m", "sbk.cli", "info", "--group", "pn-rp2:n=12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV,
+    ) as proc:
+        assert len(proc.stdout.read(150)) == 150
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait() == 0
+    assert err == b""
+
+
 def test_input_error_exit_code_2():
     rc, out, err = run_cli("eval", "--hom", "iota", "--n", "3", "--word", "A[3,2]")
     assert rc == 2
