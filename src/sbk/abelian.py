@@ -285,14 +285,17 @@ def exponent_matrix(pres: Presentation) -> IntMatrix:
     columns: list[SparseColumn] = []
     for lhs, rhs in pres.relations():
         # sum per generator; most relations are band conjugations, all of
-        # whose sums vanish, so only a nonzero sum looks up its row
+        # whose sums vanish, so only a relation with a nonzero sum builds a
+        # column and looks up its rows
         sums: dict[Gen, int] = {}
         for gen, exp in lhs:
             sums[gen] = sums.get(gen, 0) + exp
         for gen, exp in rhs:
             sums[gen] = sums.get(gen, 0) - exp
-        column = [(index[gen], e) for gen, e in sums.items() if e]
-        columns.append(tuple(sorted(column)) if column else ())
+        if any(sums.values()):
+            columns.append(tuple(sorted([(index[gen], e) for gen, e in sums.items() if e])))
+        else:
+            columns.append(())
     return IntMatrix._of_sparse(len(pres.generators), columns)
 
 

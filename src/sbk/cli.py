@@ -27,12 +27,12 @@ NF_MAX_M = 16
 # the largest strand count, punctures included, that `info` and `abelianize`
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
 # `abelianize` reads them as a stream and holds only exponent columns,
-# 0.8-0.9 s and 19 MB max RSS.  The gamma families at 40 strands are of the
-# same size (`abelianize` 0.6-1.4 s and 18 MB).  `info` writes every
-# relator, 2.4-3.5 s and 51-59 MB at the caps of all three families; the
-# ln tower at n = 16 takes 1.1-1.7 s and 79 MB (Python 3.11, 2-core Xeon,
-# each call in its own process).  `eval` caps its --n and --to at
-# PN_RP2_MAX_N too.
+# 0.6-0.9 s and 19 MB max RSS.  The gamma families at 40 strands are of the
+# same size (`abelianize` 0.6-1.1 s and 18-19 MB).  `info` writes every
+# relator's text from its relation pair, 1.1-1.6 s and 52-60 MB at the
+# caps of all three families; the ln tower at n = 16 takes 1.0-1.2 s and
+# 66 MB (Python 3.11, 2-core Xeon, three calls each, each in its own
+# process).  `eval` caps its --n and --to at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
 GAMMA_S2_MAX_STRANDS = 40

@@ -13,16 +13,19 @@ Families (parameters are strand counts ``>= 1`` throughout):
 
 A presentation holds its relations as a stream of ``(lhs, rhs)`` pairs of
 reduced letter tuples, made anew on each pass and never held: its
-relator count is known from the loop ranges of its stream, and
-:func:`sbk.abelian.exponent_matrix` reads the pairs alone.  The relator
-word ``lhs * rhs^-1`` of a relation, which equals the identity, is made
-by :func:`_relator` only where :class:`Relators`, the presentation's
-read-only sequence of words, is read.  Every conjugation relation (the
-band relations of all three families and the rho relations of
-``gamma-rp2``) is stated once, in :func:`conjugate`, and so is the
-surface relation of both surfaces (:func:`surface_relation`); the
-relation streams and the action tables and eliminated-letter expansions
-of :mod:`sbk.combing` share both.
+relator count is known from the loop ranges of its stream, and both
+:func:`sbk.abelian.exponent_matrix` and :meth:`Presentation.to_json`,
+which writes each relator's text from its pair's letter texts, read the
+pairs alone.  The relator word ``lhs * rhs^-1`` of a relation, which
+equals the identity, is made by :func:`_relator` only where
+:class:`Relators`, the presentation's read-only sequence of words, is
+read.  Every band conjugation is stated once, in :func:`artin_conjugate`,
+whose words the band relations of all three families take as their
+right-hand sides; :func:`conjugate` adds the conjugations by and of the
+rho letters, which the rho relations of ``gamma-rp2`` take.  The surface
+relation of both surfaces is stated once too (:func:`surface_relation`);
+the relation streams and the action tables and eliminated-letter
+expansions of :mod:`sbk.combing` share these statements.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .words import (
     Letter,
     Word,
     format_gen,
+    format_letter,
     gen_a,
     gen_level,
     gen_rho,
@@ -63,7 +67,9 @@ class Relators(Sequence):
     its relation stream: ``relations()`` returns a new iterator over the
     ``(lhs, rhs)`` pairs, and ``count`` is their number.  ``len`` makes no
     word; iterating makes each word as it goes; indexing, slicing, equality
-    and hashing make the tuple of words once and keep it."""
+    and hashing make the tuple of words once and keep it.  Neither the
+    exponent matrix nor :meth:`Presentation.to_json` reads it: both read
+    the pairs."""
 
     __slots__ = ("_relations", "_count", "_words")
 
@@ -114,12 +120,37 @@ class Presentation(Frozen):
         object.__setattr__(self, "relators", Relators(relations, count))
 
     def to_json(self) -> dict:
+        # each relator's text is its pair's letter texts, those of lhs and
+        # then the inverses of those of rhs backwards, as _relator joins
+        # them; the texts of each distinct letter are made once per call
+        texts, inverse_texts = _LetterTexts(), _InverseLetterTexts()
         return {
             "family": self.family,
             "params": dict(self.params),
             "generators": [format_gen(g) for g in self.generators],
-            "relators": [str(r) for r in self.relators],
+            "relators": [
+                " ".join([*map(texts.__getitem__, lhs),
+                          *map(inverse_texts.__getitem__, reversed(rhs))])
+                for lhs, rhs in self.relations()
+            ],
         }
+
+
+class _LetterTexts(dict):
+    """The text of each letter looked up, made on its first lookup."""
+
+    def __missing__(self, letter: Letter) -> str:
+        text = self[letter] = format_letter(*letter)
+        return text
+
+
+class _InverseLetterTexts(dict):
+    """The text of the inverse of each letter looked up, made on its first
+    lookup."""
+
+    def __missing__(self, letter: Letter) -> str:
+        text = self[letter] = format_letter(letter[0], -letter[1])
+        return text
 
 
 def artin_case(r: int, s: int, i: int, j: int) -> str:
@@ -176,9 +207,10 @@ def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
     """The reflected band element C[i,j] over the generators A[.,j]."""
     if not 1 <= i < j:
         raise ValueError(f"C[{i},{j}] requires 1 <= i < j")
-    head = [(gen_a(t, j), -1) for t in range(j - 1, i, -1)]
-    tail = [(gen_a(t, j), 1) for t in range(i + 1, j)]
-    return tuple(head + [(gen_a(i, j), 1)] + tail)
+    # the indices are checked, so the generators are built as plain tuples
+    head = [((KIND_A, t, j), -1) for t in range(j - 1, i, -1)]
+    tail = [((KIND_A, t, j), 1) for t in range(i + 1, j)]
+    return tuple(head + [((KIND_A, i, j), 1)] + tail)
 
 
 def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
@@ -255,10 +287,17 @@ def _bands(low: int, top: int) -> list[tuple[int, int]]:
 
 
 def _artin_relations(low: int, top: int) -> Iterator[Relation]:
-    """One band conjugation relation per ordered pair (r,s), (i,j) of the
-    bands at levels low..top with s < j."""
-    gens = [gen_a(i, j) for (i, j) in _bands(low, top)]
-    return (_conjugation(x, b) for b in gens for x in gens if x[2] < b[2])
+    """One band conjugation relation ``x b x^-1 = artin_conjugate(x, b)`` per
+    ordered pair x = A[r,s], b = A[i,j] of the bands at levels low..top with
+    s < j, b by b and x by x in band order."""
+    below: list[Gen] = []
+    for j in range(low, top + 1):
+        level = [(KIND_A, i, j) for i in range(1, j)]
+        for b in level:
+            i = b[1]
+            for x in below:
+                yield ((x, 1), (b, 1), (x, -1)), artin_conjugate(x[1], x[2], i, j)
+        below += level
 
 
 def _artin_count(low: int, top: int) -> int:

@@ -303,10 +303,12 @@ def parse_word(text: str) -> Word:
     return Word.from_letters(letters)
 
 
+def format_letter(gen: Gen, exp: int) -> str:
+    """The text of the letter ``gen^exp``, without ``^1``."""
+    return format_gen(gen) + (f"^{exp}" if exp != 1 else "")
+
+
 def format_word(w: Word) -> str:
-    return " ".join(
-        format_gen(gen) + (f"^{exp}" if exp != 1 else "")
-        for gen, exp in w.letters
-    )
+    return " ".join([format_letter(gen, exp) for gen, exp in w.letters])
 
 

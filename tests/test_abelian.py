@@ -377,8 +377,10 @@ def _exponent_counts(pres):
 
 
 def test_exponent_matrix_matches_letter_counts():
-    presentations = [build_pn_rp2(n) for n in range(1, 9)]
+    # gamma-rp2 for p = 1, 2, 3, whose band relations start at levels 2, 3, 4
+    presentations = [build_pn_rp2(n) for n in range(1, 11)]
     presentations += [build_gamma_rp2(m, 2) for m in range(1, 6)]
+    presentations += [build_gamma_rp2(m, p) for p in (1, 3) for m in range(1, 5)]
     presentations += [build_gamma_s2(n, m) for n in range(1, 4) for m in (3, 4)]
     for pres in presentations:
         counts = _exponent_counts(pres)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sbk import homs, verify
+from sbk import homs, presentations, verify
 from sbk.combing import comb
 from sbk.presentations import (
     artin_case,
@@ -192,16 +192,37 @@ def test_relators_are_stored_reduced():
             assert Word.from_letters(rel.letters) == rel, (pres.family, pres.params, str(rel))
 
 
-def test_relator_digest_is_pinned():
-    # SHA-256 of every relator's text, one per line, in order; pinned from
-    # the relators as built by a free-reduction pass over their parts
+# SHA-256 of every relator's text, one per line, in order, over the family
+# grid of _relator_digest; pinned from the relators as built by a
+# free-reduction pass over their parts
+RELATOR_DIGEST = "afa1ed772638a003551022e0b6d2b6b36e3a76d480f5de09396d4f42a60cc92c"
+
+
+def _relator_digest(texts):
     digest = hashlib.sha256()
     for pres in _family_presentations(range(1, 23), range(1, 9), range(1, 4),
                                       range(1, 8), range(1, 5)):
-        for rel in pres.relators:
-            digest.update(str(rel).encode() + b"\n")
-    assert digest.hexdigest() == \
-        "afa1ed772638a003551022e0b6d2b6b36e3a76d480f5de09396d4f42a60cc92c"
+        for text in texts(pres):
+            digest.update(text.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_relator_digest_is_pinned():
+    assert _relator_digest(lambda pres: map(str, pres.relators)) == RELATOR_DIGEST
+
+
+def test_json_relator_texts_make_the_pinned_digest_without_words(monkeypatch):
+    # to_json writes each relator's text from its relation pair: with no
+    # relator word to be had, its texts still make the word path's digest
+    def no_words(lhs, rhs):
+        raise AssertionError("a relator word was made")
+
+    monkeypatch.setattr(presentations, "_relator", no_words)
+    assert _relator_digest(lambda pres: pres.to_json()["relators"]) == RELATOR_DIGEST
+    # negative control: an inverse letter written as the letter itself, its
+    # sign dropped, changes the digest
+    monkeypatch.setattr(presentations, "_InverseLetterTexts", presentations._LetterTexts)
+    assert _relator_digest(lambda pres: pres.to_json()["relators"]) != RELATOR_DIGEST
 
 
 def test_relator_letters_lie_in_the_generator_list():

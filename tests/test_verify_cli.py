@@ -402,6 +402,20 @@ def test_abelianize_gamma_rp2_at_its_cap_fits_in_100_mb():
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+@pytest.mark.parametrize("spec, sha256", [pytest.param(spec, sha256, id=spec) for spec, sha256 in (
+    ("pn-rp2:n=40", "c4d163da163456597963174f40459bbc6e19cc7a6da851d87d3ef598c1ce255c"),
+    ("gamma-rp2:m=39,p=1", "fae7ce46b4994485854974e86d4b101c209cb8d4d47a13eda9cc087cd70ba6d1"),
+    ("gamma-s2:n=37,m=3", "4b9ae1ac480f253090ab5d3d411451a1f2a4fd6bbb24df5d639aaa153fc16a4a"),
+)])
+def test_info_at_its_caps_fits_in_100_mb_and_is_pinned(spec, sha256):
+    # about 300,000 relator texts each, written from the relation pairs;
+    # the digests are of the texts as written from the relator words
+    proc = _cli_under_memory_cap(100 * 2**20, "info", "--group", spec, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-300:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
 def test_memory_caps_near_the_edge_exit_0_or_2():
     # Just below the smallest cap that fits, the job runs out of memory late.
     # The error must still reach stdout as one JSON document with exit 2, so
