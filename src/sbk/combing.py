@@ -62,7 +62,9 @@ at its level it multiplies in its top word, the solved surface relation;
 below that it is gone.  A power of a basis letter stays one coded letter,
 mapped through that power of its image, and a large power g^N of a
 lower-level letter is written out from a certified closed form
-(:mod:`sbk.iterates`).  Reduced words are unique, so the combed forms are
+(:mod:`sbk.iterates`); a power of a reduced coded word, an image or a block
+of such a form, is written out by one list repetition, w^N = P C^N P^-1
+(:func:`_power_codes`).  Reduced words are unique, so the combed forms are
 those the letterwise rewrite into the combing alphabet (:func:`to_x_letters`)
 gives.  The private :func:`_comb_letters` takes the table factory as a
 plain argument, so the verification suite can comb against a deliberately
@@ -200,9 +202,34 @@ def _reduce(pieces: Iterable[Sequence[int]]) -> list[int]:
     return out
 
 
+def _power_codes(word: Sequence[int], n: int) -> list[int]:
+    """The reduced n-th power, n >= 0, of a reduced coded word w = P C P^-1,
+    P the longest: w^n = P C^n P^-1 (Lyndon and Schupp, I.2), where C^n is
+    one letter when C is, c_0 (M c)^(n-1) M c_last when C's end letters
+    merge to c, M its middle, and n copies of C otherwise."""
+    if not n or not word:
+        return []
+    last = len(word) - 1
+    k = 0
+    while k < last - k and word[k] == -word[last - k]:
+        k += 1
+    core = list(word[k:last + 1 - k])
+    if len(core) == 1:
+        i, exp = _split_code(core[0])
+        core = [_code(i, exp * n)]
+    elif not (abs(core[0]) ^ abs(core[-1])) & _MASK:
+        # c_last c_0 neither cancels (P is the longest) nor meets M's ends
+        middle = core[1:-1]
+        core = core[:1] + (middle + _reduce((core[-1:], core[:1]))) * (n - 1) + middle + core[-1:]
+    else:
+        core *= n
+    return [*word[:k], *core, *word[last + 1 - k:]]
+
+
 class _Row(dict):
     """The images of the letters b_i^e for e = +-1, +-2, keyed by code; the
-    image of a longer power is computed on lookup and not stored."""
+    image of a longer power is that power of the image (:func:`_power_codes`),
+    computed on lookup and not stored."""
 
     @classmethod
     def of(cls, images: Mapping[int, Sequence[int]]) -> _Row:
@@ -210,23 +237,14 @@ class _Row(dict):
         as rows and kernel parts contain rho[j]^2."""
         row = cls()
         for i, image in images.items():
-            for code, word in ((i, image), (_code(i, 2), _reduce((image, image)))):
+            for code, word in ((i, image), (_code(i, 2), _power_codes(image, 2))):
                 row[code], row[-code] = tuple(word), tuple(_inverse(word))
         return row
 
     def __missing__(self, code: int) -> list[int]:
         i, exp = _split_code(code)
-        base = self[i if exp > 0 else -i]
-        count = abs(exp)
-        # by squaring, so a conjugate p b_j p^-1 stays short: p b_j^count p^-1
-        out: list[int] = []
-        while True:
-            if count & 1:
-                out = _reduce((out, base))
-            count >>= 1
-            if not count:
-                return out
-            base = _reduce((base, base))
+        # in closed form, so a conjugate p b_j p^-1 stays short: p b_j^exp p^-1
+        return _power_codes(self[i if exp > 0 else -i], abs(exp))
 
 
 class _Letters(dict):

@@ -4,7 +4,9 @@ lower-level letter or of an eliminated letter below its level, held factored as
 stepped by :func:`sbk.combing._act`: phi acts like a
 Dehn twist, so the iterates are block periodic, W_0 D_1^i W_1 ... D_k^i W_k
 (Cohen and Lustig, Comment. Math. Helv. 74, 1999), read off a few plain steps,
-proved by a finite check and written out in linear time.  :mod:`sbk.combing`
+proved by a finite check and written out in time linear in its length: each
+block power D^i is D's closed-form power (:func:`sbk.combing._power_codes`), one
+list repetition also where D's end letters merge.  :mod:`sbk.combing`
 imports this on first use, so combing no large power never compiles it."""
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from difflib import SequenceMatcher
 from itertools import chain
 from typing import Callable, Sequence
 
-from .combing import (_MASK, _POWER_MIN, _SHIFT, _Row, _Step, _act, _action, _inverse, _reduce,
-                      _split_code)
+from .combing import (_MASK, _POWER_MIN, _SHIFT, _Row, _Step, _act, _action, _inverse,
+                      _power_codes, _reduce, _split_code)
 
 
 def _halves(block: list[int]) -> list[list[int]] | None:
@@ -97,7 +99,10 @@ def _closed_form(step: _Step, start: Sequence[int], parity: int) -> tuple | None
 def _iterate(step: _Step, start: tuple[int, ...], n: int, forms: dict,
              key: tuple) -> list[int] | None:
     """F^n(start) from its form, kept in ``forms`` under ``key + (n % 2,)``, or
-    one step after F^(n-1)(start) from the other parity's form; else None."""
+    one step after F^(n-1)(start) from the other parity's form; else None.  The
+    pieces W_0, D_1^i, W_1, ..., each block power in closed form
+    (:func:`~sbk.combing._power_codes`), are reduced together once, so their
+    count does not grow with n."""
     for k in (n, n - 1):
         if key + (k % 2,) not in forms:
             forms[key + (k % 2,)] = _closed_form(step, start, k % 2)
@@ -108,8 +113,7 @@ def _iterate(step: _Step, start: tuple[int, ...], n: int, forms: dict,
     base, q, W, D = forms[key + (k % 2,)]
     pieces: list[Sequence[int]] = [W[0]]
     for w, d in zip(W[1:], D):
-        clean = (abs(d[0]) ^ abs(d[-1])) & _MASK  # its copies neither merge nor cancel
-        pieces += (d * ((k - base) // q) if clean else _reduce([d] * ((k - base) // q)), w)
+        pieces += (_power_codes(d, (k - base) // q), w)
     return _reduce(pieces) if k == n else _act(_reduce(pieces), step)
 
 

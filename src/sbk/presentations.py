@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator
 
 from .words import (
@@ -203,14 +203,28 @@ def artin_conjugate(r: int, s: int, i: int, j: int, sign: int = 1) -> tuple[Lett
     )
 
 
+@lru_cache(maxsize=None)
+def _band_letters(j: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """``(A[t,j]^-1 ..., A[t,j] ...)`` for t = 1 .. j-1, made once per level j:
+    every C[i,j] and its inverse are cut from them."""
+    # j is checked by the callers, so the generators are built as plain tuples
+    return (tuple([((KIND_A, t, j), -1) for t in range(1, j)]),
+            tuple([((KIND_A, t, j), 1) for t in range(1, j)]))
+
+
 def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
-    """The reflected band element C[i,j] over the generators A[.,j]."""
+    """The reflected band element C[i,j] = H A[i,j] H^-1 over the generators
+    A[.,j], H = A[j-1,j]^-1 ... A[i+1,j]^-1."""
     if not 1 <= i < j:
         raise ValueError(f"C[{i},{j}] requires 1 <= i < j")
-    # the indices are checked, so the generators are built as plain tuples
-    head = [((KIND_A, t, j), -1) for t in range(j - 1, i, -1)]
-    tail = [((KIND_A, t, j), 1) for t in range(i + 1, j)]
-    return tuple(head + [((KIND_A, i, j), 1)] + tail)
+    minus, plus = _band_letters(j)
+    return minus[:i - 1:-1] + plus[i - 1:]
+
+
+def _cln_inverse(i: int, j: int) -> tuple[Letter, ...]:
+    """C[i,j]^-1 = H A[i,j]^-1 H^-1, cut from the same letters as C[i,j]."""
+    minus, plus = _band_letters(j)
+    return minus[:i - 1:-1] + minus[i - 1:i] + plus[i:]
 
 
 def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
@@ -242,9 +256,9 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
         if k < i:
             return ((b, 1),)
         if k == i:
-            return ((rj, -1),) + invert_letters(cln_letters(i, j)) + ((rj, 1),)
-        c = cln_letters(k, j)
-        return ((rj, -1),) + invert_letters(c) + ((rj, 1), (b, 1), (rj, -1)) + c + ((rj, 1),)
+            return ((rj, -1),) + _cln_inverse(i, j) + ((rj, 1),)
+        return ((rj, -1),) + _cln_inverse(k, j) + ((rj, 1), (b, 1), (rj, -1)) \
+            + cln_letters(k, j) + ((rj, 1),)
     if i < k:
         a = (KIND_A, k, j)
         return ((a, -1), (b, 1), (a, 1))

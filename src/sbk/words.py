@@ -172,21 +172,31 @@ def concat_letters(*parts: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(out)
 
 
-def pow_letters(letters: tuple[Letter, ...], e: int) -> tuple[Letter, ...]:
-    """Reduced e-th power, by squaring so conjugate shapes collapse cheaply."""
-    if e == 0 or not letters:
-        return ()
+def pow_letters(letters: Iterable[Letter], e: int) -> tuple[Letter, ...]:
+    """Reduced e-th power in closed form: the reduced word is w = P C P^-1, P
+    the longest, and w^e = P C^e P^-1 (Lyndon and Schupp, I.2), C^e one letter
+    when C is, c_0 (M c)^(e-1) M c_last when C's end letters merge to c, M its
+    middle, else e copies of C.  The letters are reduced first."""
+    letters = reduce_letters(letters)
     if e < 0:
-        return pow_letters(invert_letters(letters), -e)
-    result: tuple[Letter, ...] = ()
-    base = tuple(letters)
-    while e:
-        if e & 1:
-            result = concat_letters(result, base)
-        e >>= 1
-        if e:
-            base = concat_letters(base, base)
-    return result
+        letters, e = invert_letters(letters), -e
+    if not e or not letters:
+        return ()
+    last = len(letters) - 1
+    k = 0
+    while k < last - k and letters[k] == (letters[last - k][0], -letters[last - k][1]):
+        k += 1
+    core = letters[k:last + 1 - k]
+    if len(core) == 1:
+        core = ((core[0][0], core[0][1] * e),)
+    elif core[0][0] == core[-1][0]:
+        # c_last c_0 neither cancels (P is the longest) nor meets M's ends
+        middle = core[1:-1]
+        core = core[:1] + (middle + concat_letters(core[-1:], core[:1])) * (e - 1) \
+            + middle + core[-1:]
+    else:
+        core *= e
+    return letters[:k] + core + letters[last + 1 - k:]
 
 
 def substitute(letters: Iterable[Letter],

@@ -300,6 +300,65 @@ def test_reduce_merges_by_exponent_arithmetic():
                 (m, pieces)
 
 
+def _generator(code):
+    return abs(code) & combing._MASK
+
+
+def _conjugated_core(rng, table, core):
+    """P core P^-1 for a random reduced P whose last letter lies on neither of
+    the generators at the ends of the reduced ``core``: a reduced word with
+    core ``core``."""
+    ends = {_generator(core[0]), _generator(core[-1])}
+    while True:
+        p = _random_accumulator(rng, table, rng.randint(0, 4), WIDE_EXPONENTS)
+        if not p or _generator(p[-1]) not in ends:
+            return p + core + combing._inverse(p)
+
+
+def _power_shapes(rng, table):
+    """Reduced coded words of four shapes: random, P b P^-1, P C P^-1 with C
+    of two letters or more whose ends lie on different generators, and P C
+    P^-1 with C = x^a M x^b, a + b != 0, whose end letters merge."""
+    code = combing._code
+    r = len(table.basis)
+    yield _random_accumulator(rng, table, rng.randint(0, 12), WIDE_EXPONENTS)
+    yield _conjugated_core(rng, table, [code(rng.randint(1, r), rng.choice(WIDE_EXPONENTS))])
+    while True:
+        core = _random_accumulator(rng, table, rng.randint(2, 6), WIDE_EXPONENTS)
+        if _generator(core[0]) != _generator(core[-1]):
+            break
+    yield _conjugated_core(rng, table, core)
+    x = rng.randint(1, r)
+    while True:
+        middle = _random_accumulator(rng, table, rng.randint(1, 5), WIDE_EXPONENTS)
+        if x not in (_generator(middle[0]), _generator(middle[-1])):
+            break
+    a, b = rng.choice(WIDE_EXPONENTS), rng.choice(WIDE_EXPONENTS)
+    b = b if a + b else -2 * a
+    yield _conjugated_core(rng, table, [code(x, a)] + middle + [code(x, b)])
+
+
+def test_power_codes_is_the_reduced_repetition():
+    # the closed form w^n = P C^n P^-1 against the reduction of n copies,
+    # n = 0..12 and 2^15, on the four shapes of _power_shapes; the result is
+    # reduced.  A core x^a M x^b repeated without merging its ends, or a
+    # P left unstripped, fails here
+    code = combing._code
+    assert combing._power_codes([1, 2, code(1, 3)], 3) == \
+        [1, 2, code(1, 4), 2, code(1, 4), 2, code(1, 3)]
+    assert combing._power_codes([2, code(1, -5), -2], 4) == [2, code(1, -20), -2]
+    rng = random.Random(RNG_SEED)
+    for m in range(1, 5):
+        table = ActionTable(m)
+        for trial in range(12):
+            for w in _power_shapes(rng, table):
+                assert _is_reduced(w), (m, w)
+                for n in list(range(13)) + [2**15] * (trial < 2):
+                    got = combing._power_codes(w, n)
+                    assert got == combing._reduce([w] * n), (m, w, n)
+                    assert _is_reduced(got), (m, w, n)
+
+
 def test_power_split_matches_plain_loop():
     # every row at m = 1..4 (none at m = 1), both tails values, on random
     # accumulators of length 0..12.  Each lower letter has an exponent of at
@@ -732,6 +791,31 @@ def test_power_steps_do_not_grow_with_the_exponent(monkeypatch):
             count = 0
             letters = (parse_word(name) ** n).letters
             combing._comb_letters(m, letters, ActionTable)
+            counts.append(count)
+        assert counts[0] == counts[1], (m, name, counts)
+
+
+def test_merging_blocks_reduce_the_same_pieces_at_any_exponent(monkeypatch):
+    # A[2,3]^N at m = 2 and A[2,4]^N at m = 3 have blocks whose first and last
+    # letters share a generator; with fresh tables, _reduce receives as many
+    # pieces at N = 400 as at N = 40, where N/2 copies of a block were once
+    # reduced one by one
+    count = 0
+    reduce = combing._reduce
+
+    def counted(pieces):
+        nonlocal count
+        pieces = list(pieces)
+        count += len(pieces)
+        return reduce(pieces)
+
+    monkeypatch.setattr(combing, "_reduce", counted)
+    monkeypatch.setattr(iterates, "_reduce", counted)
+    for m, name in ((2, "A[2,3]"), (3, "A[2,4]")):
+        counts = []
+        for n in (40, 400):
+            count = 0
+            combing._comb_letters(m, (parse_word(name) ** n).letters, ActionTable)
             counts.append(count)
         assert counts[0] == counts[1], (m, name, counts)
 

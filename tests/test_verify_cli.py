@@ -335,12 +335,28 @@ def _nf_under_memory_cap(word):
 
 
 def test_oversized_power_exits_2_under_a_memory_cap():
-    # A[1,3]^1000000000 has a closed form of 8e9 letters: under a capped
-    # address space writing it out fails at once, and the child exits 2 with
-    # one JSON document instead of stepping the power for hours
-    proc = _nf_under_memory_cap("A[1,3]^1000000000")
+    # A[1,3]^1000000000 has a closed form of 8e9 letters, and A[2,3]^1000000000
+    # one whose blocks' end letters merge: under a capped address space
+    # writing either out fails at once, and the child exits 2 with one JSON
+    # document instead of stepping the power for hours
+    for word in ("A[1,3]^1000000000", "A[2,3]^1000000000"):
+        proc = _nf_under_memory_cap(word)
+        assert proc.returncode == 2, word
+        assert json.loads(proc.stdout) == {"error": "out of memory"}, word
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_power_of_a_row_image_exits_2_within_2_s_in_300_mb():
+    # rho[3]^-1 maps rho[5]^1000000000 through that power of a row image,
+    # P C^1000000000 P^-1, written out in one allocation that fails at once
+    start = time.perf_counter()
+    proc = _cli_under_memory_cap(300 * 2**20, "nf", "--m", "3", "--word",
+                                 "rho[3]^-1 rho[5]^1000000000 A[1,4]^2")
+    elapsed = time.perf_counter() - start
     assert proc.returncode == 2
+    assert proc.stdout.count("\n") == 1
     assert json.loads(proc.stdout) == {"error": "out of memory"}
+    assert elapsed < 2, elapsed
 
 
 def test_oversized_eliminated_power_exits_2_under_a_memory_cap():

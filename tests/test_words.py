@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,7 @@ from sbk.words import (
     gen_tau,
     invert_letters,
     parse_word,
+    pow_letters,
     reduce_letters,
     substitute,
 )
@@ -123,6 +126,29 @@ def test_pow_matches_repeated_product(w, e):
     for _ in range(abs(e)):
         expected = expected * step
     assert w ** e == expected
+
+
+def test_pow_letters_is_the_reduced_repetition():
+    # against the reduction of e copies, on tuples left unreduced (zero
+    # exponents, neighbours on one generator, P C P^-1 as written), with
+    # cores whose end letters lie on one generator, for e < 0, e = 0, e > 0
+    a, b, r = gen_a(1, 3), gen_a(2, 3), gen_rho(3)
+    assert pow_letters(((a, 1), (b, 1), (a, 2)), 3) == \
+        ((a, 1), (b, 1), (a, 3), (b, 1), (a, 3), (b, 1), (a, 2))
+    assert pow_letters(((r, 1), (a, 1), (a, -1), (b, 2), (b, 0), (r, -1)), -2) == \
+        ((r, 1), (b, -4), (r, -1))
+    rng = random.Random(70839)
+    alphabet = (a, b, r)
+    for _ in range(3000):
+        core = [(rng.choice(alphabet), rng.randint(-3, 3)) for _ in range(rng.randint(0, 5))]
+        if rng.random() < 0.5:
+            x = rng.choice(alphabet)
+            core = [(x, rng.choice((-2, -1, 1, 2)))] + core + [(x, rng.choice((-3, -1, 1, 3)))]
+        p = [(rng.choice(alphabet), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+        letters = tuple(p + core + [(g, -e) for g, e in reversed(p)])
+        e = rng.randint(-6, 6)
+        copies = letters * e if e >= 0 else invert_letters(letters) * -e
+        assert pow_letters(letters, e) == reduce_letters(copies), (letters, e)
 
 
 # substitute: a small alphabet, so that images cancel against each other
