@@ -29,14 +29,17 @@ reports.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import combing
 from .combing import (
     SURFACE_RP2,
     SURFACE_S2,
+    _act,
+    _inverse,
     _kernel_rows,
-    _split_top,
+    _Row,
+    _walk,
     build_action_table,
     kernel_basis,
     keromega_basis,
@@ -349,7 +352,7 @@ def direct_sum(parts: Iterable[AbelianInvariants]) -> AbelianInvariants:
     return AbelianInvariants(free, tuple(d for d in _divisor_chain(torsion) if d >= 2))
 
 
-def tower_abelianization(levels: Sequence[tuple[int, Sequence[Sequence[IndexedWord]]]]
+def tower_abelianization(levels: Iterable[tuple[int, Sequence[Sequence[IndexedWord]]]]
                          ) -> AbelianInvariants:
     """Abelianization of an iterated split extension of free groups, given
     top level first as (rank, basis images of the acting generators); the
@@ -371,19 +374,28 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     """The action on the rank 2l-1 index-2 kernel basis at level l, by the
     generators of the lower torsion-free part, rewritten in that basis.
 
-    Each image is the comber's split of ``actor * basis word`` without the
-    kernel parts, which is the actor's action on the basis word."""
+    An automorphism of a free group is fixed by its images of a basis, so
+    each actor u is walked once per letter b_i of the rank l level basis,
+    without the kernel parts (:func:`~sbk.combing._walk`), to its images
+    phi_u(b_i), kept with their inverses in a :class:`~sbk.combing._Row`
+    (which makes the square of rho on lookup); each index-2 basis word is
+    then mapped letterwise by the comber's one step
+    :func:`~sbk.combing._act`."""
     if l < 2:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 3, []
     table = build_action_table(l - 1)
-    basis_words = keromega_basis(l)
-    return 2 * l - 1, [
-        [rewrite_kernel_letters(l, _split_top(table, actor.letters + bw.letters,
-                                              tails=False))
-         for bw in basis_words]
-        for actor in combing.ln_generators(l)]
+    basis_words = [table.encode(bw.letters) for bw in keromega_basis(l)]
+    images = []
+    for actor in combing.ln_generators(l):
+        row = _Row()
+        for i in table.index.values():
+            row[i] = _walk(table, actor.letters, [i], False)
+            row[-i] = _inverse(row[i])
+        images.append([rewrite_kernel_letters(l, table.decode_letters(_act(bw, ((), row, ()))))
+                       for bw in basis_words])
+    return 2 * l - 1, images
 
 
 def gamma_tower_levels(m: int) -> list[tuple[int, list[list[IndexedWord]]]]:
@@ -395,9 +407,14 @@ def gamma_tower_levels(m: int) -> list[tuple[int, list[list[IndexedWord]]]]:
 
 def ln_tower_levels(n: int) -> list[tuple[int, list[list[IndexedWord]]]]:
     """Tower data for the torsion-free complement at strand count n."""
+    return list(_ln_levels(n))
+
+
+def _ln_levels(n: int) -> Iterator[tuple[int, list[list[IndexedWord]]]]:
+    """:func:`ln_tower_levels` as a stream, one level made at a time."""
     if n < 3:
         raise ValueError("n must be >= 3")
-    return [keromega_action(l) for l in range(n - 1, 1, -1)]
+    return map(keromega_action, range(n - 1, 1, -1))
 
 
 def gamma_tower_abelianization(m: int) -> AbelianInvariants:
@@ -405,7 +422,8 @@ def gamma_tower_abelianization(m: int) -> AbelianInvariants:
 
 
 def ln_tower_abelianization(n: int) -> AbelianInvariants:
-    return tower_abelianization(ln_tower_levels(n))
+    # streamed, so only one level's images are alive at a time
+    return tower_abelianization(_ln_levels(n))
 
 
 def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:

@@ -30,9 +30,10 @@ NF_MAX_M = 16
 # 0.6-0.9 s and 19 MB max RSS.  The gamma families at 40 strands are of the
 # same size (`abelianize` 0.6-1.1 s and 18-19 MB).  `info` writes every
 # relator's text from its relation pair, 1.1-1.6 s and 52-60 MB at the
-# caps of all three families; the ln tower at n = 16 takes 1.0-1.2 s and
-# 66 MB (Python 3.11, 2-core Xeon, three calls each, each in its own
-# process).  `eval` caps its --n and --to at PN_RP2_MAX_N too.
+# caps of all three families; `abelianize` of the ln tower at n = 16, made
+# one level at a time, takes 0.8 s and 39 MB (Python 3.11, 2-core Xeon,
+# three calls each, each in its own process).  `eval` caps its --n and --to
+# at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
 GAMMA_S2_MAX_STRANDS = 40

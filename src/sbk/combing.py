@@ -53,9 +53,11 @@ table's letter dict (:attr:`ActionTable.letters`).  It is the only loop
 over :func:`_act` (compiling ``steps`` and the round trip apply it once per
 row, :mod:`sbk.iterates` a few times per closed form): without the kernel
 parts (with the end P^-1, :func:`_action`) it also gives the action of a
-lower-level word on a kernel word, which is how
-:func:`sbk.abelian.keromega_action` builds the tower of the
-torsion-free complement.  An eliminated letter A[j-1,j] is a combing letter
+lower-level word on a kernel word.  That is how
+:func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
+complement: one walk per actor and letter of the level basis gives the
+actor's row of images, and each index-2 basis word is mapped through that
+row by one :func:`_act`.  An eliminated letter A[j-1,j] is a combing letter
 like any other (:func:`_eliminated`): below its level it takes one step,
 walked once per table along its x-image through the table's compiled rows;
 at its level it multiplies in its top word, the solved surface relation;
@@ -227,8 +229,9 @@ def _power_codes(word: Sequence[int], n: int) -> list[int]:
 
 
 class _Row(dict):
-    """The images of the letters b_i^e for e = +-1, +-2, keyed by code; the
-    image of a longer power is that power of the image (:func:`_power_codes`),
+    """The images of the letters b_i^e, keyed by code: those of e = +-1,
+    and of e = +-2 when built by :meth:`_Row.of`, are stored; the image of
+    any other power is that power of the image (:func:`_power_codes`),
     computed on lookup and not stored."""
 
     @classmethod
@@ -272,7 +275,8 @@ _Step = tuple[Sequence[int], Mapping[int, Sequence[int]], Sequence[int]]
 def _act(codes: Sequence[int], step: _Step) -> list[int]:
     """The reduced coded word head * row(codes) * end for the step ``(head,
     row, end)``: the one step of the comber's hot loop, which also compiles
-    the kernel parts and checks the round trip of :attr:`ActionTable.steps`."""
+    the kernel parts, checks the round trip of :attr:`ActionTable.steps` and
+    maps the basis words of :func:`sbk.abelian.keromega_action`."""
     head, row, end = step
     return _reduce(chain((head,), map(row.__getitem__, codes), (end,)))
 

@@ -42,6 +42,7 @@ from .words import (
     Gen,
     Letter,
     Word,
+    _LetterTexts,
     format_gen,
     format_letter,
     gen_a,
@@ -134,14 +135,6 @@ class Presentation(Frozen):
                 for lhs, rhs in self.relations()
             ],
         }
-
-
-class _LetterTexts(dict):
-    """The text of each letter looked up, made on its first lookup."""
-
-    def __missing__(self, letter: Letter) -> str:
-        text = self[letter] = format_letter(*letter)
-        return text
 
 
 class _InverseLetterTexts(dict):

@@ -31,7 +31,9 @@ The text grammar (exact) is::
     gen  := "A[" int "," int "]" | "rho[" int "]" | "tau[" int "]" | "s[" int "]"
 
 where ``int`` is a run of the ASCII digits 0-9; an exponent may take a
-leading ``-`` and must be nonzero.  Printing uses single spaces and omits ``^1``.
+leading ``-`` and must be nonzero.  Printing uses single spaces and omits ``^1``;
+it formats each distinct letter once per call (:class:`_LetterTexts`, which
+:meth:`sbk.presentations.Presentation.to_json` uses too).
 """
 
 from __future__ import annotations
@@ -318,7 +320,16 @@ def format_letter(gen: Gen, exp: int) -> str:
     return format_gen(gen) + (f"^{exp}" if exp != 1 else "")
 
 
+class _LetterTexts(dict):
+    """The text of each letter looked up, made on its first lookup."""
+
+    def __missing__(self, letter: Letter) -> str:
+        text = self[letter] = format_letter(*letter)
+        return text
+
+
 def format_word(w: Word) -> str:
-    return " ".join([format_letter(gen, exp) for gen, exp in w.letters])
+    # each distinct letter is formatted once and its text shared
+    return " ".join(map(_LetterTexts().__getitem__, w.letters))
 
 

@@ -26,7 +26,7 @@ from sbk.abelian import (
     vcd_report,
 )
 from sbk.presentations import build_gamma_rp2, build_gamma_s2, build_pn_rp2
-from sbk.words import gen_rho
+from sbk.words import gen_a, gen_rho
 
 RNG_SEED = 70839
 
@@ -452,6 +452,47 @@ def test_two_route_agreement():
         via_pres = abelianize_presentation(build_gamma_rp2(m, 2))
         via_tower = gamma_tower_abelianization(m)
         assert via_pres == via_tower == AbelianInvariants(2 * m, ())
+
+
+def _keromega_by_combs(l):
+    """The level-l tower action the slow way: each image is the comber's
+    split of ``actor * basis word`` without the kernel parts, one comb per
+    actor and basis word."""
+    table = combing.build_action_table(l - 1)
+    return 2 * l - 1, [
+        [combing.rewrite_kernel_letters(
+            l, combing._split_top(table, actor.letters + bw.letters, tails=False))
+         for bw in combing.keromega_basis(l)]
+        for actor in combing.ln_generators(l)]
+
+
+def test_keromega_action_matches_the_per_word_combs():
+    assert keromega_action(2) == (3, [])
+    for l in range(3, 16):
+        assert keromega_action(l) == _keromega_by_combs(l), l
+
+
+def test_keromega_action_sees_a_corrupted_image_of_rho(monkeypatch):
+    # negative control: one actor's image of rho[l+1] times A[1,l+1], which
+    # keeps every basis word's image in the index-2 kernel, must show
+    l = 5
+    table = combing.build_action_table(l - 1)
+    rho, a = (table.index[g] for g in (gen_rho(l + 1), gen_a(1, l + 1)))
+    actor = combing.ln_generators(l)[-1]
+    walk = abelian._walk
+
+    def corrupted(table, letters, codes, tails):
+        image = walk(table, letters, codes, tails)
+        if letters == actor.letters and codes == [rho]:
+            image = combing._reduce((image, [a]))
+        return image
+
+    monkeypatch.setattr(abelian, "_walk", corrupted)
+    rank, images = keromega_action(l)
+    expected_rank, expected = _keromega_by_combs(l)
+    assert rank == expected_rank
+    assert images[:-1] == expected[:-1]
+    assert images[-1] != expected[-1]
 
 
 def test_ln_tower_values():

@@ -382,6 +382,17 @@ def test_forget_large_tau_power_fits_in_300_mb():
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_forget_of_a_long_value_fits_in_300_mb_and_is_pinned():
+    # tau[1]^1000000 forgets to a 2,000,000-letter value over two letters:
+    # its text joins one shared string per distinct letter
+    proc = _cli_under_memory_cap(300 * 2**20, "eval", "--hom", "forget", "--n", "3",
+                                 "--to", "2", "--word", "tau[1]^1000000", timeout=60)
+    assert proc.returncode == 0, proc.stdout[-300:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "0a4e80c1e381bf57e843f54c0b2ed58ed1a6f0d26a3ef0245e73422727225da8"
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
 def test_abelianize_large_pn_fits_in_64_mb():
     # pn-rp2 at n = 30 has 103,415 relators: its exponent matrix is kept as
     # sparse columns, where dense rows and their transpose did not fit in
@@ -429,6 +440,16 @@ def test_info_at_its_caps_fits_in_100_mb_and_is_pinned(spec, sha256):
     proc = _cli_under_memory_cap(100 * 2**20, "info", "--group", spec, timeout=120)
     assert proc.returncode == 0, proc.stdout[-300:]
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
+def test_abelianize_ln_at_its_cap_fits_in_64_mb_and_is_pinned():
+    # the ln tower at n = 16, the cap, is made one level at a time: holding
+    # all 14 levels' basis images at once does not fit in 64 MB
+    proc = _cli_under_memory_cap(64 * 2**20, "abelianize", "--group", "ln:n=16", timeout=120)
+    assert proc.returncode == 0, proc.stdout[-300:]
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "e89de86b6251d3d26c8edacdac752543336d201eaf2b996512a8753a62fc3441"
 
 
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"), reason="no address-space limit")
