@@ -8,7 +8,13 @@ An :class:`IntMatrix` stores only its columns, each as the tuple of its
 nonzero (row, value) pairs: :func:`exponent_matrix` builds one such column
 per relation straight from its ``(lhs, rhs)`` pair, as ab(lhs) - ab(rhs),
 and makes no relator word; the dense rows ``entries`` are derived on
-demand.  :func:`snf` and :func:`delta_coinvariants` feed one
+demand.  The abelian path reads exponent sums only and reduces nothing:
+ab(P c P^-1) = ab(c), so each side of a relation is read past its
+conjugator P, and a relation whose sides have equal cores, as the band
+conjugations do, gives the zero column without a sum; ab is linear, so
+the strand-forgetting coinvariants add up the letters of the defining
+relations, the eliminated letter by the sums of its image, and build no
+row word.  :func:`snf` and :func:`delta_coinvariants` feed one
 elimination, :func:`_diagonal`, sparse columns in that format.  The column
 space does not change when a column is negated, when a copy of another
 column is dropped or when a zero column is dropped, so the elimination
@@ -40,14 +46,16 @@ from .combing import (
     _kernel_rows,
     _Row,
     _walk,
+    _x_images,
     build_action_table,
     kernel_basis,
     keromega_basis,
     rewrite_kernel_letters,
     x_alphabet,
 )
-from .presentations import Presentation, build_gamma_rp2, build_gamma_s2
-from .words import Frozen, Gen
+from .homs import check_letters
+from .presentations import Presentation, build_gamma_rp2, build_gamma_s2, conjugate
+from .words import KIND_RHO, Frozen, Gen, gen_a
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
 SparseColumn = tuple  # ((row, nonzero value), ...) in row order
@@ -280,16 +288,35 @@ def snf(matrix: IntMatrix) -> AbelianInvariants:
     return _cokernel(matrix.rows, matrix.columns)
 
 
+def _core(letters: tuple) -> tuple:
+    """The word c of ``letters`` spelt P c P^-1 with P longest: letters k and
+    last - k are stripped while they lie on one generator with opposite
+    exponents.  ab(P c P^-1) = ab(c)."""
+    k, last = 0, len(letters) - 1
+    while k < last:
+        (gen, exp), (end, end_exp) = letters[k], letters[last]
+        if gen != end or exp != -end_exp:
+            break
+        k += 1
+        last -= 1
+    return letters[k:last + 1]
+
+
 def exponent_matrix(pres: Presentation) -> IntMatrix:
     """Exponent sums of the relators, each relation's ab(lhs) - ab(rhs):
     generators index rows, relators index columns, one sparse column per
-    relation.  It reads the relation pairs and makes no relator word."""
+    relation.  It reads the relation pairs, makes no relator word and
+    reduces nothing: each side is read past its conjugator (:func:`_core`),
+    and sides with equal cores give the zero column without a sum."""
     index = {g: r for r, g in enumerate(pres.generators)}
     columns: list[SparseColumn] = []
     for lhs, rhs in pres.relations():
-        # sum per generator; most relations are band conjugations, all of
-        # whose sums vanish, so only a relation with a nonzero sum builds a
-        # column and looks up its rows
+        # most relations have sides P c P^-1 and Q c Q^-1 of one core c, as
+        # 29,645 of the 30,129 at pn-rp2 n = 22 do
+        lhs, rhs = _core(lhs), _core(rhs)
+        if lhs == rhs:
+            columns.append(())
+            continue
         sums: dict[Gen, int] = {}
         for gen, exp in lhs:
             sums[gen] = sums.get(gen, 0) + exp
@@ -430,7 +457,13 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     """Coinvariants of the free kernel of forgetting the last strand, for
     the (m+1)-strand group with l punctures over the given surface: its
     basis (:func:`~sbk.combing.kernel_basis`) modulo alpha(x) - x, alpha
-    running over the generators of the m-strand group's presentation."""
+    running over the generators of the m-strand group's presentation.
+
+    Abelianization is linear and free reduction keeps exponent sums, so no
+    row word is built: the column of x and b is ab(x b x^-1) - e_b, added
+    up from the letters of :func:`~sbk.presentations.conjugate` ``(x, 1,
+    b)``, a basis letter by its exponent and the eliminated A[top-1,top] by
+    its exponent times the sums of its image (:func:`~sbk.combing._x_images`)."""
     if surface not in (SURFACE_RP2, SURFACE_S2):
         raise ValueError("surface must be 'rp2' or 's2'")
     if m < 1:
@@ -441,8 +474,29 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
         raise ValueError("the sphere case needs l >= 3")
     top = m + l + 1
     group = build_gamma_rp2(m, l) if surface == SURFACE_RP2 else build_gamma_s2(m, l)
-    return _coinvariants({g: i for i, g in enumerate(kernel_basis(top, surface))},
-                         _kernel_rows(group.generators, 1, top, l, surface))
+    index = {g: i for i, g in enumerate(kernel_basis(top, surface))}
+    rank = len(index)
+    eliminated = gen_a(top - 1, top)
+    eliminated_sums = [0] * rank
+    for gen, exp in _x_images(top, surface)[eliminated]:
+        eliminated_sums[index[gen]] += exp
+    eliminated_column = _sparse(eliminated_sums)
+    kinds = (KIND_RHO,) if surface == SURFACE_RP2 else ()
+    columns: list[SparseColumn] = []
+    for x in group.generators:
+        check_letters(((x, 1),), l + 1, top - 1, kinds, "outside the conjugator levels")
+        for b, i in index.items():
+            col = [0] * rank
+            for gen, exp in conjugate(x, 1, b):
+                if gen == eliminated:
+                    for r, v in eliminated_column:
+                        col[r] += exp * v
+                else:
+                    col[index[gen]] += exp
+            col[i] -= 1
+            if any(col):
+                columns.append(_sparse(col))
+    return _cokernel(rank, columns)
 
 
 def subgroup_count_exponent(n: int) -> int:

@@ -27,12 +27,13 @@ NF_MAX_M = 16
 # the largest strand count, punctures included, that `info` and `abelianize`
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
 # `abelianize` reads them as a stream and holds only exponent columns,
-# 0.6-0.9 s and 19 MB max RSS.  The gamma families at 40 strands are of the
-# same size (`abelianize` 0.6-1.1 s and 18-19 MB).  `info` writes every
+# 0.42-0.50 s and 19 MB max RSS.  The gamma families at 40 strands are of
+# the same size (`abelianize` 0.38-0.50 s and 18-20 MB).  `info` writes every
 # relator's text from its relation pair, 1.1-1.6 s and 52-60 MB at the
 # caps of all three families; `abelianize` of the ln tower at n = 16, made
-# one level at a time, takes 0.8 s and 39 MB (Python 3.11, 2-core Xeon,
-# three calls each, each in its own process).  `eval` caps its --n and --to
+# one level at a time, takes 0.74-0.79 s and 39-40 MB (Python 3.11, 2-core
+# Xeon; six `abelianize` and three `info` calls per cap, each in its own
+# process).  `eval` caps its --n and --to
 # at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40

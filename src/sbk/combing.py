@@ -17,9 +17,11 @@ The conjugation action of the lower-level generators on each kernel
 basis is the defining conjugation relations read as automorphisms: a row
 x^sign b x^-sign is :func:`sbk.presentations.conjugate` with the
 eliminated letter expanded (:func:`conjugation_row`), and one builder,
-:func:`_kernel_rows`, makes the rows of the comber, of the tower action
-:func:`sbk.abelian.omega_action` and of the kernel coinvariants
-:func:`sbk.abelian.fn_kernel_coinvariants`.  The comber's rows live in
+:func:`_kernel_rows`, makes the rows of the comber and of the tower action
+:func:`sbk.abelian.omega_action`.  The kernel coinvariants
+:func:`sbk.abelian.fn_kernel_coinvariants` read only the rows' exponent
+sums, from the same relation and eliminated-letter table (:func:`_x_images`),
+without building a row.  The comber's rows live in
 one :class:`ActionTable` per level, constructed as ``ActionTable(m)``,
 which compiles them on first use into ``steps``: the rows and the kernel
 part of every lower-level letter over the basis interned as ``1 .. r``,
@@ -138,13 +140,12 @@ def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
     return substitute(conjugate(x, sign, b), _x_images(top, surface))
 
 
-def _kernel_rows(actors: Iterable[Gen], sign: int, top: int, punctures: int = 2,
-                 surface: str = SURFACE_RP2) -> list[list[tuple[Letter, ...]]]:
+def _kernel_rows(actors: Iterable[Gen], sign: int, top: int) -> list[list[tuple[Letter, ...]]]:
     """For each actor x, the images x^sign b x^-sign of the basis letters b
-    of :func:`kernel_basis` ``(top, surface)``, in basis order."""
-    basis = kernel_basis(top, surface)
-    return [[conjugation_row(x, sign, b, top, punctures, surface) for b in basis]
-            for x in actors]
+    of :func:`kernel_basis` ``(top)``, in basis order, over the projective
+    plane with two punctures."""
+    basis = kernel_basis(top)
+    return [[conjugation_row(x, sign, b, top) for b in basis] for x in actors]
 
 
 def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:

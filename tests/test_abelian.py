@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 
 import pytest
 import sympy
@@ -389,6 +390,31 @@ def test_exponent_matrix_matches_letter_counts():
         assert matrix == IntMatrix(len(pres.generators), len(pres.relators), counts)
 
 
+def test_exponent_matrix_reads_past_conjugators_only():
+    # a handmade presentation whose sides are conjugates, of one core under
+    # different conjugators or not, reduced or not, next to near misses that
+    # are no conjugates: every column is the letter count
+    x, y, b, c = gen_a(1, 2), gen_a(1, 3), gen_a(2, 3), gen_rho(3)
+    relations = [
+        (((x, 1), (b, 1), (x, -1)), ((y, 1), (b, 1), (y, -1))),  # equal cores
+        (((x, -1), (y, 2), (b, 1), (y, -2), (x, 1)), ((c, 1), (b, 1), (c, -1))),
+        (((x, 2), (b, -1), (x, -2)), ((b, -1),)),  # +-2 in P
+        (((x, 1), (x, -1), (b, 1)), ((b, 1),)),  # unreduced sides
+        (((x, 1), (b, 1), (b, -1), (x, -1)), ()),
+        (((y, 1), (x, 1), (x, -1), (y, -1)), ((c, 1), (c, -1))),
+        (((x, 1), (b, 1), (x, 1)), ((b, 1),)),  # near misses keep their columns
+        (((x, 2), (b, 1), (x, -1)), ((b, 1),)),
+        (((x, 1), (b, 1), (x, -1)), ((y, 1), (b, 2), (y, -1))),  # different cores
+        (((x, 1), (c, 1), (x, -1)), ((c, 1), (b, 1), (b, -1))),
+        (((b, 1), (c, 1)), ((c, 1), (b, 1))),
+    ]
+    pres = presentations.Presentation("handmade", (), (x, y, b, c),
+                                      lambda: iter(relations), len(relations))
+    counts = _exponent_counts(pres)
+    assert exponent_matrix(pres).entries == counts
+    assert [counts[0][6], counts[0][7], counts[2][8]] == [2, 1, -1]
+
+
 def test_exponent_matrix_and_relator_count_make_no_word(monkeypatch):
     def no_words(lhs, rhs):
         raise AssertionError("a relator word was made")
@@ -583,35 +609,91 @@ def test_omega_action_levels():
         abelian.omega_action(1)
 
 
-def test_one_kernel_row_source_feeds_every_consumer(monkeypatch):
-    # one corrupted forward rho-on-rho row of the defining relations reaches
-    # all three consumers of the kernel rows: a fresh action table, the
-    # gamma tower data and the strand-forgetting kernel coinvariants
-    fn_rows = []
-    coinvariants = abelian._coinvariants
-    monkeypatch.setattr(abelian, "_coinvariants",
-                        lambda index, images: fn_rows.append(images) or coinvariants(index, images))
+def _patch_everywhere(monkeypatch, name, replacement):
+    """Rebind ``name`` in every sbk module that holds the original object."""
+    original = getattr(combing, name)
+    for module in [module for key, module in sys.modules.items()
+                   if key == "sbk" or key.startswith("sbk.")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
 
+
+def _cokernel_columns(monkeypatch, compute):
+    """The result of ``compute()`` and the sparse columns it hands to the
+    elimination, caught by a spy on ``abelian._cokernel``."""
+    caught = []
+    cokernel = abelian._cokernel
+    with monkeypatch.context() as patch:
+        patch.setattr(abelian, "_cokernel",
+                      lambda rows, columns: caught.append(list(columns)) or cokernel(rows, caught[-1]))
+        result = compute()
+    (columns,) = caught
+    return result, columns
+
+
+def _fn_columns(monkeypatch, surface, m, l):
+    return _cokernel_columns(monkeypatch, lambda: fn_kernel_coinvariants(surface, m, l))[1]
+
+
+def test_one_kernel_row_source_feeds_every_consumer(monkeypatch):
+    # one corrupted forward rho-on-rho image of the one statement of the
+    # defining relations, presentations.conjugate, reaches all three readers:
+    # a fresh action table, the gamma tower data and the strand-forgetting
+    # kernel coinvariants
     def consumers():
-        fn_rows.clear()
-        levels = abelian.gamma_tower_levels(2)
-        fn_kernel_coinvariants("rp2", 1, 2)
-        return levels, list(fn_rows)
+        return abelian.gamma_tower_levels(2), _fn_columns(monkeypatch, "rp2", 1, 2)
 
     honest = consumers()
-    row = combing.conjugation_row
-    target = (gen_rho(3), 1, gen_rho(4), 4)
-    assert len(row(*target)) > 1
+    conjugate = presentations.conjugate
+    target = (gen_rho(3), 1, gen_rho(4))
+    assert len(conjugate(*target)) > 1
 
-    def corrupted(x, sign, b, top, *args):
-        image = row(x, sign, b, top, *args)
-        return image[-1:] if (x, sign, b, top) == target else image
+    def corrupted(x, sign, b):
+        image = conjugate(x, sign, b)
+        return image[-1:] if (x, sign, b) == target else image
 
-    monkeypatch.setattr(combing, "conjugation_row", corrupted)
+    _patch_everywhere(monkeypatch, "conjugate", corrupted)
     assert combing.ActionTable(2).round_trip_failures()
-    levels, rows = consumers()
+    levels, columns = consumers()
     assert levels != honest[0]
-    assert rows != honest[1]
+    assert columns != honest[1]
+
+
+def test_one_eliminated_letter_table_feeds_the_kernel_coinvariants(monkeypatch):
+    # dropping one letter of the eliminated A[3,4]'s entry in the one
+    # eliminated-letter table changes the strand-forgetting kernel's columns
+    honest = _fn_columns(monkeypatch, "rp2", 1, 2)
+    x_images = combing._x_images
+    eliminated = gen_a(3, 4)
+    assert len(x_images(4)[eliminated]) > 1
+
+    def corrupted(top, surface="rp2"):
+        images = x_images(top, surface)
+        if top == 4:
+            images = {**images, eliminated: images[eliminated][1:]}
+        return images
+
+    _patch_everywhere(monkeypatch, "_x_images", corrupted)
+    assert _fn_columns(monkeypatch, "rp2", 1, 2) != honest
+
+
+@pytest.mark.parametrize("surface, l", [("rp2", l) for l in range(2, 8)]
+                         + [("s2", l) for l in range(3, 8)])
+def test_fn_kernel_columns_match_the_row_words(monkeypatch, surface, l):
+    # oracle: the letterwise route, every row word x b x^-1 built by
+    # conjugation_row (the eliminated letter substituted, freely reduced) and
+    # summed by _coinvariants; the exponent sums read past the row words
+    # must give the same columns, in order, not only the same invariants
+    for m in range(1, 7):
+        top = m + l + 1
+        group = build_gamma_rp2(m, l) if surface == "rp2" else build_gamma_s2(m, l)
+        basis = combing.kernel_basis(top, surface)
+        rows = [[combing.conjugation_row(x, 1, b, top, l, surface) for b in basis]
+                for x in group.generators]
+        expected = _cokernel_columns(monkeypatch, lambda: abelian._coinvariants(
+            {g: i for i, g in enumerate(basis)}, rows))
+        got = _cokernel_columns(monkeypatch, lambda: fn_kernel_coinvariants(surface, m, l))
+        assert got == expected, (m, l)
 
 
 def test_subgroup_count_exponent():
