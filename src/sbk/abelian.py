@@ -29,7 +29,9 @@ abelianizations, the coinvariant quotient Delta(K) of a free group K
 under a generating action (the K-contribution to the abelianization of
 a split extension K x| H), iterated-tower abelianizations, coinvariants
 of the strand-forgetting kernels, and the derived counting/dimension
-reports.
+reports.  The L_n tower data stay in the comber's int codes until the
+coset rewrite turns them into (basis index, exponent) pairs: no letter is
+decoded on the way.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ from .combing import (
     _x_images,
     build_action_table,
     kernel_basis,
+    kernel_rewrite,
     keromega_basis,
-    rewrite_kernel_letters,
     x_alphabet,
 )
 from .homs import check_letters
@@ -407,12 +409,15 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
     phi_u(b_i), kept with their inverses in a :class:`~sbk.combing._Row`
     (which makes the square of rho on lookup); each index-2 basis word is
     then mapped letterwise by the comber's one step
-    :func:`~sbk.combing._act`."""
+    :func:`~sbk.combing._act`, and its reduced coded image goes straight
+    into the coset rewrite :func:`~sbk.combing.kernel_rewrite`, built once
+    per level, without a decode to letters."""
     if l < 2:
         raise ValueError("kernel levels start at 2")
     if l == 2:
         return 3, []
     table = build_action_table(l - 1)
+    rewrite = kernel_rewrite(l)
     basis_words = [table.encode(bw.letters) for bw in keromega_basis(l)]
     images = []
     for actor in combing.ln_generators(l):
@@ -420,8 +425,7 @@ def keromega_action(l: int) -> tuple[int, list[list[IndexedWord]]]:
         for i in table.index.values():
             row[i] = _walk(table, actor.letters, [i], False)
             row[-i] = _inverse(row[i])
-        images.append([rewrite_kernel_letters(l, table.decode_letters(_act(bw, ((), row, ()))))
-                       for bw in basis_words])
+        images.append([rewrite(_act(bw, ((), row, ()))) for bw in basis_words])
     return 2 * l - 1, images
 
 

@@ -31,9 +31,9 @@ NF_MAX_M = 16
 # the same size (`abelianize` 0.38-0.50 s and 18-20 MB).  `info` writes every
 # relator's text from its relation pair, 1.1-1.6 s and 52-60 MB at the
 # caps of all three families; `abelianize` of the ln tower at n = 16, made
-# one level at a time, takes 0.74-0.79 s and 39-40 MB (Python 3.11, 2-core
-# Xeon; six `abelianize` and three `info` calls per cap, each in its own
-# process).  `eval` caps its --n and --to
+# one level at a time and rewritten from the comber's codes, takes 0.57-1.00
+# s and 27 MB (Python 3.11, 2-core Xeon; six `abelianize` and three `info`
+# calls per cap, each in its own process).  `eval` caps its --n and --to
 # at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40
@@ -282,12 +282,15 @@ def main(argv=None) -> int:
     except SystemExit as stop:  # usage errors (code 2) and --help (code 0)
         return stop.code
     # MemoryError is matched first and on its own: building the tuple of
-    # the other clause allocates, and so can fail while memory is exhausted
+    # the other clauses allocates, and so can fail while memory is exhausted.
+    # An OverflowError is a size past the index range, as a power w^N
+    # written out by list repetition with N past sys.maxsize: no memory
+    # could hold it
     try:
         return args.func(args)
     except MemoryError:
         message = "out of memory"
-    except SyntaxError:
+    except (SyntaxError, OverflowError):
         message = "out of memory"
     except (ValueError, KeyError) as err:
         message = str(err)

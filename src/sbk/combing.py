@@ -58,15 +58,16 @@ parts (with the end P^-1, :func:`_action`) it also gives the action of a
 lower-level word on a kernel word.  That is how
 :func:`sbk.abelian.keromega_action` builds the tower of the torsion-free
 complement: one walk per actor and letter of the level basis gives the
-actor's row of images, and each index-2 basis word is mapped through that
-row by one :func:`_act`.  An eliminated letter A[j-1,j] is a combing letter
-like any other (:func:`_eliminated`): below its level it takes one step,
-walked once per table along its x-image through the table's compiled rows;
-at its level it multiplies in its top word, the solved surface relation;
-below that it is gone.  A power of a basis letter stays one coded letter,
-mapped through that power of its image, and a large power g^N of a
-lower-level letter is written out from a certified closed form
-(:mod:`sbk.iterates`); a power of a reduced coded word, an image or a block
+actor's row of images, each index-2 basis word is mapped through that
+row by one :func:`_act`, and the coded image goes to the one coset
+rewrite, :func:`kernel_rewrite`, undecoded.  An eliminated letter A[j-1,j]
+is a combing letter like any other (:func:`_eliminated`): below its level
+it takes one step, walked once per table along its x-image through the
+table's compiled rows; at its level it multiplies in its top word, the
+solved surface relation; below that it is gone.  A power of a basis letter
+stays one coded letter, mapped through that power of its image, and a
+large power g^N of a lower-level letter is written out from a certified
+closed form (:mod:`sbk.iterates`); a power of a reduced coded word, an image or a block
 of such a form, is written out by one list repetition, w^N = P C^N P^-1
 (:func:`_power_codes`).  Reduced words are unique, so the combed forms are
 those the letterwise rewrite into the combing alphabet (:func:`to_x_letters`)
@@ -96,12 +97,10 @@ from .words import (
     Letter,
     Word,
     concat_letters,
-    format_gen,
     gen_a,
     gen_level,
     gen_rho,
     invert_letters,
-    push_letter,
     reduce_letters,
     substitute,
 )
@@ -247,8 +246,11 @@ class _Row(dict):
 
     def __missing__(self, code: int) -> list[int]:
         i, exp = _split_code(code)
+        image = self.get(i if exp > 0 else -i)  # not self[...]: it would recurse
+        if image is None:
+            raise KeyError(code)
         # in closed form, so a conjugate p b_j p^-1 stays short: p b_j^exp p^-1
-        return _power_codes(self[i if exp > 0 else -i], abs(exp))
+        return _power_codes(image, abs(exp))
 
 
 class _Letters(dict):
@@ -263,7 +265,10 @@ class _Letters(dict):
 
     def __missing__(self, code: int) -> Letter:
         i, exp = _split_code(code)
-        return self.get(i)[0], exp
+        letter = self.get(i)  # not self[i]: it would recurse
+        if letter is None:
+            raise KeyError(code)
+        return letter[0], exp
 
 
 # A step F(a) = P * psi(a) * tail is ``(head, row, tail)``: the head P, the
@@ -669,34 +674,62 @@ def keromega_basis(l: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-def rewrite_kernel_letters(l: int, letters: Iterable[Letter]) -> tuple[tuple[int, int], ...]:
-    """Rewrite a word over the level-l kernel basis with even rho-exponent
-    into the rank 2l-1 basis of :func:`keromega_basis`, returned as
-    (basis index, exponent) pairs.
+def _coset_pairs(table: ActionTable) -> tuple[dict[int, tuple[int, int]], ...]:
+    """The pairs (index, e) of the band letters b^e, e = +-1, +-2, keyed by
+    code, in the cosets 1 and rho: the j-th band letter of the table's basis
+    is index 2j of :func:`keromega_basis`, its rho-conjugate 2j + 1."""
+    bands = [i for gen, i in table.index.items() if gen[0] == KIND_A]
+    return tuple({_code(i, exp): (2 * j + state, exp) for j, i in enumerate(bands)
+                  for exp in (1, -1, 2, -2)} for state in (0, 1))
 
-    Index layout: A[k,l+1] -> 2(k-1), its rho-conjugate -> 2(k-1)+1, and
-    rho[l+1]^2 -> 2l-2.  Standard coset rewriting over the transversal
-    {1, rho}.
-    """
-    top = l + 1
-    rho_top = gen_rho(top)
-    square_idx = 2 * l - 2
-    out: list[tuple[int, int]] = []
-    state = 0  # the coset: 1 after an odd rho-exponent
-    for gen, exp in letters:
-        if gen == rho_top:
-            # rho^(state + exp) = (rho^2)^q rho^r with r in {0, 1}; floor
-            # division gives the q, r of a negative exponent too
-            state += exp
-            push_letter(out, square_idx, state // 2)
-            state %= 2
-        elif gen[0] == KIND_A and gen[2] == top and gen[1] <= l - 1:
-            push_letter(out, 2 * (gen[1] - 1) + state, exp)
-        else:
-            raise AlphabetError(f"{format_gen(gen)} is not a level-{l} kernel letter")
-    if state:
-        raise ValueError("word has odd rho-exponent, not in the kernel")
-    return tuple(out)
+
+def kernel_rewrite(l: int) -> Callable[[Iterable[int]], tuple[tuple[int, int], ...]]:
+    """The rewrite of reduced coded words over the level-l kernel basis
+    (that of ``build_action_table(l - 1)``) with even rho-exponent into the
+    rank 2l-1 basis of :func:`keromega_basis`, as (basis index, exponent)
+    pairs; index 2l-2 is rho[l+1]^2.  Standard coset rewriting over the
+    transversal {1, rho}.
+
+    A band letter of exponent +-1 or +-2 is its coset's shared pair
+    (:func:`_coset_pairs`), built once per rewrite; rho[l+1]^e and longer
+    powers are split (:func:`_split_code`).  The pairs are appended, never
+    merged, and the result is reduced as the input is: two band letters
+    whose pairs come out adjacent are either adjacent in the input, and so
+    on different generators, or have one rho power between them, which
+    either emits a square letter or flips the coset and with it the index;
+    and two rho powers are never adjacent, so neither are two squares.  An
+    odd rho-exponent raises ``ValueError``, and a code outside the basis
+    ``KeyError``."""
+    table = build_action_table(l - 1)
+    rho = table.index[gen_rho(l + 1)]
+    square = 2 * l - 2
+    cosets = _coset_pairs(table)
+
+    def rewrite(codes: Iterable[int]) -> tuple[tuple[int, int], ...]:
+        out: list[tuple[int, int]] = []
+        state = 0  # the coset: 1 after an odd rho-exponent
+        pairs = cosets[0]
+        for code in codes:
+            pair = pairs.get(code)
+            if pair is None:
+                i, exp = _split_code(code)
+                if i == rho:
+                    # rho^(state + exp) = (rho^2)^q rho^state, state in {0, 1}:
+                    # divmod floors, for a negative exponent too
+                    q, state = divmod(state + exp, 2)
+                    if q:
+                        out.append((square, q))
+                    pairs = cosets[state]
+                    continue
+                if i not in pairs:
+                    raise KeyError(code)
+                pair = pairs[i][0], exp
+            out.append(pair)
+        if state:
+            raise ValueError("word has odd rho-exponent, not in the kernel")
+        return tuple(out)
+
+    return rewrite
 
 
 def gamma_tower_ranks(n: int) -> list[int]:

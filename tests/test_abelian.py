@@ -28,6 +28,7 @@ from sbk.abelian import (
 )
 from sbk.presentations import build_gamma_rp2, build_gamma_s2, build_pn_rp2
 from sbk.words import gen_a, gen_rho
+from test_combing import rewrite_kernel_letters
 
 RNG_SEED = 70839
 
@@ -483,10 +484,10 @@ def test_two_route_agreement():
 def _keromega_by_combs(l):
     """The level-l tower action the slow way: each image is the comber's
     split of ``actor * basis word`` without the kernel parts, one comb per
-    actor and basis word."""
+    actor and basis word, rewritten by the letter-form coset rewrite."""
     table = combing.build_action_table(l - 1)
     return 2 * l - 1, [
-        [combing.rewrite_kernel_letters(
+        [rewrite_kernel_letters(
             l, combing._split_top(table, actor.letters + bw.letters, tails=False))
          for bw in combing.keromega_basis(l)]
         for actor in combing.ln_generators(l)]
@@ -519,6 +520,24 @@ def test_keromega_action_sees_a_corrupted_image_of_rho(monkeypatch):
     assert rank == expected_rank
     assert images[:-1] == expected[:-1]
     assert images[-1] != expected[-1]
+
+
+def test_keromega_action_sees_a_corrupted_coset_pair(monkeypatch):
+    # negative control: the pair of A[1,l+1] in coset rho given the index of
+    # its coset-1 pair breaks the match with the letter-form rewrite
+    l = 5
+    coset_pairs = combing._coset_pairs
+    code = combing.build_action_table(l - 1).index[gen_a(1, l + 1)]
+
+    def corrupted(table):
+        cosets = coset_pairs(table)
+        cosets[1][code] = cosets[0][code]
+        return cosets
+
+    monkeypatch.setattr(combing, "_coset_pairs", corrupted)
+    assert keromega_action(l) != _keromega_by_combs(l)
+    monkeypatch.undo()
+    assert keromega_action(l) == _keromega_by_combs(l)
 
 
 def test_ln_tower_values():

@@ -20,7 +20,6 @@ from sbk.combing import (
     ln_membership,
     ln_tower_ranks,
     pn_triviality,
-    rewrite_kernel_letters,
     section_s,
     sphere_tower_ranks,
     to_x_letters,
@@ -30,9 +29,11 @@ from sbk.homs import iota_sharp
 from sbk.presentations import SURFACE_S2, build_gamma_rp2, cln_letters
 from sbk.verify import random_x_word
 from sbk.words import (
+    KIND_A,
     AlphabetError,
     Word,
     concat_letters,
+    format_gen,
     gen_a,
     gen_level,
     gen_rho,
@@ -970,22 +971,59 @@ def test_tower_ranks():
         assert ln_tower_ranks(n) == [2 * l - 1 for l in range(n - 1, 1, -1)]
 
 
+def rewrite_kernel_letters(l, letters):
+    """The coset rewrite of a word of letters over the level-l kernel basis
+    with even rho-exponent, merging through ``push_letter``: the letter-form
+    oracle for :func:`sbk.combing.kernel_rewrite`, which reads codes.
+
+    Index layout: A[k,l+1] -> 2(k-1), its rho-conjugate -> 2(k-1)+1, and
+    rho[l+1]^2 -> 2l-2.  Standard coset rewriting over the transversal
+    {1, rho}.
+    """
+    top = l + 1
+    rho_top = gen_rho(top)
+    square_idx = 2 * l - 2
+    out = []
+    state = 0  # the coset: 1 after an odd rho-exponent
+    for gen, exp in letters:
+        if gen == rho_top:
+            # rho^(state + exp) = (rho^2)^q rho^r with r in {0, 1}; floor
+            # division gives the q, r of a negative exponent too
+            state += exp
+            push_letter(out, square_idx, state // 2)
+            state %= 2
+        elif gen[0] == KIND_A and gen[2] == top and gen[1] <= l - 1:
+            push_letter(out, 2 * (gen[1] - 1) + state, exp)
+        else:
+            raise AlphabetError(f"{format_gen(gen)} is not a level-{l} kernel letter")
+    if state:
+        raise ValueError("word has odd rho-exponent, not in the kernel")
+    return tuple(out)
+
+
+def _rewrite_codes(l, letters):
+    """:func:`sbk.combing.kernel_rewrite` of a word of letters, freely
+    reduced and coded over the basis of ``build_action_table(l - 1)``."""
+    table = build_action_table(l - 1)
+    return combing.kernel_rewrite(l)(table.encode(reduce_letters(letters)))
+
+
 def test_rewrite_kernel_letters():
     rho4 = gen_rho(4)
     a14 = gen_a(1, 4)
     # rho^2 -> the square basis letter (index 2l-2 = 4 at level 3)
-    assert rewrite_kernel_letters(3, ((rho4, 2),)) == ((4, 1),)
+    assert _rewrite_codes(3, ((rho4, 2),)) == ((4, 1),)
     # rho a rho^-1 -> the conjugated letter
-    assert rewrite_kernel_letters(3, ((rho4, 1), (a14, 1), (rho4, -1))) == ((1, 1),)
+    assert _rewrite_codes(3, ((rho4, 1), (a14, 1), (rho4, -1))) == ((1, 1),)
     # rho a rho -> conjugated letter then a square
-    assert rewrite_kernel_letters(3, ((rho4, 1), (a14, 1), (rho4, 1))) == ((1, 1), (4, 1))
+    assert _rewrite_codes(3, ((rho4, 1), (a14, 1), (rho4, 1))) == ((1, 1), (4, 1))
     with pytest.raises(ValueError):
-        rewrite_kernel_letters(3, ((rho4, 1),))
+        _rewrite_codes(3, ((rho4, 1),))
 
 
 def _rewrite_kernel_letters_unit_steps(l, letters):
     """The coset rewrite one unit of rho-exponent at a time: the oracle for
-    the closed form in :func:`rewrite_kernel_letters`."""
+    the closed form of rho powers in :func:`sbk.combing.kernel_rewrite`."""
     top = l + 1
     rho_top = gen_rho(top)
     square_idx = 2 * l - 2
@@ -1030,20 +1068,71 @@ def test_rewrite_kernel_letters_matches_unit_steps(case):
         expected = _rewrite_kernel_letters_unit_steps(l, letters)
     except ValueError:
         with pytest.raises(ValueError):
-            rewrite_kernel_letters(l, letters)
+            _rewrite_codes(l, letters)
     else:
-        assert rewrite_kernel_letters(l, letters) == expected
+        assert _rewrite_codes(l, letters) == expected
 
 
 def test_rewrite_kernel_letters_negative_exponents():
     rho4 = gen_rho(4)
     a14 = gen_a(1, 4)
     # rho^-3 a rho^-1 = (rho^2)^-2 . rho a rho^-1
-    assert rewrite_kernel_letters(3, ((rho4, -3), (a14, 1), (rho4, -1))) == ((4, -2), (1, 1))
-    assert rewrite_kernel_letters(3, ((rho4, -7), (rho4, 7))) == ()
+    assert _rewrite_codes(3, ((rho4, -3), (a14, 1), (rho4, -1))) == ((4, -2), (1, 1))
+    assert _rewrite_codes(3, ((rho4, -7), (rho4, 7))) == ()
     for letters in (((rho4, -3),), ((rho4, 40), (a14, 2), (rho4, -7))):
         with pytest.raises(ValueError):
-            rewrite_kernel_letters(3, letters)
+            _rewrite_codes(3, letters)
+
+
+def _random_kernel_codes(rng, l):
+    """A random reduced coded word over the level-l kernel basis with even
+    rho-exponent, exponents up to +-5: past the stored +-2 pairs."""
+    table = build_action_table(l - 1)
+    rho = table.index[gen_rho(l + 1)]
+    while True:
+        codes = []
+        for _ in range(rng.randrange(0, 30)):
+            last = abs(codes[-1]) & combing._MASK if codes else None
+            i = rng.choice([i for i in table.index.values() if i != last])
+            codes.append(combing._code(i, rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])))
+        if sum(exp for i, exp in map(combing._split_code, codes) if i == rho) % 2 == 0:
+            return codes
+
+
+def test_kernel_rewrite_matches_the_letter_form_and_is_reduced():
+    rng = random.Random(RNG_SEED)
+    for l in range(3, 9):
+        table = build_action_table(l - 1)
+        rewrite = combing.kernel_rewrite(l)
+        for _ in range(150):
+            codes = _random_kernel_codes(rng, l)
+            got = rewrite(codes)
+            assert got == rewrite_kernel_letters(l, table.decode_letters(codes)), (l, codes)
+            assert all(a[0] != b[0] for a, b in zip(got, got[1:])), (l, codes)
+
+
+def test_kernel_rewrite_rejects_odd_rho_and_codes_outside_the_basis():
+    l = 4
+    rewrite = combing.kernel_rewrite(l)
+    rho = build_action_table(l - 1).index[gen_rho(l + 1)]
+    for codes in ([rho], [1, combing._code(rho, -3), 2], [combing._code(rho, 5)]):
+        with pytest.raises(ValueError, match="odd rho-exponent"):
+            rewrite(codes)
+    for code in (rho + 1, -(rho + 1), combing._code(rho + 1, 7), 0):
+        with pytest.raises(KeyError) as err:
+            rewrite([1, code])
+        assert err.value.args == (code,)
+
+
+def test_decoding_a_code_outside_the_basis_raises_key_error():
+    table = build_action_table(2)
+    row = table.steps[(gen_a(1, 3), 1)][1]  # a row is keyed the same way
+    for code in (4, -4, combing._code(4, 5), combing._code(4, -2), 0):
+        for lookup in (table.decode_letters, lambda codes: row[codes[0]]):
+            with pytest.raises(KeyError) as err:
+                lookup([code])
+            assert err.value.args == (code,)
+    assert table.decode_letters([combing._code(3, -5)]) == ((gen_rho(4), -5),)
 
 
 def test_comb_alphabet_validation():

@@ -359,6 +359,21 @@ def test_power_of_a_row_image_exits_2_within_2_s_in_300_mb():
     assert elapsed < 2, elapsed
 
 
+def test_exponent_past_the_index_range_exits_2_at_once():
+    # w^N for N >= 2^63 cannot even be asked of a list repetition: the
+    # OverflowError is reported as the out-of-memory error it is
+    for argv in (("nf", "--m", "2", "--word", "A[1,3]^99999999999999999999"),
+                 ("eval", "--hom", "forget", "--n", "3", "--to", "2",
+                  "--word", "tau[1]^99999999999999999999")):
+        start = time.perf_counter()
+        rc, out, _ = run_cli(*argv)
+        elapsed = time.perf_counter() - start
+        assert rc == 2, argv
+        assert out.count("\n") == 1, argv
+        assert json.loads(out) == {"error": "out of memory"}, argv
+        assert elapsed < 5, (argv, elapsed)
+
+
 def test_oversized_eliminated_power_exits_2_under_a_memory_cap():
     # at its own level A[3,4] multiplies in 10^9 copies of its top word, the
     # solved surface relation; they fail to fit at once in the same way
