@@ -13,9 +13,11 @@ ab(P c P^-1) = ab(c), so each side of a relation is read past its
 conjugator P, and a relation whose sides have equal cores, as the band
 conjugations do, gives the zero column without a sum; ab is linear, so
 the strand-forgetting coinvariants add up the letters of the defining
-relations, the eliminated letter by the sums of its image, and build no
-row word.  :func:`snf` and :func:`delta_coinvariants` feed one
-elimination, :func:`_diagonal`, sparse columns in that format.  The column
+relations, read once per generator as the images of the kernel basis
+(:func:`~sbk.presentations.conjugates`), the eliminated letter by the sums
+of its image, and build no row word.  :func:`snf` and
+:func:`delta_coinvariants` feed one elimination, :func:`_diagonal`, sparse
+columns in that format.  The column
 space does not change when a column is negated, when a copy of another
 column is dropped or when a zero column is dropped, so the elimination
 runs on the distinct nonzero columns up to sign only: the exponent matrix
@@ -56,7 +58,7 @@ from .combing import (
     x_alphabet,
 )
 from .homs import check_letters
-from .presentations import Presentation, build_gamma_rp2, build_gamma_s2, conjugate
+from .presentations import Presentation, build_gamma_rp2, build_gamma_s2, conjugates
 from .words import KIND_RHO, Frozen, Gen, gen_a
 
 IndexedWord = tuple  # ((basis index, exponent), ...)
@@ -464,10 +466,12 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     running over the generators of the m-strand group's presentation.
 
     Abelianization is linear and free reduction keeps exponent sums, so no
-    row word is built: the column of x and b is ab(x b x^-1) - e_b, added
-    up from the letters of :func:`~sbk.presentations.conjugate` ``(x, 1,
-    b)``, a basis letter by its exponent and the eliminated A[top-1,top] by
-    its exponent times the sums of its image (:func:`~sbk.combing._x_images`)."""
+    row word is built: each generator x is checked once and its images of
+    the basis are read once, as :func:`~sbk.presentations.conjugates` ``(x,
+    1, basis)``; the column of x and b is ab(x b x^-1) - e_b, added up from
+    the letters of b's image, a basis letter by its exponent and the
+    eliminated A[top-1,top] by its exponent times the sums of its image
+    (:func:`~sbk.combing._x_images`)."""
     if surface not in (SURFACE_RP2, SURFACE_S2):
         raise ValueError("surface must be 'rp2' or 's2'")
     if m < 1:
@@ -478,7 +482,8 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
         raise ValueError("the sphere case needs l >= 3")
     top = m + l + 1
     group = build_gamma_rp2(m, l) if surface == SURFACE_RP2 else build_gamma_s2(m, l)
-    index = {g: i for i, g in enumerate(kernel_basis(top, surface))}
+    basis = kernel_basis(top, surface)
+    index = {g: i for i, g in enumerate(basis)}
     rank = len(index)
     eliminated = gen_a(top - 1, top)
     eliminated_sums = [0] * rank
@@ -489,9 +494,9 @@ def fn_kernel_coinvariants(surface: str, m: int, l: int) -> AbelianInvariants:
     columns: list[SparseColumn] = []
     for x in group.generators:
         check_letters(((x, 1),), l + 1, top - 1, kinds, "outside the conjugator levels")
-        for b, i in index.items():
+        for i, image in enumerate(conjugates(x, 1, basis)):
             col = [0] * rank
-            for gen, exp in conjugate(x, 1, b):
+            for gen, exp in image:
                 if gen == eliminated:
                     for r, v in eliminated_column:
                         col[r] += exp * v

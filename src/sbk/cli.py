@@ -26,14 +26,14 @@ NF_MAX_M = 16
 
 # the largest strand count, punctures included, that `info` and `abelianize`
 # accept for each group family.  pn-rp2 at n = 40 has 325,170 relations:
-# `abelianize` reads them as a stream and holds only exponent columns,
-# 0.42-0.50 s and 19 MB max RSS.  The gamma families at 40 strands are of
-# the same size (`abelianize` 0.38-0.50 s and 18-20 MB).  `info` writes every
-# relator's text from its relation pair, 1.1-1.6 s and 52-60 MB at the
-# caps of all three families; `abelianize` of the ln tower at n = 16, made
-# one level at a time and rewritten from the comber's codes, takes 0.57-1.00
-# s and 27 MB (Python 3.11, 2-core Xeon; six `abelianize` and three `info`
-# calls per cap, each in its own process).  `eval` caps its --n and --to
+# `abelianize` reads them as a stream, one level's band rows at a time, and
+# holds only exponent columns, 0.32-0.48 s and 20 MB max RSS.  The gamma
+# families at 40 strands are of the same size (`abelianize` 0.29-0.40 s and
+# 20-21 MB).  `info` writes every relator's text from its relation pair,
+# 0.68-0.83 s and 54-61 MB at the caps of all three families; `abelianize`
+# of the ln tower at n = 16, made one level at a time and rewritten from the
+# comber's codes, takes 0.60-0.65 s and 27 MB (Python 3.11, 2-core Xeon; six
+# `abelianize` and three `info` calls per cap, each in its own process).  `eval` caps its --n and --to
 # at PN_RP2_MAX_N too.
 PN_RP2_MAX_N = 40
 GAMMA_RP2_MAX_STRANDS = 40

@@ -14,14 +14,16 @@ reduced words (omega_{m+1}, ..., omega_2), one per kernel level, with
     w = omega_{m+1} * s(omega_m * s( ... s(omega_2) ... )).
 
 The conjugation action of the lower-level generators on each kernel
-basis is the defining conjugation relations read as automorphisms: a row
-x^sign b x^-sign is :func:`sbk.presentations.conjugate` with the
-eliminated letter expanded (:func:`conjugation_row`), and one builder,
+basis is the defining conjugation relations read as automorphisms: the
+row of x^sign, its images x^sign b x^-sign of the basis letters b, is
+:func:`sbk.presentations.conjugates` with the eliminated letter expanded
+(:func:`conjugation_row`, which checks its actor once per row; a band
+actor reads one :func:`sbk.presentations.artin_row`), and one builder,
 :func:`_kernel_rows`, makes the rows of the comber and of the tower action
 :func:`sbk.abelian.omega_action`.  The kernel coinvariants
 :func:`sbk.abelian.fn_kernel_coinvariants` read only the rows' exponent
-sums, from the same relation and eliminated-letter table (:func:`_x_images`),
-without building a row.  The comber's rows live in
+sums, from the same relations and eliminated-letter table (:func:`_x_images`),
+without building a row word.  The comber's rows live in
 one :class:`ActionTable` per level, constructed as ``ActionTable(m)``,
 which compiles them on first use into ``steps``: the rows and the kernel
 part of every lower-level letter over the basis interned as ``1 .. r``,
@@ -87,7 +89,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .homs import (Q_ONE, _checked_letters, check_letters, expand_even_crossings, iota_hat,
                    iota_sharp, q2_sharp)
-from .presentations import SURFACE_RP2, SURFACE_S2, conjugate, surface_relation
+from .presentations import SURFACE_RP2, SURFACE_S2, conjugates, surface_relation
 from .words import (
     KIND_A,
     KIND_RHO,
@@ -126,25 +128,24 @@ def _x_images(top: int, surface: str = SURFACE_RP2) -> dict[Gen, tuple[Letter, .
     return images
 
 
-def conjugation_row(x: Gen, sign: int, b: Gen, top: int, punctures: int = 2,
-                    surface: str = SURFACE_RP2) -> tuple[Letter, ...]:
-    """The word over the top-level kernel basis equal to x^sign b x^-sign,
-    for a letter ``x`` of the group below level ``top`` and a kernel basis
-    letter ``b`` (:func:`kernel_basis`): the defining relation
-    :func:`sbk.presentations.conjugate` with the eliminated letter
-    A[top-1,top] expanded, freely reduced."""
-    # a constant message, as this runs once per row, not once per actor
+def conjugation_row(x: Gen, sign: int, top: int, punctures: int = 2,
+                    surface: str = SURFACE_RP2) -> list[tuple[Letter, ...]]:
+    """The row of x^sign over the top-level kernel basis: for each letter b
+    of :func:`kernel_basis` ``(top, surface)``, in basis order, the word
+    equal to x^sign b x^-sign, for a letter ``x`` of the group below level
+    ``top``.  The actor is checked once, and each word of the defining
+    relations :func:`sbk.presentations.conjugates` is freely reduced with
+    the eliminated letter A[top-1,top] expanded."""
     kinds = (KIND_RHO,) if surface == SURFACE_RP2 else ()
     check_letters(((x, sign),), punctures + 1, top - 1, kinds, "outside the conjugator levels")
-    return substitute(conjugate(x, sign, b), _x_images(top, surface))
+    images = _x_images(top, surface)
+    return [substitute(word, images) for word in conjugates(x, sign, kernel_basis(top, surface))]
 
 
 def _kernel_rows(actors: Iterable[Gen], sign: int, top: int) -> list[list[tuple[Letter, ...]]]:
-    """For each actor x, the images x^sign b x^-sign of the basis letters b
-    of :func:`kernel_basis` ``(top)``, in basis order, over the projective
-    plane with two punctures."""
-    basis = kernel_basis(top)
-    return [[conjugation_row(x, sign, b, top) for b in basis] for x in actors]
+    """The :func:`conjugation_row` of each actor at level ``top``, over the
+    projective plane with two punctures."""
+    return [conjugation_row(x, sign, top) for x in actors]
 
 
 def kernel_basis(top: int, surface: str = SURFACE_RP2) -> tuple[Gen, ...]:

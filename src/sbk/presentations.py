@@ -19,13 +19,19 @@ which writes each relator's text from its pair's letter texts, read the
 pairs alone.  The relator word ``lhs * rhs^-1`` of a relation, which
 equals the identity, is made by :func:`_relator` only where
 :class:`Relators`, the presentation's read-only sequence of words, is
-read.  Every band conjugation is stated once, in :func:`artin_conjugate`,
-whose words the band relations of all three families take as their
-right-hand sides; :func:`conjugate` adds the conjugations by and of the
-rho letters, which the rho relations of ``gamma-rp2`` take.  The surface
-relation of both surfaces is stated once too (:func:`surface_relation`);
-the relation streams and the action tables and eliminated-letter
-expansions of :mod:`sbk.combing` share these statements.
+read.  Every band conjugation is stated once, as a row: :func:`artin_row`
+writes the images of the level-j bands under one conjugator A[r,s]^sign
+from the shared letters of that level.  Each level of a relation stream
+makes one row per conjugator and reads it b by b, so the band relations of
+all three families take its words as their right-hand sides; only one
+level's rows are alive at a time, and none is kept.  :func:`conjugate`
+adds the conjugations by and of the rho letters, which the rho relations
+of ``gamma-rp2`` take, and :func:`conjugates` gives the images of one
+level's letters under one actor, a band actor reading one row.  The
+surface relation of both surfaces is stated once too
+(:func:`surface_relation`); the relation streams and the action tables,
+eliminated-letter expansions and kernel coinvariants of :mod:`sbk.combing`
+and :mod:`sbk.abelian` share these statements.
 """
 
 from __future__ import annotations
@@ -33,11 +39,12 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from functools import lru_cache, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .words import (
     KIND_A,
     KIND_RHO,
+    KIND_TAU,
     Frozen,
     Gen,
     Letter,
@@ -146,63 +153,42 @@ class _InverseLetterTexts(dict):
         return text
 
 
-def artin_case(r: int, s: int, i: int, j: int) -> str:
-    """Classify the conjugation of A[i,j] by A[r,s]; requires s < j.
-
-    The four shapes: "disjoint" (the index pairs do not interleave),
-    "lower" (i = r), "upper" (i = s) and "linked" (r < i < s).
-    """
-    if not (1 <= r < s and 1 <= i < j and s < j):
-        raise ValueError(f"invalid band conjugation indices ({r},{s}),({i},{j})")
-    if i < r or i > s:
-        return "disjoint"
-    if i == r:
-        return "lower"
-    if i == s:
-        return "upper"
-    return "linked"
-
-
-def artin_conjugate(r: int, s: int, i: int, j: int, sign: int = 1) -> tuple[Letter, ...]:
-    """The word equal to ``A[r,s]^sign A[i,j] A[r,s]^-sign`` over band
-    generators, written out for both signs: a call neither reduces nor
-    inverts, as it runs once per band relation of every presentation."""
-    case = artin_case(r, s, i, j)
-    # artin_case has validated the indices, so the generators are built as
-    # plain tuples
-    b = (KIND_A, i, j)
-    if case == "disjoint":
-        return ((b, 1),)
-    u = (KIND_A, r, j)
-    v = (KIND_A, s, j)
-    if case == "lower":
-        if sign > 0:
-            return ((v, -1), (b, 1), (v, 1))
-        return ((u, 1), (v, 1), (u, 1), (v, -1), (u, -1))
-    if case == "upper":
-        if sign > 0:
-            return ((v, -1), (u, -1), (v, 1), (u, 1), (v, 1))
-        return ((u, 1), (v, 1), (u, -1))
-    if sign > 0:
-        return (
-            (v, -1), (u, -1), (v, 1), (u, 1),
-            (b, 1),
-            (u, -1), (v, -1), (u, 1), (v, 1),
-        )
-    return (
-        (u, 1), (v, 1), (u, -1), (v, -1),
-        (b, 1),
-        (v, 1), (u, 1), (v, -1), (u, -1),
-    )
-
-
 @lru_cache(maxsize=None)
-def _band_letters(j: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
-    """``(A[t,j]^-1 ..., A[t,j] ...)`` for t = 1 .. j-1, made once per level j:
-    every C[i,j] and its inverse are cut from them."""
+def _band_letters(j: int) -> tuple[tuple[Letter, ...], tuple[Letter, ...],
+                                   tuple[tuple[Letter, ...], ...]]:
+    """``(A[t,j]^-1 ..., A[t,j] ..., (A[t,j],) ...)`` for t = 1 .. j-1, the
+    letters and one-letter words of level j, made once per level: every
+    C[i,j], its inverse and every band conjugation at level j are written
+    from them."""
     # j is checked by the callers, so the generators are built as plain tuples
-    return (tuple([((KIND_A, t, j), -1) for t in range(1, j)]),
-            tuple([((KIND_A, t, j), 1) for t in range(1, j)]))
+    plus = tuple([((KIND_A, t, j), 1) for t in range(1, j)])
+    return (tuple([((KIND_A, t, j), -1) for t in range(1, j)]), plus,
+            tuple([(letter,) for letter in plus]))
+
+
+def artin_row(r: int, s: int, j: int, sign: int = 1) -> list[tuple[Letter, ...]]:
+    """The words equal to ``A[r,s]^sign A[i,j] A[r,s]^-sign`` over the band
+    generators A[.,j], for i = 1 .. j-1 in order, written out for both signs.
+
+    The words are laid out by case: disjoint (A[i,j] itself) for i < r,
+    lower at i = r, linked for r < i < s, upper at i = s, then disjoint
+    again.  They are written from the shared letters of :func:`_band_letters`
+    ``(j)``, the disjoint ones as its shared one-letter words, and a call
+    neither reduces nor inverts: this is the one statement of the band
+    conjugation, read once per conjugator and level."""
+    if not 1 <= r < s < j:
+        raise ValueError(f"invalid band conjugation of level {j} by A[{r},{s}]")
+    minus, plus, singles = _band_letters(j)
+    u, v, u_inv, v_inv = plus[r - 1], plus[s - 1], minus[r - 1], minus[s - 1]
+    if sign > 0:
+        lower = (v_inv, u, v)
+        linked = [(v_inv, u_inv, v, u, b, u_inv, v_inv, u, v) for b in plus[r:s - 1]]
+        upper = (v_inv, u_inv, v, u, v)
+    else:
+        lower = (u, v, u, v_inv, u_inv)
+        linked = [(u, v, u_inv, v_inv, b, v, u, v_inv, u_inv) for b in plus[r:s - 1]]
+        upper = (u, v, u_inv)
+    return [*singles[:r - 1], lower, *linked, upper, *singles[s:]]
 
 
 def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
@@ -210,13 +196,13 @@ def cln_letters(i: int, j: int) -> tuple[Letter, ...]:
     A[.,j], H = A[j-1,j]^-1 ... A[i+1,j]^-1."""
     if not 1 <= i < j:
         raise ValueError(f"C[{i},{j}] requires 1 <= i < j")
-    minus, plus = _band_letters(j)
+    minus, plus, _ = _band_letters(j)
     return minus[:i - 1:-1] + plus[i - 1:]
 
 
 def _cln_inverse(i: int, j: int) -> tuple[Letter, ...]:
     """C[i,j]^-1 = H A[i,j]^-1 H^-1, cut from the same letters as C[i,j]."""
-    minus, plus = _band_letters(j)
+    minus, plus, _ = _band_letters(j)
     return minus[:i - 1:-1] + minus[i - 1:i] + plus[i:]
 
 
@@ -225,9 +211,10 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
     relations, for a band or surface letter ``x`` below the level of the
     letter ``b``.  Every letter of the result lives at the level of ``b``.
 
-    The ``sign == -1`` forms are the ``sign == 1`` relations solved for
-    the inverse conjugation; the pairing is certified by the action-table
-    round-trip checks.
+    A band on a band is the word of :func:`artin_row`; the rho formulas
+    are written here.  The ``sign == -1`` forms are the ``sign == 1``
+    relations solved for the inverse conjugation; the pairing is certified
+    by the action-table round-trip checks.
     """
     j = gen_level(b)
     if x[0] not in (KIND_A, KIND_RHO) or gen_level(x) >= j:
@@ -235,7 +222,7 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
     if x[0] == KIND_A:
         if b[0] == KIND_RHO:
             return ((b, 1),)
-        return artin_conjugate(x[1], x[2], b[1], j, sign)
+        return artin_row(x[1], x[2], j, sign)[b[1] - 1]
     # x = rho[k] with k < j, so rho[j] and A[k,j] are built as plain tuples
     k = x[1]
     rj = (KIND_RHO, j)
@@ -259,6 +246,28 @@ def conjugate(x: Gen, sign: int, b: Gen) -> tuple[Letter, ...]:
         w = tuple(((KIND_A, t, j), 1) for t in range(k + 1, j))
         return w + ((rj, 1), (b, -1), (rj, -1)) + invert_letters(w)
     return ((b, 1),)
+
+
+def conjugates(x: Gen, sign: int, letters: Iterable[Gen]) -> list[tuple[Letter, ...]]:
+    """``conjugate(x, sign, b)`` for the letters b of one level, in order:
+    for a band ``x`` the band letters read one :func:`artin_row`, made when
+    the first of them is asked for, and every other letter goes through
+    :func:`conjugate`."""
+    if x[0] != KIND_A:
+        return [conjugate(x, sign, b) for b in letters]
+    images = []
+    row = None
+    for b in letters:
+        if b[0] != KIND_A:
+            images.append(conjugate(x, sign, b))
+            continue
+        if row is None:
+            j = b[2]
+            row = artin_row(x[1], x[2], j, sign)
+        elif b[2] != j:
+            raise ValueError(f"{format_gen(b)} is not at level {j}")
+        images.append(row[b[1] - 1])
+    return images
 
 
 def surface_relation(j: int, top: int, surface: str = SURFACE_RP2
@@ -294,17 +303,20 @@ def _bands(low: int, top: int) -> list[tuple[int, int]]:
 
 
 def _artin_relations(low: int, top: int) -> Iterator[Relation]:
-    """One band conjugation relation ``x b x^-1 = artin_conjugate(x, b)`` per
-    ordered pair x = A[r,s], b = A[i,j] of the bands at levels low..top with
-    s < j, b by b and x by x in band order."""
-    below: list[Gen] = []
+    """One band conjugation relation ``x b x^-1 = artin_row(r, s, j)[i - 1]``
+    per ordered pair x = A[r,s], b = A[i,j] of the bands at levels low..top
+    with s < j, b by b and x by x in band order: each level makes one row
+    per conjugator x and reads it b by b."""
+    # the letters x and x^-1 of every conjugator below the current level
+    below: list[tuple[int, int, Letter, Letter]] = []
     for j in range(low, top + 1):
-        level = [(KIND_A, i, j) for i in range(1, j)]
-        for b in level:
-            i = b[1]
-            for x in below:
-                yield ((x, 1), (b, 1), (x, -1)), artin_conjugate(x[1], x[2], i, j)
-        below += level
+        rows = [(x, x_inv, artin_row(r, s, j)) for r, s, x, x_inv in below]
+        minus, plus, _ = _band_letters(j)
+        for i, b in enumerate(plus):
+            for x, x_inv, row in rows:
+                yield (x, b, x_inv), row[i]
+        del rows  # before the next level's rows are made
+        below += [(i, j, letter, minus[i - 1]) for i, letter in enumerate(plus, 1)]
 
 
 def _artin_count(low: int, top: int) -> int:
@@ -316,35 +328,35 @@ def _artin_count(low: int, top: int) -> int:
 
 def _pn_rp2_relations(n: int) -> Iterator[Relation]:
     yield from _artin_relations(2, n)
+    # the letters tau_k^e, e = 1, -1, 2, and A[i,j]^e, e = +-1, made once per
+    # call: the tau loops below read them and build no generator
+    tau = [((KIND_TAU, k), 1) for k in range(n + 1)]
+    tau_inv = [((KIND_TAU, k), -1) for k in range(n + 1)]
+    tau_sq = [((KIND_TAU, k), 2) for k in range(n + 1)]
+    bands = [_band_letters(j) for j in range(n + 1)]
     # tau_i tau_j tau_i^-1 = tau_j^-1 A[i,j]^-1 tau_j^2
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            ti, tj, a = gen_tau(i), gen_tau(j), gen_a(i, j)
-            yield ((ti, 1), (tj, 1), (ti, -1)), ((tj, -1), (a, -1), (tj, 2))
+            yield (tau[i], tau[j], tau_inv[i]), (tau_inv[j], bands[j][0][i - 1], tau_sq[j])
     # tau_i^2 = A[1,i] ... A[i-1,i] A[i,i+1] ... A[i,n]
     for i in range(1, n + 1):
-        rhs = tuple([(gen_a(k, i), 1) for k in range(1, i)]
-                    + [(gen_a(i, k), 1) for k in range(i + 1, n + 1)])
-        yield ((gen_tau(i), 2),), rhs
+        yield (tau_sq[i],), bands[i][1] + tuple([bands[k][1][i - 1] for k in range(i + 1, n + 1)])
     # tau_k A[i,j] tau_k^-1, k != j
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            a, tj = gen_a(i, j), gen_tau(j)
+            minus, plus, singles = bands[j]
+            a, tj, tj_inv = plus[i - 1], tau[j], tau_inv[j]
             for k in range(1, n + 1):
                 if k == j:
                     continue
                 if k < i or k > j:
-                    rhs = ((a, 1),)
+                    rhs = singles[i - 1]
                 elif k == i:
-                    rhs = ((tj, -1), (a, -1), (tj, 1))
+                    rhs = (tj_inv, minus[i - 1], tj)
                 else:  # i < k < j
-                    akj = gen_a(k, j)
-                    rhs = (
-                        (tj, -1), (akj, -1), (tj, 1), (akj, -1),
-                        (a, 1),
-                        (akj, 1), (tj, -1), (akj, 1), (tj, 1),
-                    )
-                yield ((gen_tau(k), 1), (a, 1), (gen_tau(k), -1)), rhs
+                    akj, akj_inv = plus[k - 1], minus[k - 1]
+                    rhs = (tj_inv, akj_inv, tj, akj_inv, a, akj, tj_inv, akj, tj)
+                yield (tau[k], a, tau_inv[k]), rhs
 
 
 def build_pn_rp2(n: int) -> Presentation:

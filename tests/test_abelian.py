@@ -628,9 +628,10 @@ def test_omega_action_levels():
         abelian.omega_action(1)
 
 
-def _patch_everywhere(monkeypatch, name, replacement):
-    """Rebind ``name`` in every sbk module that holds the original object."""
-    original = getattr(combing, name)
+def _patch_everywhere(monkeypatch, owner, name, replacement):
+    """Rebind ``name``, defined in the module ``owner``, in every sbk module
+    that holds the original object."""
+    original = getattr(owner, name)
     for module in [module for key, module in sys.modules.items()
                    if key == "sbk" or key.startswith("sbk.")]:
         if getattr(module, name, None) is original:
@@ -671,8 +672,37 @@ def test_one_kernel_row_source_feeds_every_consumer(monkeypatch):
         image = conjugate(x, sign, b)
         return image[-1:] if (x, sign, b) == target else image
 
-    _patch_everywhere(monkeypatch, "conjugate", corrupted)
+    _patch_everywhere(monkeypatch, presentations, "conjugate", corrupted)
     assert combing.ActionTable(2).round_trip_failures()
+    levels, columns = consumers()
+    assert levels != honest[0]
+    assert columns != honest[1]
+
+
+def test_one_band_row_statement_feeds_every_band_consumer(monkeypatch):
+    # dropping the first letter of one linked word of one artin_row, the
+    # word of A[2,j] in the forward row of A[1,3] at every level j, reaches
+    # every reader of the band conjugations: the relation streams, a fresh
+    # action table, the gamma tower data and the strand-forgetting kernel
+    # coinvariants
+    from test_presentations import RELATOR_DIGEST, _relator_digest
+
+    def consumers():
+        return abelian.gamma_tower_levels(2), _fn_columns(monkeypatch, "rp2", 1, 2)
+
+    honest = consumers()
+    artin_row = presentations.artin_row
+    assert len(artin_row(1, 3, 4)[1]) == 9  # r < i < s: the linked case
+
+    def corrupted(r, s, j, sign=1):
+        row = artin_row(r, s, j, sign)
+        if (r, s, sign) == (1, 3, 1):
+            row[1] = row[1][1:]
+        return row
+
+    _patch_everywhere(monkeypatch, presentations, "artin_row", corrupted)
+    assert _relator_digest(lambda pres: map(str, pres.relators)) != RELATOR_DIGEST
+    assert combing.ActionTable(3).round_trip_failures()
     levels, columns = consumers()
     assert levels != honest[0]
     assert columns != honest[1]
@@ -692,7 +722,7 @@ def test_one_eliminated_letter_table_feeds_the_kernel_coinvariants(monkeypatch):
             images = {**images, eliminated: images[eliminated][1:]}
         return images
 
-    _patch_everywhere(monkeypatch, "_x_images", corrupted)
+    _patch_everywhere(monkeypatch, combing, "_x_images", corrupted)
     assert _fn_columns(monkeypatch, "rp2", 1, 2) != honest
 
 
@@ -707,8 +737,7 @@ def test_fn_kernel_columns_match_the_row_words(monkeypatch, surface, l):
         top = m + l + 1
         group = build_gamma_rp2(m, l) if surface == "rp2" else build_gamma_s2(m, l)
         basis = combing.kernel_basis(top, surface)
-        rows = [[combing.conjugation_row(x, 1, b, top, l, surface) for b in basis]
-                for x in group.generators]
+        rows = [combing.conjugation_row(x, 1, top, l, surface) for x in group.generators]
         expected = _cokernel_columns(monkeypatch, lambda: abelian._coinvariants(
             {g: i for i, g in enumerate(basis)}, rows))
         got = _cokernel_columns(monkeypatch, lambda: fn_kernel_coinvariants(surface, m, l))

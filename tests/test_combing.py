@@ -69,7 +69,7 @@ def _letter_rows(m):
     the top level m+2, both signs, on every kernel basis letter b, straight
     from the defining relations: the oracle for the compiled rows."""
     top = m + 2
-    return {(x, sign): {b: combing.conjugation_row(x, sign, b, top) for b in kernel_basis(top)}
+    return {(x, sign): dict(zip(kernel_basis(top), combing.conjugation_row(x, sign, top)))
             for x in x_alphabet(m - 1) for sign in (1, -1)}
 
 
@@ -434,7 +434,7 @@ def test_eliminated_steps_match_the_defining_relations():
         table = build_action_table(m)
         for x, sign in _eliminated_keys(table):
             head, row, tail = combing._eliminated(table, (x, sign))
-            row_map = {b: combing.conjugation_row(x, sign, b, table.top) for b in table.basis}
+            row_map = dict(zip(table.basis, combing.conjugation_row(x, sign, table.top)))
             for i, b in enumerate(table.basis, 1):
                 assert _conjugated(head, row[i]) == table.encode(row_map[b]), (m, x, sign, b)
                 assert _conjugated(head, row[-i]) == table.encode(invert_letters(row_map[b])), \

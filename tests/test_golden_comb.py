@@ -95,10 +95,10 @@ def _kernel_row_lines(surface, ls):
                 actors = [gen_a(r, s) for r in range(1, s)]
                 if surface == SURFACE_RP2:
                     actors.append(gen_rho(s))
-                lines += [f"{m} {l} {format_gen(x)} {sign} {format_gen(b)}: "
-                          f"{Word(conjugation_row(x, sign, b, top, l, surface))}"
+                lines += [f"{m} {l} {format_gen(x)} {sign} {format_gen(b)}: {Word(image)}"
                           for x in actors for sign in (1, -1)
-                          for b in kernel_basis(top, surface)]
+                          for b, image in zip(kernel_basis(top, surface),
+                                              conjugation_row(x, sign, top, l, surface))]
     return lines
 
 

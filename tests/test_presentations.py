@@ -7,8 +7,7 @@ import pytest
 from sbk import homs, presentations, verify
 from sbk.combing import comb
 from sbk.presentations import (
-    artin_case,
-    artin_conjugate,
+    artin_row,
     build_gamma_rp2,
     build_gamma_s2,
     build_pn_rp2,
@@ -16,6 +15,7 @@ from sbk.presentations import (
     conjugate,
 )
 from sbk.words import (
+    KIND_A,
     Word,
     format_gen,
     gen_a,
@@ -110,13 +110,67 @@ def test_gamma_s2_2_3_relator_count():
     assert len(pres.generators) == 7
 
 
+def artin_case(r, s, i, j):
+    """Oracle: the case of the conjugation of A[i,j] by A[r,s], s < j: the
+    index pairs do not interleave ("disjoint"), i = r ("lower"), i = s
+    ("upper") or r < i < s ("linked")."""
+    if not (1 <= r < s and 1 <= i < j and s < j):
+        raise ValueError(f"invalid band conjugation indices ({r},{s}),({i},{j})")
+    if i < r or i > s:
+        return "disjoint"
+    if i == r:
+        return "lower"
+    if i == s:
+        return "upper"
+    return "linked"
+
+
+def artin_conjugate(r, s, i, j, sign=1):
+    """Oracle: the word equal to A[r,s]^sign A[i,j] A[r,s]^-sign, written
+    out literally for each case and sign."""
+    case = artin_case(r, s, i, j)
+    b = (KIND_A, i, j)
+    if case == "disjoint":
+        return ((b, 1),)
+    u = (KIND_A, r, j)
+    v = (KIND_A, s, j)
+    if case == "lower":
+        if sign > 0:
+            return ((v, -1), (b, 1), (v, 1))
+        return ((u, 1), (v, 1), (u, 1), (v, -1), (u, -1))
+    if case == "upper":
+        if sign > 0:
+            return ((v, -1), (u, -1), (v, 1), (u, 1), (v, 1))
+        return ((u, 1), (v, 1), (u, -1))
+    if sign > 0:
+        return (
+            (v, -1), (u, -1), (v, 1), (u, 1),
+            (b, 1),
+            (u, -1), (v, -1), (u, 1), (v, 1),
+        )
+    return (
+        (u, 1), (v, 1), (u, -1), (v, -1),
+        (b, 1),
+        (v, 1), (u, 1), (v, -1), (u, -1),
+    )
+
+
+# the length of the word of each case and sign
+CASE_LENGTHS = {("disjoint", 1): 1, ("lower", 1): 3, ("upper", 1): 5, ("linked", 1): 9,
+                ("disjoint", -1): 1, ("lower", -1): 5, ("upper", -1): 3, ("linked", -1): 9}
+
+
 def test_artin_case_partition():
-    # every admissible pair falls in exactly one case
+    # every admissible pair falls in exactly one case, and the word of
+    # artin_row at that pair has the case's shape
     for j in range(3, 7):
         for (r, s) in itertools.combinations(range(1, 7), 2):
             for i in range(1, j):
                 if s < j:
                     assert artin_case(r, s, i, j) in {"disjoint", "lower", "upper", "linked"}
+                    for sign in (1, -1):
+                        word = artin_row(r, s, j, sign)[i - 1]
+                        assert len(word) == CASE_LENGTHS[artin_case(r, s, i, j), sign]
 
 
 def test_artin_conjugate_cases():
@@ -124,12 +178,40 @@ def test_artin_conjugate_cases():
     assert artin_conjugate(1, 2, 1, 3) == (
         (gen_a(2, 3), -1), (gen_a(1, 3), 1), (gen_a(2, 3), 1),
     )
+    assert artin_row(2, 3, 4)[0] == ((gen_a(1, 4), 1),)
+    assert artin_row(1, 2, 3)[0] == (
+        (gen_a(2, 3), -1), (gen_a(1, 3), 1), (gen_a(2, 3), 1),
+    )
     # the inverse formulas undo the forward ones inside the free group on
-    # the A[.,j] letters, checked by substitution
+    # the A[.,j] letters, checked by substitution, on the oracle and on
+    # artin_row alike
     for (r, s, i, j) in [(1, 2, 1, 3), (1, 2, 2, 3), (1, 3, 2, 4), (2, 3, 3, 4), (1, 3, 3, 4)]:
         row_fwd = {gen_a(t, j): artin_conjugate(r, s, t, j) for t in range(1, j)}
         image = artin_conjugate(r, s, i, j, -1)
         assert substitute(image, row_fwd) == ((gen_a(i, j), 1),)
+        row_fwd = dict(zip((gen_a(t, j) for t in range(1, j)), artin_row(r, s, j)))
+        image = artin_row(r, s, j, -1)[i - 1]
+        assert substitute(image, row_fwd) == ((gen_a(i, j), 1),)
+
+
+def test_artin_row_matches_the_literal_words():
+    cases = 0
+    for j in range(3, 11):
+        for (r, s) in itertools.combinations(range(1, j), 2):
+            for sign in (1, -1):
+                row = artin_row(r, s, j, sign)
+                assert len(row) == j - 1
+                for i in range(1, j):
+                    assert row[i - 1] == artin_conjugate(r, s, i, j, sign), (r, s, i, j, sign)
+                    cases += 1
+    assert cases == 2 * sum((j - 1) * (j - 1) * (j - 2) // 2 for j in range(3, 11))
+
+
+@pytest.mark.parametrize("r, s, j", [(2, 2, 4), (3, 2, 4), (1, 4, 4), (1, 5, 4), (0, 2, 4),
+                                     (-1, 2, 4)])
+def test_artin_row_rejects_invalid_conjugations(r, s, j):
+    with pytest.raises(ValueError):
+        artin_row(r, s, j)
 
 
 def test_cln_letters():
@@ -151,6 +233,22 @@ def test_conjugate_images_are_reduced_at_the_level_of_b():
             assert all(gen_level(g) == j for g, _ in image), (x, sign, b)
             cases += 1
     assert cases == 5434
+
+
+def test_conjugates_are_conjugate_letter_by_letter():
+    # the images of one level's letters under one actor, a band actor
+    # reading one row, are the images conjugate gives one at a time
+    for j in range(3, 9):
+        letters = [gen_rho(j)] + [gen_a(i, j) for i in range(1, j)] + [gen_rho(j)]
+        actors = [gen_a(r, s) for s in range(2, j) for r in range(1, s)]
+        actors += [gen_rho(k) for k in range(1, j)]
+        for x, sign in itertools.product(actors, (1, -1)):
+            assert presentations.conjugates(x, sign, letters) == \
+                [conjugate(x, sign, b) for b in letters], (x, sign, j)
+    with pytest.raises(ValueError):
+        presentations.conjugates(gen_a(1, 2), 1, [gen_a(1, 3), gen_a(1, 4)])
+    with pytest.raises(ValueError):
+        presentations.conjugates(gen_a(1, 3), 1, [gen_a(1, 3)])
 
 
 def _family_presentations(pn_ns, gamma_rp2_ms, gamma_rp2_ps, gamma_s2_ns, gamma_s2_ms):
